@@ -19,9 +19,7 @@ from .curves import (
     CurvePair,
     RawSpectrum,
     WavelengthGrid,
-    normalize_at,
     resample,
-    restrict,
     sup_distance,
     to_rest_frame,
 )
@@ -29,7 +27,6 @@ from .evaluation import (
     ErrorSummary,
     coverage_rate,
     plain_error,
-    relative_absorption,
     relative_error,
     summarize,
 )
@@ -39,7 +36,6 @@ from .pipeline import PipelineConfig, load_config, spectrum_to_pair
 from .regression import (
     FittedRegression,
     KernelSpec,
-    knn_bandwidth,
     predict,
     select_kappa_cv,
 )
@@ -57,9 +53,7 @@ __all__ = [
     "CurvePair",
     "RawSpectrum",
     "WavelengthGrid",
-    "normalize_at",
     "resample",
-    "restrict",
     "sup_distance",
     "to_rest_frame",
     "SmootherConfig",
@@ -69,7 +63,6 @@ __all__ = [
     "distance",
     "KernelSpec",
     "FittedRegression",
-    "knn_bandwidth",
     "predict",
     "select_kappa_cv",
     "ConformalBand",
@@ -96,7 +89,6 @@ __all__ = [
     "plain_error",
     "summarize",
     "coverage_rate",
-    "relative_absorption",
     "PipelineConfig",
     "load_config",
     "spectrum_to_pair",

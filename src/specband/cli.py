@@ -76,6 +76,20 @@ def _build_config(config_path, **flags) -> PipelineConfig:
     return load_config(config_path, **flags)
 
 
+def _write_summaries(out_dir: Path, predictions, truths, bands) -> tuple[float, float]:
+    """Write the relative and plain error summaries; return the mean relative
+    error and the band coverage."""
+    rel = evaluation.summarize(
+        [evaluation.relative_error(p, t) for p, t in zip(predictions, truths)]
+    )
+    plain = evaluation.summarize(
+        [evaluation.plain_error(p, t) for p, t in zip(predictions, truths)]
+    )
+    fileio.write_error_summary(out_dir / "relative_error_summary.csv", rel)
+    fileio.write_error_summary(out_dir / "plain_error_summary.csv", plain)
+    return rel.overall_mean, evaluation.coverage_rate(bands, truths)
+
+
 @click.group()
 def main() -> None:
     """Functional regression for spectrum continua, with uncertainty bands."""
@@ -133,8 +147,9 @@ def cmd_fit(config_path, manifest, out_path, **flags) -> None:
                 click.echo(f"skipping predict-only spectrum {record.id}", err=True)
                 continue
             raise ValueError(
-                f"spectrum {record.id} has no usable samples in the response "
-                f"range {config.response_range}; mark it predict_only or drop it"
+                f"spectrum {record.id} has too few samples to smooth in the "
+                f"predictor range {config.predictor_range} or the response range "
+                f"{config.response_range}; mark it predict_only or drop it"
             )
         pair, _ = spectrum_to_pair(spectrum, config)
         pairs.append(pair)
@@ -192,14 +207,9 @@ def cmd_predict(config_path, model_path, manifest, out_dir, **flags) -> None:
             bands.append(band)
             predictions.append(prediction)
     if truths:
-        rel = [evaluation.relative_error(p, t) for p, t in zip(predictions, truths)]
-        plain = [evaluation.plain_error(p, t) for p, t in zip(predictions, truths)]
-        rel_summary = evaluation.summarize(rel)
-        fileio.write_error_summary(out_dir / "relative_error_summary.csv", rel_summary)
-        fileio.write_error_summary(out_dir / "plain_error_summary.csv", evaluation.summarize(plain))
-        coverage = evaluation.coverage_rate(bands, truths)
+        mean_rel, coverage = _write_summaries(out_dir, predictions, truths, bands)
         click.echo(
-            f"mean relative error {rel_summary.overall_mean:.4f}; "
+            f"mean relative error {mean_rel:.4f}; "
             f"band coverage {coverage:.3f} at alpha={config.alpha}"
         )
     click.echo(f"wrote predictions for {len(records)} spectra under {out_dir}")
@@ -261,25 +271,20 @@ def cmd_eval(config_path, pred_dir, manifest, out_dir, **flags) -> None:
     records = [r for r in fileio.read_manifest(manifest) if r.truth_path is not None]
     if not records:
         raise ValueError("no manifest entry carries a truth_path")
-    rel, plain, bands, truths = [], [], [], []
+    predictions, bands, truths = [], [], []
     for record in records:
         prediction = fileio.read_curve(pred_dir / f"{record.id}_prediction.csv")
         band = fileio.load_conformal_band(pred_dir / f"{record.id}_band.json")
         spectrum = fileio.read_spectrum(record.path, record.z)
         _, ref = spectrum_to_predictor(spectrum, config)
         truth = resample(fileio.read_curve(record.truth_path), prediction.grid)
-        truth = truth.with_values(truth.values / ref)
-        rel.append(evaluation.relative_error(prediction, truth))
-        plain.append(evaluation.plain_error(prediction, truth))
+        predictions.append(prediction)
         bands.append(band)
-        truths.append(truth)
+        truths.append(truth.with_values(truth.values / ref))
     out_dir.mkdir(parents=True, exist_ok=True)
-    rel_summary = evaluation.summarize(rel)
-    fileio.write_error_summary(out_dir / "relative_error_summary.csv", rel_summary)
-    fileio.write_error_summary(out_dir / "plain_error_summary.csv", evaluation.summarize(plain))
-    coverage = evaluation.coverage_rate(bands, truths)
+    mean_rel, coverage = _write_summaries(out_dir, predictions, truths, bands)
     click.echo(
-        f"mean relative error {rel_summary.overall_mean:.4f}; "
+        f"mean relative error {mean_rel:.4f}; "
         f"band coverage {coverage:.3f} over {len(records)} spectra"
     )
 

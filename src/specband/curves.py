@@ -194,25 +194,9 @@ def ensure_same_grid(a: Curve, b: Curve) -> None:
         raise ValueError("curves are sampled on different wavelength grids")
 
 
-def restrict(curve: Curve, low: float, high: float) -> Curve:
-    """Slice a curve to the grid points inside [low, high]."""
-    mask = (curve.grid.points >= low) & (curve.grid.points <= high)
-    if mask.sum() < 2:
-        raise ValueError(f"fewer than 2 grid points inside [{low}, {high}]")
-    return Curve(WavelengthGrid(curve.grid.points[mask]), curve.values[mask])
-
-
 def nearest_index(grid: WavelengthGrid, wavelength: float) -> int:
     """Index of the grid point closest to the given wavelength."""
     return int(np.argmin(np.abs(grid.points - wavelength)))
-
-
-def normalize_at(curve: Curve, wavelength: float) -> Curve:
-    """Divide a curve by its value at the grid point nearest ``wavelength``."""
-    ref = curve.values[nearest_index(curve.grid, wavelength)]
-    if ref == 0.0:
-        raise ValueError(f"cannot normalize: flux is zero near {wavelength}")
-    return curve.with_values(curve.values / ref)
 
 
 def trapezoid_weights(points: FloatArray) -> FloatArray:

@@ -2,8 +2,7 @@
 
 Covers the relative error |prediction - truth| / truth, the signed plain
 error, pointwise sample summaries (mean, quartiles, a normal-approximation
-CI for the mean), empirical band coverage, and the relative flux absorption
-(observed - continuum) / continuum.
+CI for the mean) and empirical band coverage.
 """
 
 from __future__ import annotations
@@ -94,13 +93,3 @@ def coverage_rate(bands: Sequence[ConformalBand], truths: Sequence[Curve]) -> fl
         raise ValueError("need at least one band")
     hits = sum(1 for b, t in zip(bands, truths) if contains(b, t))
     return hits / len(bands)
-
-
-def relative_absorption(observed: Curve, continuum: Curve) -> Curve:
-    """Pointwise (observed - continuum) / continuum; -1 means total absorption."""
-    ensure_same_grid(observed, continuum)
-    if np.any(continuum.values <= 0.0):
-        raise ValueError("continuum must be strictly positive")
-    return Curve(
-        continuum.grid, (observed.values - continuum.values) / continuum.values
-    )

@@ -3,11 +3,11 @@
 A mock is a mean curve plus a Gaussian combination of orthonormal
 eigenspectra plus heteroskedastic pointwise noise; no absorption is
 simulated, so the noise-free part of each realization is the true continuum
-that predictions are judged against. A synthetic model builder stands in
-when no externally derived mean/eigenspectra files are available: Gaussian
-emission-line bumps on a shallow power law for the mean, Gram-Schmidt
-orthonormalized damped cosines for the eigenspectra, geometric eigenvalue
-decay, and a noise-sd curve inflated toward the grid edges.
+that predictions are judged against. The model is built synthetically:
+Gaussian emission-line bumps on a shallow power law for the mean,
+Gram-Schmidt orthonormalized damped cosines for the eigenspectra, geometric
+eigenvalue decay, and a noise-sd curve inflated toward the grid edges.
+``save_model`` writes it out as curve files next to the mocks.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .curves import (
     RawSpectrum,
     WavelengthGrid,
     nearest_index,
-    resample,
     trapezoid_weights,
 )
 
@@ -201,25 +200,3 @@ def save_model(model: MockModel, directory) -> Path:
         manifest,
     )
     return manifest
-
-
-def load_model(manifest_path) -> MockModel:
-    """Load a mock model from its manifest, resampling onto the mean's grid."""
-    from . import fileio
-
-    manifest_path = Path(manifest_path)
-    document = fileio._load_json(manifest_path, "mock_model")
-    base = manifest_path.parent
-
-    mu = fileio.read_curve(base / document["mean_path"])
-    sigma = resample(fileio.read_curve(base / document["sigma_path"]), mu.grid)
-    xi = []
-    eigenvalues = []
-    for index, entry in enumerate(document["components"], 1):
-        if "eigenvalue" not in entry:
-            raise ValueError(
-                f"{manifest_path}: component {index} is missing its eigenvalue"
-            )
-        xi.append(resample(fileio.read_curve(base / entry["path"]), mu.grid))
-        eigenvalues.append(float(entry["eigenvalue"]))
-    return MockModel(mu=mu, xi=tuple(xi), eigenvalues=np.asarray(eigenvalues), sigma=sigma)

@@ -22,9 +22,15 @@ from .curves import (
     nearest_index,
     to_rest_frame,
 )
-from .regression import FittedRegression, KernelSpec, kappa_cv_scores
+from .regression import FittedRegression, KernelSpec, best_kappa, kappa_cv_scores
 from .semimetrics import SemimetricSpec
-from .smoothing import SmootherConfig, select_span_cv, smooth
+from .smoothing import (
+    MIN_CV_SAMPLES,
+    MIN_SMOOTH_SAMPLES,
+    SmootherConfig,
+    select_span_cv,
+    smooth,
+)
 
 
 @dataclass(frozen=True)
@@ -155,10 +161,18 @@ def spectrum_to_pair(
 
 
 def covers_response_range(spectrum: RawSpectrum, config: PipelineConfig) -> bool:
-    rest = to_rest_frame(spectrum)
-    low, high = config.response_range
-    inside = (rest.wavelengths >= low) & (rest.wavelengths <= high)
-    return int(inside.sum()) >= 9
+    """Whether the spectrum can be smoothed into a training pair.
+
+    Both the predictor and the response range must hold, in the rest frame,
+    as many samples as smoothing needs: ``MIN_CV_SAMPLES`` when the span is
+    chosen by cross-validation, ``MIN_SMOOTH_SAMPLES`` with a fixed span.
+    """
+    wavelengths = to_rest_frame(spectrum).wavelengths
+    needed = MIN_CV_SAMPLES if config.span is None else MIN_SMOOTH_SAMPLES
+    return all(
+        int(((wavelengths >= low) & (wavelengths <= high)).sum()) >= needed
+        for low, high in (config.predictor_range, config.response_range)
+    )
 
 
 def fit_pairs(
@@ -179,8 +193,4 @@ def fit_pairs(
             f"no kappa candidate fits the sample size n={len(pairs)}"
         )
     table = kappa_cv_scores(pairs, spec, kernel, candidates)
-    best_kappa, best_score = table[0]
-    for kappa, score in table[1:]:
-        if score < best_score:
-            best_kappa, best_score = kappa, score
-    return FittedRegression(tuple(pairs), spec, kernel, best_kappa), table
+    return FittedRegression(tuple(pairs), spec, kernel, best_kappa(table)), table

@@ -83,17 +83,6 @@ class FittedRegression:
         return np.stack([p.response.values for p in self.pairs])
 
 
-def _check_query(model: FittedRegression, x: Curve) -> None:
-    if not x.grid.matches(model.predictor_grid):
-        raise ValueError("query curve is not on the model's predictor grid")
-
-
-def _query_distances(model: FittedRegression, x: Curve) -> FloatArray:
-    return distances_to(
-        model.semimetric, model.predictor_matrix, x.values, model.predictor_grid.points
-    )
-
-
 def _bandwidth(distances: FloatArray, kappa: int) -> float:
     """Midpoint between the kappa-th and (kappa+1)-th smallest distances.
 
@@ -107,12 +96,6 @@ def _bandwidth(distances: FloatArray, kappa: int) -> float:
     ordered = np.sort(distances)
     lo, hi = ordered[kappa - 1], ordered[kappa]
     return float(lo) if lo == hi else float(0.5 * (lo + hi))
-
-
-def knn_bandwidth(model: FittedRegression, x: Curve) -> float:
-    """Bandwidth at ``x`` enclosing exactly kappa training curves (ties aside)."""
-    _check_query(model, x)
-    return _bandwidth(_query_distances(model, x), model.kappa)
 
 
 def _weights(distances: FloatArray, kappa: int, kernel: KernelSpec) -> FloatArray:
@@ -129,11 +112,19 @@ def _weights(distances: FloatArray, kappa: int, kernel: KernelSpec) -> FloatArra
     return w / w.sum()
 
 
+def prediction_weights(model: FittedRegression, x: Curve) -> FloatArray:
+    """The normalized weight each training pair contributes at ``x``."""
+    if not x.grid.matches(model.predictor_grid):
+        raise ValueError("query curve is not on the model's predictor grid")
+    distances = distances_to(
+        model.semimetric, model.predictor_matrix, x.values, model.predictor_grid.points
+    )
+    return _weights(distances, model.kappa, model.kernel)
+
+
 def predict(model: FittedRegression, x: Curve) -> Curve:
     """Pointwise convex combination of training responses near ``x``."""
-    _check_query(model, x)
-    w = _weights(_query_distances(model, x), model.kappa, model.kernel)
-    return Curve(model.response_grid, w @ model.response_matrix)
+    return Curve(model.response_grid, prediction_weights(model, x) @ model.response_matrix)
 
 
 def predict_many(model: FittedRegression, queries: FloatArray) -> FloatArray:
@@ -146,12 +137,6 @@ def predict_many(model: FittedRegression, queries: FloatArray) -> FloatArray:
         w = _weights(dmat[i], model.kappa, model.kernel)
         out[i] = w @ model.response_matrix
     return out
-
-
-def prediction_weights(model: FittedRegression, x: Curve) -> FloatArray:
-    """The normalized weight each training pair contributes at ``x``."""
-    _check_query(model, x)
-    return _weights(_query_distances(model, x), model.kappa, model.kernel)
 
 
 def kappa_cv_scores(
@@ -178,6 +163,9 @@ def kappa_cv_scores(
     y_mat = np.stack([p.response.values for p in pairs])
     grid = pairs[0].predictor.grid.points
     dmat = distance_matrix(semimetric, x_mat, x_mat, grid)
+    # leaving pair i out: at +inf it sorts last and gets zero weight, so the
+    # full row and the full response matrix serve every fit without copies
+    np.fill_diagonal(dmat, np.inf)
     quad = trapezoid_weights(pairs[0].response.grid.points)
 
     table: list[tuple[int, float]] = []
@@ -185,13 +173,15 @@ def kappa_cv_scores(
         k_eff = min(int(kappa), n - 2)
         total = 0.0
         for i in range(n):
-            mask = np.arange(n) != i
-            w = _weights(dmat[i, mask], k_eff, kernel)
-            pred = w @ y_mat[mask]
-            diff = pred - y_mat[i]
+            diff = _weights(dmat[i], k_eff, kernel) @ y_mat - y_mat[i]
             total += float(np.sum(quad * diff * diff))
         table.append((int(kappa), total / n))
     return table
+
+
+def best_kappa(table: Sequence[tuple[int, float]]) -> int:
+    """Candidate with the smallest score; ties go to the smaller kappa."""
+    return min(table, key=lambda entry: (entry[1], entry[0]))[0]
 
 
 def select_kappa_cv(
@@ -201,9 +191,4 @@ def select_kappa_cv(
     kappa_candidates: Sequence[int],
 ) -> int:
     """Candidate with the smallest leave-one-out error; ties go to smaller kappa."""
-    table = kappa_cv_scores(pairs, semimetric, kernel, kappa_candidates)
-    best_kappa, best_score = table[0]
-    for kappa, score in table[1:]:
-        if score < best_score or (score == best_score and kappa < best_kappa):
-            best_kappa, best_score = kappa, score
-    return best_kappa
+    return best_kappa(kappa_cv_scores(pairs, semimetric, kernel, kappa_candidates))

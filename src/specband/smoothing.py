@@ -25,18 +25,20 @@ _CV_TIE_RTOL = 1e-9
 
 _DEFAULT_SPANS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
+# in-range samples needed to smooth: three per coefficient of the local
+# quadratic, and for span CV enough that each even/odd fold keeps ten
+MIN_SMOOTH_SAMPLES = 9
+MIN_CV_SAMPLES = 20
+
 
 @dataclass(frozen=True)
 class SmootherConfig:
-    """Local-fit settings: polynomial degree (fixed at 2), span, CV candidates."""
+    """Local-fit settings: span and the span CV candidates."""
 
-    degree: int = 2
     span: float = 0.5
     candidate_spans: tuple[float, ...] = _DEFAULT_SPANS
 
     def __post_init__(self) -> None:
-        if self.degree != 2:
-            raise ValueError("only quadratic local fits are supported (degree=2)")
         if not 0.0 < self.span <= 1.0:
             raise ValueError("span must be in (0, 1]")
         if len(self.candidate_spans) == 0:
@@ -111,15 +113,14 @@ def smooth(
 ) -> Curve:
     """Smooth the in-range samples onto ``output_grid``.
 
-    Requires at least 3*(degree+1) samples inside ``wl_range`` and an output
-    grid contained in it.
+    Requires at least ``MIN_SMOOTH_SAMPLES`` samples inside ``wl_range`` and
+    an output grid contained in it.
     """
     lam, flux = _in_range(spectrum, wl_range)
-    needed = 3 * (config.degree + 1)
-    if lam.size < needed:
+    if lam.size < MIN_SMOOTH_SAMPLES:
         raise ValueError(
-            f"need at least {needed} samples in [{wl_range[0]}, {wl_range[1]}], "
-            f"found {lam.size}"
+            f"need at least {MIN_SMOOTH_SAMPLES} samples in "
+            f"[{wl_range[0]}, {wl_range[1]}], found {lam.size}"
         )
     if output_grid.low < wl_range[0] or output_grid.high > wl_range[1]:
         raise ValueError("output grid extends beyond the smoothing range")
@@ -136,9 +137,10 @@ def cv_scores(
     summed. Candidates whose fit fails score infinity.
     """
     lam, flux = _in_range(spectrum, wl_range)
-    if lam.size < 20:
+    if lam.size < MIN_CV_SAMPLES:
         raise ValueError(
-            f"span cross-validation needs at least 20 samples in range, found {lam.size}"
+            f"span cross-validation needs at least {MIN_CV_SAMPLES} samples in "
+            f"range, found {lam.size}"
         )
     even = np.arange(lam.size) % 2 == 0
     folds = [(even, ~even), (~even, even)]

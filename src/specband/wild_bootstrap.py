@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import Curve, CurvePair, FloatArray
-from .fpca import FpcaModel, project, trapezoid_weights
+from .fpca import FpcaModel, trapezoid_weights
 from .regression import FittedRegression, predict_many, prediction_weights
 
 V_LOW = (1.0 - math.sqrt(5.0)) / 2.0

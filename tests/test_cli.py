@@ -108,47 +108,47 @@ def test_fit_reports_cv_table_and_kappa(runner, config_path, mock_dir, tmp_path)
     assert len(document["predictors"]) == 12
 
 
-def test_fit_rejects_spectrum_without_response_coverage(runner, config_path, mock_dir, tmp_path):
+def _unusable_spectra(mock_dir, tmp_path):
+    """Training records plus two spectra fit must not smooth: one with no
+    response-range samples, one with 12 (enough for a fixed span, too few
+    for span cross-validation)."""
     records = read_manifest(mock_dir / "manifest.json")
     spectrum = read_spectrum(records[0].path)
-    keep = spectrum.wavelengths >= 1300.0
-    truncated_path = tmp_path / "truncated.csv"
-    write_spectrum(
-        truncated_path,
-        type(spectrum)(
-            spectrum.wavelengths[keep], spectrum.flux[keep], spectrum.noise_sd[keep], 0.0
-        ),
-    )
-    manifest = tmp_path / "manifest.json"
-    write_manifest(
-        manifest,
-        [SpectrumRecord("trunc", truncated_path)] + [
-            SpectrumRecord(r.id, r.path, r.z) for r in records[:4]
-        ],
-    )
-    result = runner.invoke(
-        main,
-        ["fit", "--config", str(config_path), "--manifest", str(manifest), "--out", str(tmp_path / "m.json")],
-    )
-    assert result.exit_code == 2
-    assert "trunc" in result.output
+    wl = spectrum.wavelengths
+    paths = {}
+    for name, keep in (("trunc", wl >= 1300.0), ("short", wl >= wl[wl <= 1185.0][-12])):
+        paths[name] = tmp_path / f"{name}.csv"
+        write_spectrum(
+            paths[name],
+            type(spectrum)(wl[keep], spectrum.flux[keep], spectrum.noise_sd[keep], 0.0),
+        )
+    return records, paths
+
+
+def test_fit_rejects_spectrum_without_response_coverage(runner, config_path, mock_dir, tmp_path):
+    records, paths = _unusable_spectra(mock_dir, tmp_path)
+    for name, path in paths.items():
+        manifest = tmp_path / f"{name}_manifest.json"
+        write_manifest(
+            manifest,
+            [SpectrumRecord(name, path)] + [
+                SpectrumRecord(r.id, r.path, r.z) for r in records[:4]
+            ],
+        )
+        result = runner.invoke(
+            main,
+            ["fit", "--config", str(config_path), "--manifest", str(manifest), "--out", str(tmp_path / "m.json")],
+        )
+        assert result.exit_code == 2
+        assert f"spectrum {name} has too few samples" in result.output
 
 
 def test_fit_skips_predict_only_spectra(runner, config_path, mock_dir, tmp_path):
-    records = read_manifest(mock_dir / "manifest.json")
-    spectrum = read_spectrum(records[0].path)
-    keep = spectrum.wavelengths >= 1300.0
-    truncated_path = tmp_path / "truncated.csv"
-    write_spectrum(
-        truncated_path,
-        type(spectrum)(
-            spectrum.wavelengths[keep], spectrum.flux[keep], spectrum.noise_sd[keep], 0.0
-        ),
-    )
+    records, paths = _unusable_spectra(mock_dir, tmp_path)
     manifest = tmp_path / "manifest.json"
     write_manifest(
         manifest,
-        [SpectrumRecord("trunc", truncated_path, predict_only=True)] + [
+        [SpectrumRecord(name, path, predict_only=True) for name, path in paths.items()] + [
             SpectrumRecord(r.id, r.path, r.z) for r in records[:6]
         ],
     )
@@ -159,6 +159,7 @@ def test_fit_skips_predict_only_spectra(runner, config_path, mock_dir, tmp_path)
     )
     assert result.exit_code == 0, result.output
     assert "skipping predict-only spectrum trunc" in result.output
+    assert "skipping predict-only spectrum short" in result.output
     assert len(json.loads(out.read_text())["predictors"]) == 6
 
 

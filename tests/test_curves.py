@@ -6,9 +6,7 @@ from specband.curves import (
     CurvePair,
     RawSpectrum,
     WavelengthGrid,
-    normalize_at,
     resample,
-    restrict,
     sup_distance,
     to_rest_frame,
     trapezoid_weights,
@@ -167,18 +165,6 @@ def test_sup_distance_is_a_metric_on_random_triples():
 
 
 # -------------------------------------------------------- helpers
-
-def test_restrict_slices_inclusive():
-    grid = WavelengthGrid([1.0, 2.0, 3.0, 4.0])
-    out = restrict(Curve(grid, [1.0, 2.0, 3.0, 4.0]), 2.0, 3.5)
-    assert out.grid.points.tolist() == [2.0, 3.0]
-
-
-def test_normalize_at_uses_nearest_point():
-    grid = WavelengthGrid([1290.0, 1301.0, 1350.0])
-    out = normalize_at(Curve(grid, [2.0, 4.0, 8.0]), 1300.0)
-    assert out.values.tolist() == [0.5, 1.0, 2.0]
-
 
 def test_trapezoid_weights_integrate_linear_functions_exactly():
     pts = np.array([0.5, 1.0, 2.5, 3.0, 4.0])

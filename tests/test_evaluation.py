@@ -8,7 +8,6 @@ from specband.curves import Curve, WavelengthGrid
 from specband.evaluation import (
     coverage_rate,
     plain_error,
-    relative_absorption,
     relative_error,
     summarize,
 )
@@ -119,28 +118,3 @@ def test_coverage_length_mismatch():
     with pytest.raises(ValueError, match="bands for"):
         coverage_rate([band], [_curve(1.0), _curve(1.0)])
 
-
-def test_relative_absorption_cases():
-    continuum = _curve(np.linspace(1.0, 2.0, 30))
-    assert np.array_equal(
-        relative_absorption(continuum, continuum).values, np.zeros(30)
-    )
-    total = relative_absorption(_curve(0.0), continuum)
-    assert np.array_equal(total.values, -np.ones(30))
-    half = relative_absorption(
-        continuum.with_values(0.5 * continuum.values), continuum
-    )
-    assert np.allclose(half.values, -0.5, atol=1e-15)
-
-
-def test_relative_absorption_stays_above_minus_one():
-    rng = np.random.default_rng(4)
-    continuum = _curve(rng.uniform(0.5, 2.0, 30))
-    observed = _curve(rng.uniform(0.0, 3.0, 30))
-    delta = relative_absorption(observed, continuum)
-    assert np.all(delta.values >= -1.0)
-
-
-def test_relative_absorption_requires_positive_continuum():
-    with pytest.raises(ValueError, match="strictly positive"):
-        relative_absorption(_curve(1.0), _curve(0.0))

@@ -1,14 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from specband.curves import Curve, WavelengthGrid, trapezoid_weights
-from specband.mockgen import (
-    MockModel,
-    generate,
-    load_model,
-    save_model,
-    synthetic_model,
-)
+from specband.fileio import read_curve
+from specband.mockgen import MockModel, generate, save_model, synthetic_model
 
 GRID = WavelengthGrid.uniform(1050.0, 1600.0, 276)
 W = trapezoid_weights(GRID.points)
@@ -117,36 +114,26 @@ def test_true_continuum_lies_in_the_model_span():
 def test_model_round_trip_through_files(tmp_path):
     model = _default_model(seed=10)
     manifest = save_model(model, tmp_path / "model")
-    back = load_model(manifest)
-    assert back.n_components == model.n_components
-    assert np.array_equal(back.mu.values, model.mu.values)
-    assert np.array_equal(back.sigma.values, model.sigma.values)
-    assert np.array_equal(back.eigenvalues, model.eigenvalues)
-    for a, b in zip(back.xi, model.xi):
-        assert np.array_equal(a.values, b.values)
-
-
-def test_missing_eigenvalue_is_reported(tmp_path):
-    import json
-
-    model = _default_model(seed=12)
-    manifest = save_model(model, tmp_path / "model")
     document = json.loads(manifest.read_text())
-    del document["components"][2]["eigenvalue"]
-    manifest.write_text(json.dumps(document))
-    with pytest.raises(ValueError, match="component 3 is missing its eigenvalue"):
-        load_model(manifest)
+    assert [entry["eigenvalue"] for entry in document["components"]] == (
+        model.eigenvalues.tolist()
+    )
+    base = manifest.parent
+    assert np.array_equal(read_curve(base / document["mean_path"]).values, model.mu.values)
+    assert np.array_equal(read_curve(base / document["sigma_path"]).values, model.sigma.values)
+    for entry, component in zip(document["components"], model.xi, strict=True):
+        assert np.array_equal(read_curve(base / entry["path"]).values, component.values)
 
 
 def test_corrupt_component_file_names_file_and_row(tmp_path):
     model = _default_model(seed=13)
-    manifest = save_model(model, tmp_path / "model")
+    save_model(model, tmp_path / "model")
     target = tmp_path / "model" / "component_01.csv"
     lines = target.read_text().splitlines()
     lines[3] = "1060.0,not_a_number"
     target.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="row 4"):
-        load_model(manifest)
+    with pytest.raises(ValueError, match="component_01.csv, row 4"):
+        read_curve(target)
 
 
 def test_synthetic_model_validation():

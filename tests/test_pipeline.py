@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -89,11 +90,17 @@ def test_rest_frame_is_applied_before_smoothing():
 def test_covers_response_range():
     spectrum, config = _mock_spectrum(seed=6)
     assert covers_response_range(spectrum, config)
-    keep = spectrum.wavelengths >= 1300.0
-    truncated = RawSpectrum(
-        spectrum.wavelengths[keep], spectrum.flux[keep], spectrum.noise_sd[keep]
-    )
-    assert not covers_response_range(truncated, config)
+    wl = spectrum.wavelengths
+
+    def kept(keep):
+        return RawSpectrum(wl[keep], spectrum.flux[keep], spectrum.noise_sd[keep])
+
+    assert not covers_response_range(kept(wl >= 1300.0), config)
+    assert not covers_response_range(kept(wl <= 1250.0), config)
+    # 12 response samples smooth with a fixed span but not under span CV
+    short = kept(wl >= wl[wl <= 1185.0][-12])
+    assert not covers_response_range(short, config)
+    assert covers_response_range(short, dataclasses.replace(config, span=0.5))
 
 
 def test_fit_pairs_with_fixed_kappa_skips_cv():

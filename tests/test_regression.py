@@ -5,8 +5,8 @@ from specband.curves import Curve, CurvePair, WavelengthGrid, trapezoid_weights
 from specband.regression import (
     FittedRegression,
     KernelSpec,
+    best_kappa,
     kappa_cv_scores,
-    knn_bandwidth,
     predict,
     prediction_weights,
     select_kappa_cv,
@@ -66,21 +66,26 @@ def brute_force_prediction(model, x):
 # ---------------------------------------------------------------- bandwidth
 
 def test_bandwidth_midpoint_rule():
+    # kappa=2 puts h midway between distances 2 and 3; the kernel weights
+    # 1 - (1/2.5)^2 = 0.84 and 1 - (2/2.5)^2 = 0.36 hold at h = 2.5 only
     model = _offset_model([1.0, 2.0, 3.0, 4.0, 9.9], [0.0] * 5, kappa=2)
-    h = knn_bandwidth(model, _zero_query())
-    assert h == pytest.approx(2.5, abs=1e-12)
-    dists = [distance(L2, p.predictor, _zero_query()) for p in model.pairs]
-    assert sum(d <= h for d in dists) == 2
+    w = prediction_weights(model, _zero_query())
+    assert np.allclose(w, [0.7, 0.3, 0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_bandwidth_tie_returns_common_value():
-    model = _offset_model([1.0, -1.0, 1.0], [0.0] * 3, kappa=1)
-    assert knn_bandwidth(model, _zero_query()) == pytest.approx(1.0, abs=1e-12)
+    # the 3rd and 4th distances tie at 1, so h = 1: both tied curves sit on
+    # the kernel's edge with zero weight, and the weight ratio 15:12 of the
+    # two nearer curves holds at h = 1 only
+    model = _offset_model([0.25, 0.5, 1.0, -1.0], [0.0] * 4, kappa=3)
+    w = prediction_weights(model, _zero_query())
+    assert np.allclose(w, [15 / 27, 12 / 27, 0.0, 0.0], atol=1e-12)
 
 
 def test_bandwidth_two_points():
+    # the bandwidth falls between the two curves, so only the nearer counts
     model = _offset_model([0.0, 5.0], [0.0, 0.0], kappa=1)
-    assert knn_bandwidth(model, _zero_query()) == pytest.approx(2.5, abs=1e-12)
+    assert np.array_equal(prediction_weights(model, _zero_query()), [1.0, 0.0])
 
 
 def test_kappa_must_be_below_n():
@@ -346,3 +351,23 @@ def test_loo_rejects_empty_or_out_of_range_candidates():
         select_kappa_cv(pairs, L2, KERNEL, [])
     with pytest.raises(ValueError, match="outside"):
         select_kappa_cv(pairs, L2, KERNEL, [5])
+
+
+def test_loo_handles_duplicates_and_ties_at_the_bandwidth():
+    # three identical predictors: leaving one out with kappa=1 leaves two at
+    # distance 0, so h = 0; from the +/-1 curves the three copies tie at the
+    # bandwidth, every kernel weight vanishes and the fallback mean runs
+    rng = np.random.default_rng(15)
+    offsets = [0.0, 0.0, 0.0, 1.0, -1.0, 3.0]
+    pairs = tuple(_pair(np.full(101, off), rng.normal(size=40)) for off in offsets)
+    candidates = [1, 2, 3, 4]
+    table = dict(kappa_cv_scores(pairs, L2, KERNEL, candidates))
+    want = oracle_loo_table(pairs, candidates)
+    for kappa in candidates:
+        assert table[kappa] == pytest.approx(want[kappa], rel=1e-12)
+    assert select_kappa_cv(pairs, L2, KERNEL, candidates) == min(want, key=want.get)
+
+
+def test_best_kappa_ties_go_to_the_smaller_kappa():
+    assert best_kappa([(8, 1.0), (2, 1.0), (4, 3.0)]) == 2
+    assert best_kappa([(2, 2.0), (16, 0.5), (4, 0.5)]) == 4

@@ -88,11 +88,18 @@ def test_sobolev_invariant_to_additive_constants(spec):
     assert shifted == pytest.approx(base, abs=1e-10 * max(1.0, base))
 
 
-def test_sobolev_needs_enough_points():
-    grid = WavelengthGrid([1.0, 2.0, 3.0])
-    a = Curve(grid, [0.0, 1.0, 0.0])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda spec, v, pts: distances_to(spec, v[None, :], v, pts),
+        lambda spec, v, pts: distance_matrix(spec, v[None, :], v[None, :], pts),
+    ],
+    ids=["distances_to", "distance_matrix"],
+)
+def test_sobolev_needs_enough_points(kernel):
+    pts = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="grid points"):
-        distance(D2, a, a)
+        kernel(D2, np.array([0.0, 1.0, 0.0]), pts)
 
 
 def test_grid_mismatch_raises():

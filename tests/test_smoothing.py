@@ -109,8 +109,6 @@ def test_output_grid_must_stay_in_range():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="degree"):
-        SmootherConfig(degree=1)
     with pytest.raises(ValueError, match="span"):
         SmootherConfig(span=0.0)
     with pytest.raises(ValueError, match="candidate"):
