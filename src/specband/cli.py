@@ -141,11 +141,11 @@ def cmd_fit(config_path, manifest, out_path, **flags) -> None:
     records = fileio.read_manifest(manifest)
     pairs = []
     for record in records:
+        if record.predict_only:
+            click.echo(f"skipping predict-only spectrum {record.id}", err=True)
+            continue
         spectrum = fileio.read_spectrum(record.path, record.z)
         if not covers_response_range(spectrum, config):
-            if record.predict_only:
-                click.echo(f"skipping predict-only spectrum {record.id}", err=True)
-                continue
             raise ValueError(
                 f"spectrum {record.id} has too few samples to smooth in the "
                 f"predictor range {config.predictor_range} or the response range "

@@ -6,10 +6,14 @@ the window radius; the fitted intercept is the smoothed value. The span (the
 fraction of in-range samples per window) is selected by 2-fold
 cross-validation on interleaved even/odd folds.
 
-The window is widened minimally whenever fewer than three samples would
-carry positive weight (the tricube vanishes at the window edge), so a
-noiseless quadratic input is reproduced exactly for every admissible span.
-The noise-sd column of the input spectrum is not used as a fitting weight.
+Wavelengths increase strictly, so a point's q nearest samples are
+consecutive and the window radius is the least, over runs of q samples, of
+the larger end distance. Where fewer than three samples lie strictly inside
+the radius (the tricube vanishes there), it is raised to the next larger
+distance, the least widening that gives three whatever the ties; a noiseless
+quadratic is then reproduced exactly for every admissible span. Weighted
+moments of the scaled offsets give the normal equations, solved as one
+batch. The noise-sd column of the input spectrum is not a fitting weight.
 """
 
 from __future__ import annotations
@@ -63,45 +67,41 @@ def _fit_values(
 ) -> FloatArray:
     """Evaluate the local quadratic fit at each output wavelength."""
     m = lam.size
-    base_q = min(m, max(4, int(np.ceil(span * m))))
+    q = min(m, max(4, int(np.ceil(span * m))))
+    offset = lam[None, :] - out[:, None]
+    dist = np.abs(offset)
+    # q-th nearest distance: least far-end distance over runs of q samples
+    scale = np.maximum(dist[:, : m - q + 1], dist[:, q - 1 :]).min(axis=1)
+    # fewer than 3 samples strictly inside (positive weight): next distance up
+    short = np.count_nonzero(dist < scale[:, None], axis=1) < 3
+    scale[short] = np.where(dist[short] > scale[short, None], dist[short], np.inf).min(axis=1)
+    if np.isinf(scale).any():
+        raise ValueError(
+            f"singular local fit at wavelength {out[np.isinf(scale)][0]}: fewer "
+            "than 3 samples carry positive weight"
+        )
 
-    dist = np.abs(lam[None, :] - out[:, None])
-    sorted_dist = np.sort(dist, axis=1)
-
-    # per-row window radius; widen until >= 3 samples sit strictly inside
-    scale = np.empty(out.size)
-    for r in range(out.size):
-        row = sorted_dist[r]
-        q = base_q
-        while q < m and np.searchsorted(row, row[q - 1], side="left") < 3:
-            q += 1
-        if np.searchsorted(row, row[q - 1], side="left") < 3:
-            raise ValueError(
-                f"singular local fit at wavelength {out[r]}: fewer than 3 "
-                "samples carry positive weight"
-            )
-        scale[r] = row[q - 1]
-
-    u = dist / scale[:, None]
-    weights = np.where(u < 1.0, (1.0 - u**3) ** 3, 0.0)
-
-    # quadratic basis in the scaled offset keeps the normal equations well
-    # conditioned; the intercept is the fitted value at the output point
-    t = (lam[None, :] - out[:, None]) / scale[:, None]
-    design = np.stack([np.ones_like(t), t, t * t], axis=2)
-    normal = np.einsum("ri,ria,rib->rab", weights, design, design)
-    rhs = np.einsum("ri,ria,i->ra", weights, design, flux)
+    # scaled offsets keep the normal equations well conditioned and make the
+    # intercept the fit at the output point. Buffers are reused and moments
+    # taken one power at a time: each fresh (out, samples) array page-faults.
+    t = np.divide(offset, scale[:, None], out=offset)
+    u = np.minimum(np.abs(t, out=dist), 1.0, out=dist)
+    w = u * u
+    w *= u
+    np.subtract(1.0, w, out=w)  # 1 - u**3
+    w *= np.multiply(w, w, out=u)  # tricube (1 - u**3)**3
+    basis = np.stack([np.ones_like(flux), flux], axis=1)
+    sums = np.empty((5, out.size, 2))
+    for k in range(5):
+        sums[k] = w @ basis
+        w *= t
+    normal = sums[:, :, 0].T[:, [[0, 1, 2], [1, 2, 3], [2, 3, 4]]]
     try:
-        beta = np.linalg.solve(normal, rhs[:, :, None])[:, :, 0]
+        beta = np.linalg.solve(normal, sums[:3, :, 1].T[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        for r in range(out.size):
-            try:
-                np.linalg.solve(normal[r], rhs[r])
-            except np.linalg.LinAlgError:
-                raise ValueError(
-                    f"singular local fit at wavelength {out[r]}"
-                ) from None
-        raise
+        # slogdet runs the LU that solve ran; its sign is 0 on the failed rows
+        r = np.flatnonzero(np.linalg.slogdet(normal)[0] == 0)[0]
+        raise ValueError(f"singular local fit at wavelength {out[r]}") from None
     return beta[:, 0]
 
 

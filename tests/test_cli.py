@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from specband.cli import main
 from specband.fileio import read_manifest, read_spectrum, write_manifest, write_spectrum
 from specband.fileio import SpectrumRecord
+from specband.pipeline import load_config, spectrum_to_pair
 
 CONFIG = {
     "predictor_points": 40,
@@ -145,12 +147,13 @@ def test_fit_rejects_spectrum_without_response_coverage(runner, config_path, moc
 
 def test_fit_skips_predict_only_spectra(runner, config_path, mock_dir, tmp_path):
     records, paths = _unusable_spectra(mock_dir, tmp_path)
+    usable = records[6]
     manifest = tmp_path / "manifest.json"
     write_manifest(
         manifest,
-        [SpectrumRecord(name, path, predict_only=True) for name, path in paths.items()] + [
-            SpectrumRecord(r.id, r.path, r.z) for r in records[:6]
-        ],
+        [SpectrumRecord(name, path, predict_only=True) for name, path in paths.items()]
+        + [SpectrumRecord(usable.id, usable.path, usable.z, predict_only=True)]
+        + [SpectrumRecord(r.id, r.path, r.z) for r in records[:6]],
     )
     out = tmp_path / "m.json"
     result = runner.invoke(
@@ -160,7 +163,11 @@ def test_fit_skips_predict_only_spectra(runner, config_path, mock_dir, tmp_path)
     assert result.exit_code == 0, result.output
     assert "skipping predict-only spectrum trunc" in result.output
     assert "skipping predict-only spectrum short" in result.output
-    assert len(json.loads(out.read_text())["predictors"]) == 6
+    assert f"skipping predict-only spectrum {usable.id}" in result.output
+    predictors = json.loads(out.read_text())["predictors"]
+    assert len(predictors) == 6
+    pair, _ = spectrum_to_pair(read_spectrum(usable.path, usable.z), load_config(config_path))
+    assert not any(np.array_equal(p, pair.predictor.values) for p in predictors)
 
 
 def test_predict_writes_bands_and_summaries(runner, config_path, mock_dir, model_path, tmp_path):

@@ -74,6 +74,47 @@ def test_matches_dense_oracle_on_noisy_data():
     assert np.allclose(got.values, want, atol=1e-8)
 
 
+@pytest.mark.parametrize("span", SmootherConfig().candidate_spans)
+def test_matches_dense_oracle_across_spans(span):
+    rng = np.random.default_rng(8)
+    lam = np.sort(rng.uniform(1000.0, 1300.0, 150))
+    flux = np.cos(lam / 25.0) + rng.normal(0.0, 0.2, 150)
+    out_grid = WavelengthGrid(np.linspace(lam[0], lam[-1], 70))
+    got = smooth(_spectrum(lam, flux), (1000.0, 1300.0), SmootherConfig(span=span), out_grid)
+    want = oracle_local_quadratic(lam, flux, out_grid.points, span)
+    assert np.allclose(got.values, want, rtol=0.0, atol=1e-10)
+
+
+def test_widened_window_matches_oracle():
+    """Uniform samples with the base window of 4: at a midpoint between two
+    samples the 3rd and 4th nearest distances tie, so the window must widen
+    to the next distance up before 3 samples carry weight."""
+    rng = np.random.default_rng(12)
+    lam = 1000.0 + 0.5 * np.arange(60)
+    flux = np.sin(lam / 3.0) + rng.normal(0.0, 0.1, lam.size)
+    midpoints = lam[:-1] + 0.25
+    nearest = np.sort(np.abs(lam - midpoints[20]))
+    assert nearest[2] == nearest[3]
+    # midpoints, one sample and both range ends; span 0.05 of 60 gives 4
+    points = np.unique(np.concatenate([midpoints, [lam[0], lam[10], lam[-1]]]))
+    grid = WavelengthGrid(points)
+    got = smooth(_spectrum(lam, flux), (lam[0], lam[-1]), SmootherConfig(span=0.05), grid)
+    want = oracle_local_quadratic(lam, flux, points, 0.05)
+    assert np.allclose(got.values, want, rtol=0.0, atol=1e-10)
+
+    # the even/odd CV folds score each fold at the other's midpoints and at
+    # one range end; span 0.1 of each 30-sample fold gives 4
+    config = SmootherConfig(candidate_spans=(0.1,))
+    ((_, score),) = cv_scores(_spectrum(lam, flux), (lam[0], lam[-1]), config)
+    idx = np.arange(lam.size)
+    total = 0.0
+    for f in (0, 1):
+        tr = idx % 2 == f
+        pred = oracle_local_quadratic(lam[tr], flux[tr], lam[~tr], 0.1)
+        total += np.sum((pred - flux[~tr]) ** 2)
+    assert score == pytest.approx(total, rel=1e-10, abs=0.0)
+
+
 def test_cv_smoothing_recovers_sine_under_noise():
     """RMSE against the clean signal stays under the noise level, 20 seeds."""
     lam = np.linspace(1000.0, 1600.0, 500)
