@@ -52,20 +52,27 @@ def _exit_codes(func):
     return wrapper
 
 
-def _config_options(func):
-    decorators = [
-        click.option("--config", "config_path", type=click.Path(exists=True, path_type=Path), default=None, help="JSON config file; flags override its keys."),
-        click.option("--seed", type=int, default=None, help="Root random seed."),
-        click.option("--alpha", type=float, default=None, help="Miscoverage level in (0, 1)."),
-        click.option("--semimetric", type=click.Choice(["l2", "deriv1", "deriv2"]), default=None, help="Predictor-space distance."),
-        click.option("--kappa", type=int, default=None, help="Fixed neighbor count (skips CV)."),
-        click.option("--span", type=float, default=None, help="Fixed smoothing span (skips CV)."),
-        click.option("--span-candidates", default=None, help="Comma-separated CV spans."),
-        click.option("--kappa-candidates", default=None, help="Comma-separated CV neighbor counts."),
-    ]
-    for dec in reversed(decorators):
-        func = dec(func)
-    return func
+_CONFIG_FLAGS = {
+    "config": click.option("--config", "config_path", type=click.Path(exists=True, path_type=Path), default=None, help="JSON config file; flags override its keys."),
+    "seed": click.option("--seed", type=int, default=None, help="Root random seed."),
+    "alpha": click.option("--alpha", type=float, default=None, help="Miscoverage level in (0, 1)."),
+    "semimetric": click.option("--semimetric", type=click.Choice(["l2", "deriv1", "deriv2"]), default=None, help="Predictor-space distance."),
+    "kappa": click.option("--kappa", type=int, default=None, help="Fixed neighbor count (skips CV)."),
+    "kappa_candidates": click.option("--kappa-candidates", default=None, help="Comma-separated CV neighbor counts."),
+    "span": click.option("--span", type=float, default=None, help="Fixed smoothing span (skips CV)."),
+    "span_candidates": click.option("--span-candidates", default=None, help="Comma-separated CV spans."),
+}
+
+
+def _config_options(*names):
+    """``--config`` plus the named config flags: the settings a command reads."""
+
+    def decorate(func):
+        for name in reversed(("config", *names)):
+            func = _CONFIG_FLAGS[name](func)
+        return func
+
+    return decorate
 
 
 def _build_config(config_path, **flags) -> PipelineConfig:
@@ -76,27 +83,13 @@ def _build_config(config_path, **flags) -> PipelineConfig:
     return load_config(config_path, **flags)
 
 
-def _write_summaries(out_dir: Path, predictions, truths, bands) -> tuple[float, float]:
-    """Write the relative and plain error summaries; return the mean relative
-    error and the band coverage."""
-    rel = evaluation.summarize(
-        [evaluation.relative_error(p, t) for p, t in zip(predictions, truths)]
-    )
-    plain = evaluation.summarize(
-        [evaluation.plain_error(p, t) for p, t in zip(predictions, truths)]
-    )
-    fileio.write_error_summary(out_dir / "relative_error_summary.csv", rel)
-    fileio.write_error_summary(out_dir / "plain_error_summary.csv", plain)
-    return rel.overall_mean, evaluation.coverage_rate(bands, truths)
-
-
 @click.group()
 def main() -> None:
     """Functional regression for spectrum continua, with uncertainty bands."""
 
 
 @main.command("mockgen")
-@_config_options
+@_config_options("seed")
 @click.option("--count", type=int, default=None, help="Number of mock spectra.")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), required=True, help="Output directory.")
 @_exit_codes
@@ -131,7 +124,7 @@ def cmd_mockgen(config_path, count, out_dir, **flags) -> None:
 
 
 @main.command("fit")
-@_config_options
+@_config_options("semimetric", "kappa", "kappa_candidates", "span", "span_candidates")
 @click.option("--manifest", type=click.Path(exists=True, path_type=Path), required=True, help="Spectrum manifest to fit on.")
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True, help="Model file to write.")
 @_exit_codes
@@ -163,7 +156,7 @@ def cmd_fit(config_path, manifest, out_path, **flags) -> None:
 
 
 @main.command("predict")
-@_config_options
+@_config_options("seed", "alpha", "kappa_candidates", "span", "span_candidates")
 @click.option("--model", "model_path", type=click.Path(exists=True, path_type=Path), required=True, help="Fitted model file.")
 @click.option("--manifest", type=click.Path(exists=True, path_type=Path), required=True, help="Spectra to predict.")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), required=True, help="Output directory.")
@@ -171,9 +164,9 @@ def cmd_fit(config_path, manifest, out_path, **flags) -> None:
 def cmd_predict(config_path, model_path, manifest, out_dir, **flags) -> None:
     """Predict each spectrum's response segment with a conformal band.
 
-    The calibration split is built from the model's stored training pairs;
-    when the manifest carries truth curves an evaluation summary is written
-    too.
+    The calibration split is built from the model's stored training pairs.
+    Each band file records the spectrum's normalization constant, which
+    ``eval`` divides the truth curve by.
     """
     config = _build_config(config_path, **flags)
     model = fileio.load_regression(model_path)
@@ -188,7 +181,6 @@ def cmd_predict(config_path, model_path, manifest, out_dir, **flags) -> None:
 
     records = fileio.read_manifest(manifest)
     out_dir.mkdir(parents=True, exist_ok=True)
-    bands, truths, predictions = [], [], []
     for record in records:
         spectrum = fileio.read_spectrum(record.path, record.z)
         predictor, ref = spectrum_to_predictor(spectrum, config)
@@ -200,23 +192,12 @@ def cmd_predict(config_path, model_path, manifest, out_dir, **flags) -> None:
                 f"size; band for {record.id} is degenerate", err=True,
             )
         fileio.write_curve(out_dir / f"{record.id}_prediction.csv", prediction)
-        fileio.save_conformal_band(band, out_dir / f"{record.id}_band.json")
-        if record.truth_path is not None:
-            truth = resample(fileio.read_curve(record.truth_path), prediction.grid)
-            truths.append(truth.with_values(truth.values / ref))
-            bands.append(band)
-            predictions.append(prediction)
-    if truths:
-        mean_rel, coverage = _write_summaries(out_dir, predictions, truths, bands)
-        click.echo(
-            f"mean relative error {mean_rel:.4f}; "
-            f"band coverage {coverage:.3f} at alpha={config.alpha}"
-        )
+        fileio.save_conformal_band(band, out_dir / f"{record.id}_band.json", ref)
     click.echo(f"wrote predictions for {len(records)} spectra under {out_dir}")
 
 
 @main.command("bootstrap")
-@_config_options
+@_config_options("seed", "alpha", "span", "span_candidates")
 @click.option("--model", "model_path", type=click.Path(exists=True, path_type=Path), required=True, help="Fitted model file.")
 @click.option("--spectrum", "spectrum_path", type=click.Path(exists=True, path_type=Path), required=True, help="Query spectrum.")
 @click.option("--redshift", type=float, default=0.0, help="Query spectrum redshift.")
@@ -260,32 +241,39 @@ def cmd_bootstrap(config_path, model_path, spectrum_path, redshift, components, 
 
 
 @main.command("eval")
-@_config_options
 @click.option("--predictions", "pred_dir", type=click.Path(exists=True, path_type=Path), required=True, help="Directory written by predict.")
 @click.option("--manifest", type=click.Path(exists=True, path_type=Path), required=True, help="Manifest with truth paths.")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), required=True, help="Output directory.")
 @_exit_codes
-def cmd_eval(config_path, pred_dir, manifest, out_dir, **flags) -> None:
-    """Compare saved predictions and bands against the manifest's truth curves."""
-    config = _build_config(config_path, **flags)
+def cmd_eval(pred_dir, manifest, out_dir) -> None:
+    """Compare saved predictions and bands against the manifest's truth curves.
+
+    Each truth is divided by the normalization constant recorded in the
+    spectrum's band file, so it sits on the scale of its prediction.
+    """
     records = [r for r in fileio.read_manifest(manifest) if r.truth_path is not None]
     if not records:
         raise ValueError("no manifest entry carries a truth_path")
     predictions, bands, truths = [], [], []
     for record in records:
         prediction = fileio.read_curve(pred_dir / f"{record.id}_prediction.csv")
-        band = fileio.load_conformal_band(pred_dir / f"{record.id}_band.json")
-        spectrum = fileio.read_spectrum(record.path, record.z)
-        _, ref = spectrum_to_predictor(spectrum, config)
+        band, normalization = fileio.load_conformal_band(pred_dir / f"{record.id}_band.json")
         truth = resample(fileio.read_curve(record.truth_path), prediction.grid)
         predictions.append(prediction)
         bands.append(band)
-        truths.append(truth.with_values(truth.values / ref))
+        truths.append(truth.with_values(truth.values / normalization))
+    rel = evaluation.summarize(
+        [evaluation.relative_error(p, t) for p, t in zip(predictions, truths)]
+    )
+    plain = evaluation.summarize(
+        [evaluation.plain_error(p, t) for p, t in zip(predictions, truths)]
+    )
     out_dir.mkdir(parents=True, exist_ok=True)
-    mean_rel, coverage = _write_summaries(out_dir, predictions, truths, bands)
+    fileio.write_error_summary(out_dir / "relative_error_summary.csv", rel)
+    fileio.write_error_summary(out_dir / "plain_error_summary.csv", plain)
     click.echo(
-        f"mean relative error {mean_rel:.4f}; "
-        f"band coverage {coverage:.3f} over {len(records)} spectra"
+        f"mean relative error {rel.overall_mean:.4f}; band coverage "
+        f"{evaluation.coverage_rate(bands, truths):.3f} over {len(records)} spectra"
     )
 
 

@@ -12,6 +12,7 @@ outputs are atomic and byte-identical across reruns.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .conformal import ConformalBand
-from .curves import Curve, RawSpectrum, WavelengthGrid
+from .curves import Curve, CurvePair, RawSpectrum, WavelengthGrid
 from .regression import FittedRegression, KernelSpec
 from .semimetrics import SemimetricSpec
 from .wild_bootstrap import BootstrapBand
@@ -61,19 +62,19 @@ def _load_json(path: Path, expected_kind: str) -> dict:
 
 # ------------------------------------------------------------- spectrum text
 
+def _write_table(path: Path, header: str, columns: Sequence[np.ndarray]) -> None:
+    rows = (",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns)))
+    atomic_write_text(Path(path), "\n".join([header, *rows]) + "\n")
+
+
 def write_spectrum(path: Path, spectrum: RawSpectrum) -> None:
-    lines = ["wavelength,flux,noise_sd"]
-    for wl, fx, sd in zip(spectrum.wavelengths, spectrum.flux, spectrum.noise_sd):
-        lines.append(f"{float(wl)!r},{float(fx)!r},{float(sd)!r}")
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    columns = (spectrum.wavelengths, spectrum.flux, spectrum.noise_sd)
+    _write_table(path, "wavelength,flux,noise_sd", columns)
 
 
 def write_curve(path: Path, curve: Curve) -> None:
     """Store a noise-free curve in the spectrum text format."""
-    lines = ["wavelength,flux"]
-    for wl, fx in zip(curve.grid.points, curve.values):
-        lines.append(f"{float(wl)!r},{float(fx)!r}")
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    _write_table(path, "wavelength,flux", (curve.grid.points, curve.values))
 
 
 def _parse_rows(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,19 +153,20 @@ def write_manifest(path: Path, records: Sequence[SpectrumRecord]) -> None:
 def read_manifest(path: Path) -> list[SpectrumRecord]:
     path = Path(path)
     document = _load_json(path, "spectrum_manifest")
-    records = []
+    records: dict[str, SpectrumRecord] = {}
     for entry in document["spectra"]:
+        spectrum_id = str(entry["id"])
+        if spectrum_id in records:
+            raise ValueError(f"{path}: duplicate spectrum id {spectrum_id!r}")
         truth = entry.get("truth_path")
-        records.append(
-            SpectrumRecord(
-                id=str(entry["id"]),
-                path=path.parent / entry["path"],
-                z=float(entry.get("z", 0.0)),
-                truth_path=path.parent / truth if truth else None,
-                predict_only=bool(entry.get("predict_only", False)),
-            )
+        records[spectrum_id] = SpectrumRecord(
+            id=spectrum_id,
+            path=path.parent / entry["path"],
+            z=float(entry.get("z", 0.0)),
+            truth_path=path.parent / truth if truth else None,
+            predict_only=bool(entry.get("predict_only", False)),
         )
-    return records
+    return list(records.values())
 
 
 # ----------------------------------------------------------- model documents
@@ -188,8 +190,6 @@ def save_regression(model: FittedRegression, path: Path) -> None:
 
 
 def load_regression(path: Path) -> FittedRegression:
-    from .curves import CurvePair  # local import keeps module load order simple
-
     document = _load_json(Path(path), "knn_functional_regression")
     pred_grid = WavelengthGrid(np.asarray(document["predictor_grid"]))
     resp_grid = WavelengthGrid(np.asarray(document["response_grid"]))
@@ -210,7 +210,8 @@ def load_regression(path: Path) -> FittedRegression:
 
 # ------------------------------------------------------------ band documents
 
-def save_conformal_band(band: ConformalBand, path: Path) -> None:
+def save_conformal_band(band: ConformalBand, path: Path, normalization: float) -> None:
+    """``normalization``: the smoothed flux the spectrum was divided by."""
     document = {
         "schema_version": SCHEMA_VERSION,
         "kind": "conformal_band",
@@ -219,23 +220,25 @@ def save_conformal_band(band: ConformalBand, path: Path) -> None:
         "half_width": None if band.degenerate else band.half_width,
         "grid": _curve_values(band.center.grid.points),
         "center": _curve_values(band.center.values),
+        "normalization": normalization,
     }
     _dump_json(document, Path(path))
 
 
-def load_conformal_band(path: Path) -> ConformalBand:
-    import math
-
+def load_conformal_band(path: Path) -> tuple[ConformalBand, float]:
     document = _load_json(Path(path), "conformal_band")
+    if "normalization" not in document:
+        raise ValueError(f"{path}: band has no 'normalization'; rerun predict")
     grid = WavelengthGrid(np.asarray(document["grid"]))
     degenerate = bool(document["degenerate"])
     half_width = math.inf if degenerate else float(document["half_width"])
-    return ConformalBand(
+    band = ConformalBand(
         center=Curve(grid, np.asarray(document["center"])),
         half_width=half_width,
         alpha=float(document["alpha"]),
         degenerate=degenerate,
     )
+    return band, float(document["normalization"])
 
 
 def save_bootstrap_band(band: BootstrapBand, path: Path) -> None:
@@ -261,23 +264,9 @@ def save_bootstrap_band(band: BootstrapBand, path: Path) -> None:
 
 def write_error_summary(path: Path, summary) -> None:
     """Rows of (wavelength, mean, median, q1, q3, ci_lo, ci_hi)."""
-    lines = ["wavelength,mean,median,q1,q3,ci_lo,ci_hi"]
-    for i, wl in enumerate(summary.grid.points):
-        lines.append(
-            ",".join(
-                repr(float(v))
-                for v in (
-                    wl,
-                    summary.mean.values[i],
-                    summary.median.values[i],
-                    summary.q1.values[i],
-                    summary.q3.values[i],
-                    summary.ci_lower.values[i],
-                    summary.ci_upper.values[i],
-                )
-            )
-        )
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    curves = (summary.mean, summary.median, summary.q1, summary.q3, summary.ci_lower, summary.ci_upper)
+    columns = (summary.grid.points, *(c.values for c in curves))
+    _write_table(path, "wavelength,mean,median,q1,q3,ci_lo,ci_hi", columns)
 
 
 def write_scree(path: Path, rows: Sequence[tuple[int, float, float]]) -> None:

@@ -1,10 +1,10 @@
 """Configuration and the wiring from raw spectra to fitted curve pairs.
 
-One config object drives every CLI command; each field maps one-to-one onto
-a CLI flag and a JSON config key. The predictor segment lives redward of
-1300 A, the response segment on 1050-1185 A, and both smoothed curves are
-divided by the predictor's value at the grid point nearest the
-normalization wavelength before entering the regression.
+One config object drives every CLI command; each field is a JSON config
+key, and a command's flags override the fields it reads. The predictor
+segment lives redward of 1300 A, the response segment on 1050-1185 A, and
+both smoothed curves are divided by the predictor's value at the grid point
+nearest the normalization wavelength before entering the regression.
 """
 
 from __future__ import annotations
@@ -94,26 +94,42 @@ _TUPLE_FIELDS = {
     "kappa_candidates": int,
     "span_candidates": float,
 }
+_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(PipelineConfig)}
+_FIELD_TYPES.update(kappa=int, span=float)  # their default None means "choose by CV"
+
+
+def _check_type(name: str, value, kind: type) -> None:
+    """Type check on JSON values: an int passes as a float, a bool as nothing."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"config key {name!r} needs {kind.__name__} values, got {value!r}")
 
 
 def load_config(path: Path | None = None, **overrides) -> PipelineConfig:
     """Config from an optional JSON file, updated with keyword overrides.
 
     Overrides whose value is None are ignored, so CLI flags can be passed
-    through unconditionally.
+    through unconditionally. A value of the wrong type is a ``ValueError``
+    naming its key.
     """
     values: dict = {}
     if path is not None:
         with open(path) as handle:
-            values.update(json.load(handle))
+            values = json.load(handle)
+        if not isinstance(values, dict):
+            raise ValueError(f"{path}: config must be a JSON object, not a {type(values).__name__}")
     values.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name for f in dataclasses.fields(PipelineConfig)}
-    unknown = set(values) - known
+    unknown = set(values) - set(_FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for name, cast in _TUPLE_FIELDS.items():
-        if name in values:
-            values[name] = tuple(cast(v) for v in values[name])
+    for name, value in values.items():
+        if name in _TUPLE_FIELDS:
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"config key {name!r} needs a list, got {value!r}")
+            for item in value:
+                _check_type(name, item, _TUPLE_FIELDS[name])
+            values[name] = tuple(_TUPLE_FIELDS[name](v) for v in value)
+        elif value is not None or name not in ("kappa", "span"):
+            _check_type(name, value, _FIELD_TYPES[name])
     return PipelineConfig(**values)
 
 

@@ -353,7 +353,7 @@ def test_criterion_8_seeded_commands_are_byte_identical(tmp_path):
             ["fit", "--config", str(config_path), "--manifest", str(mocks / "manifest.json"), "--out", str(model)],
             ["predict", "--config", str(config_path), "--model", str(model), "--manifest", str(mocks / "manifest.json"), "--out", str(predictions)],
             ["bootstrap", "--config", str(config_path), "--model", str(model), "--spectrum", str(mocks / "spectra" / "mock_0000.csv"), "--out", str(boot)],
-            ["eval", "--config", str(config_path), "--predictions", str(predictions), "--manifest", str(mocks / "manifest.json"), "--out", str(evaluation_dir)],
+            ["eval", "--predictions", str(predictions), "--manifest", str(mocks / "manifest.json"), "--out", str(evaluation_dir)],
         ]
         for step in steps:
             result = runner.invoke(cli_main, step)

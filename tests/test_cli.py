@@ -4,10 +4,20 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from specband import evaluation
 from specband.cli import main
-from specband.fileio import read_manifest, read_spectrum, write_manifest, write_spectrum
-from specband.fileio import SpectrumRecord
-from specband.pipeline import load_config, spectrum_to_pair
+from specband.curves import resample
+from specband.fileio import (
+    SpectrumRecord,
+    load_conformal_band,
+    read_curve,
+    read_manifest,
+    read_spectrum,
+    write_error_summary,
+    write_manifest,
+    write_spectrum,
+)
+from specband.pipeline import load_config, spectrum_to_pair, spectrum_to_predictor
 
 CONFIG = {
     "predictor_points": 40,
@@ -59,6 +69,24 @@ def model_path(runner, config_path, mock_dir, tmp_path):
     )
     assert result.exit_code == 0, result.output
     return path
+
+
+@pytest.fixture()
+def pred_dir(runner, config_path, mock_dir, model_path, tmp_path):
+    out = tmp_path / "predictions"
+    result = runner.invoke(
+        main,
+        [
+            "predict",
+            "--config", str(config_path),
+            "--model", str(model_path),
+            "--manifest", str(mock_dir / "manifest.json"),
+            "--out", str(out),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    assert "wrote predictions for 12 spectra" in result.output
+    return out
 
 
 def test_mockgen_writes_spectra_truths_and_manifest(mock_dir):
@@ -170,46 +198,18 @@ def test_fit_skips_predict_only_spectra(runner, config_path, mock_dir, tmp_path)
     assert not any(np.array_equal(p, pair.predictor.values) for p in predictors)
 
 
-def test_predict_writes_bands_and_summaries(runner, config_path, mock_dir, model_path, tmp_path):
-    out = tmp_path / "predictions"
-    result = runner.invoke(
-        main,
-        [
-            "predict",
-            "--config", str(config_path),
-            "--model", str(model_path),
-            "--manifest", str(mock_dir / "manifest.json"),
-            "--out", str(out),
-        ],
-    )
-    assert result.exit_code == 0, result.output
-    assert (out / "mock_0000_prediction.csv").exists()
-    band = json.loads((out / "mock_0000_band.json").read_text())
+def test_predict_writes_predictions_and_bands(config_path, mock_dir, pred_dir):
+    records = read_manifest(mock_dir / "manifest.json")
+    for record in records:
+        assert (pred_dir / f"{record.id}_prediction.csv").exists()
+    band = json.loads((pred_dir / "mock_0000_band.json").read_text())
     assert band["kind"] == "conformal_band"
     assert not band["degenerate"]
-    assert (out / "relative_error_summary.csv").exists()
-    assert (out / "plain_error_summary.csv").exists()
-    assert "band coverage" in result.output
-
-
-def test_predict_without_truths_writes_bands_only(runner, config_path, mock_dir, model_path, tmp_path):
-    records = read_manifest(mock_dir / "manifest.json")
-    manifest = tmp_path / "no_truth.json"
-    write_manifest(manifest, [SpectrumRecord(r.id, r.path, r.z) for r in records[:3]])
-    out = tmp_path / "predictions"
-    result = runner.invoke(
-        main,
-        [
-            "predict",
-            "--config", str(config_path),
-            "--model", str(model_path),
-            "--manifest", str(manifest),
-            "--out", str(out),
-        ],
-    )
-    assert result.exit_code == 0, result.output
-    assert not (out / "relative_error_summary.csv").exists()
-    assert (out / "mock_0002_band.json").exists()
+    _, ref = spectrum_to_predictor(read_spectrum(records[0].path), load_config(config_path))
+    assert band["normalization"] == ref
+    # evaluation is eval's job alone
+    assert not (pred_dir / "relative_error_summary.csv").exists()
+    assert not (pred_dir / "plain_error_summary.csv").exists()
 
 
 def test_predict_warns_on_degenerate_alpha(runner, config_path, mock_dir, model_path, tmp_path):
@@ -289,34 +289,117 @@ def test_bootstrap_rejects_unresolvable_quantiles(runner, config_path, mock_dir,
     assert "increase B" in result.output
 
 
-def test_eval_matches_predict_summaries(runner, config_path, mock_dir, model_path, tmp_path):
-    pred_out = tmp_path / "predictions"
-    result = runner.invoke(
+def _eval(runner, pred_dir, manifest, out):
+    return runner.invoke(
         main,
-        [
-            "predict",
-            "--config", str(config_path),
-            "--model", str(model_path),
-            "--manifest", str(mock_dir / "manifest.json"),
-            "--out", str(pred_out),
-        ],
+        ["eval", "--predictions", str(pred_dir), "--manifest", str(manifest), "--out", str(out)],
     )
-    assert result.exit_code == 0, result.output
+
+
+def test_eval_divides_truths_by_the_normalization_predict_used(
+    runner, config_path, mock_dir, pred_dir, tmp_path
+):
     eval_out = tmp_path / "eval"
+    result = _eval(runner, pred_dir, mock_dir / "manifest.json", eval_out)
+    assert result.exit_code == 0, result.output
+
+    config = load_config(config_path)
+    records = read_manifest(mock_dir / "manifest.json")
+    predictions, truths = [], []
+    for record in records:
+        prediction = read_curve(pred_dir / f"{record.id}_prediction.csv")
+        _, ref = spectrum_to_predictor(read_spectrum(record.path, record.z), config)
+        truth = resample(read_curve(record.truth_path), prediction.grid)
+        predictions.append(prediction)
+        truths.append(truth.with_values(truth.values / ref))
+    expected = tmp_path / "expected"
+    for name, error in (("relative", evaluation.relative_error), ("plain", evaluation.plain_error)):
+        summary = evaluation.summarize([error(p, t) for p, t in zip(predictions, truths)])
+        write_error_summary(expected / f"{name}_error_summary.csv", summary)
+        assert (eval_out / f"{name}_error_summary.csv").read_bytes() == (
+            expected / f"{name}_error_summary.csv"
+        ).read_bytes()
+    bands = [load_conformal_band(pred_dir / f"{r.id}_band.json")[0] for r in records]
+    coverage = evaluation.coverage_rate(bands, truths)
+    assert f"band coverage {coverage:.3f} over 12 spectra" in result.output
+
+
+def test_eval_reads_no_spectrum_and_smooths_nothing(
+    runner, mock_dir, pred_dir, tmp_path, monkeypatch
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eval must not read or smooth a raw spectrum")
+
+    for target in (
+        "specband.cli.spectrum_to_predictor",
+        "specband.fileio.read_spectrum",
+        "specband.pipeline.select_span_cv",
+        "specband.pipeline.smooth",
+    ):
+        monkeypatch.setattr(target, forbidden)
+    result = _eval(runner, pred_dir, mock_dir / "manifest.json", tmp_path / "eval")
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "eval" / "relative_error_summary.csv").exists()
+
+
+def test_eval_rejects_band_without_normalization(runner, mock_dir, pred_dir, tmp_path):
+    path = pred_dir / "mock_0003_band.json"
+    document = json.loads(path.read_text())
+    del document["normalization"]
+    path.write_text(json.dumps(document))
+    result = _eval(runner, pred_dir, mock_dir / "manifest.json", tmp_path / "eval")
+    assert result.exit_code == 2
+    assert "mock_0003_band.json" in result.output
+    assert "normalization" in result.output
+
+
+CONFIG_FLAGS = (
+    "--config", "--seed", "--alpha", "--semimetric", "--kappa",
+    "--kappa-candidates", "--span", "--span-candidates",
+)
+# the config flags each command takes: the settings it reads
+KEPT_FLAGS = {
+    "mockgen": {"--config", "--seed"},
+    "fit": {"--config", "--semimetric", "--kappa", "--kappa-candidates", "--span", "--span-candidates"},
+    "predict": {"--config", "--seed", "--alpha", "--kappa-candidates", "--span", "--span-candidates"},
+    "bootstrap": {"--config", "--seed", "--alpha", "--span", "--span-candidates"},
+    "eval": set(),
+}
+
+
+def test_commands_take_only_the_config_flags_they_read():
+    for command, kept in KEPT_FLAGS.items():
+        options = {opt for param in main.commands[command].params for opt in param.opts}
+        assert options & set(CONFIG_FLAGS) == kept, command
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c, kept in KEPT_FLAGS.items() for f in CONFIG_FLAGS if f not in kept],
+)
+def test_removed_config_flags_are_rejected(runner, command, flag):
+    result = runner.invoke(main, [command, flag, "1"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"kappa_candidates": 5}, "'kappa_candidates'"),
+        ({"span": "0.3"}, "'span'"),
+        ([1, 2], "config must be a JSON object"),
+    ],
+)
+def test_malformed_config_exits_with_code_two(runner, mock_dir, tmp_path, document, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
     result = runner.invoke(
         main,
-        [
-            "eval",
-            "--config", str(config_path),
-            "--predictions", str(pred_out),
-            "--manifest", str(mock_dir / "manifest.json"),
-            "--out", str(eval_out),
-        ],
+        ["fit", "--config", str(path), "--manifest", str(mock_dir / "manifest.json"), "--out", str(tmp_path / "m.json")],
     )
-    assert result.exit_code == 0, result.output
-    assert (eval_out / "relative_error_summary.csv").read_bytes() == (
-        pred_out / "relative_error_summary.csv"
-    ).read_bytes()
+    assert result.exit_code == 2, result.output
+    assert message in result.output
 
 
 def test_validation_errors_exit_with_code_two(runner, config_path, tmp_path):

@@ -79,6 +79,18 @@ def test_manifest_round_trip_and_relative_paths(tmp_path):
     assert back[1].predict_only
 
 
+def test_manifest_rejects_duplicate_ids(tmp_path):
+    records = [
+        SpectrumRecord("a", tmp_path / "a.csv"),
+        SpectrumRecord("b", tmp_path / "b.csv"),
+        SpectrumRecord("a", tmp_path / "c.csv"),
+    ]
+    manifest = tmp_path / "manifest.json"
+    write_manifest(manifest, records)
+    with pytest.raises(ValueError, match="duplicate spectrum id 'a'"):
+        read_manifest(manifest)
+
+
 def test_regression_round_trip_reproduces_predictions_bitwise(tmp_path):
     rng = np.random.default_rng(2)
     pred_grid = WavelengthGrid(np.linspace(1300.0, 1600.0, 40))
@@ -111,8 +123,9 @@ def test_conformal_band_round_trip(tmp_path):
     grid = WavelengthGrid(np.linspace(1050.0, 1185.0, 20))
     rng = np.random.default_rng(3)
     band = ConformalBand(Curve(grid, rng.normal(size=20)), 0.37, alpha=0.1)
-    save_conformal_band(band, tmp_path / "band.json")
-    back = load_conformal_band(tmp_path / "band.json")
+    save_conformal_band(band, tmp_path / "band.json", 0.1 + 0.2)
+    back, normalization = load_conformal_band(tmp_path / "band.json")
+    assert normalization == 0.1 + 0.2
     assert back.half_width == band.half_width
     assert np.array_equal(back.center.values, band.center.values)
     assert not back.degenerate
@@ -121,10 +134,10 @@ def test_conformal_band_round_trip(tmp_path):
 def test_degenerate_band_round_trip(tmp_path):
     grid = WavelengthGrid(np.linspace(1050.0, 1185.0, 20))
     band = ConformalBand(Curve(grid, np.zeros(20)), math.inf, alpha=0.01, degenerate=True)
-    save_conformal_band(band, tmp_path / "band.json")
+    save_conformal_band(band, tmp_path / "band.json", 2.5)
     document = json.loads((tmp_path / "band.json").read_text())
     assert document["half_width"] is None
-    back = load_conformal_band(tmp_path / "band.json")
+    back, _ = load_conformal_band(tmp_path / "band.json")
     assert back.degenerate and math.isinf(back.half_width)
 
 
