@@ -65,10 +65,10 @@ _CONFIG_FLAGS = {
 
 
 def _config_options(*names):
-    """``--config`` plus the named config flags: the settings a command reads."""
+    """The named config flags: the settings a command reads."""
 
     def decorate(func):
-        for name in reversed(("config", *names)):
+        for name in reversed(names):
             func = _CONFIG_FLAGS[name](func)
         return func
 
@@ -89,7 +89,7 @@ def main() -> None:
 
 
 @main.command("mockgen")
-@_config_options("seed")
+@_config_options("config", "seed")
 @click.option("--count", type=int, default=None, help="Number of mock spectra.")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), required=True, help="Output directory.")
 @_exit_codes
@@ -124,7 +124,7 @@ def cmd_mockgen(config_path, count, out_dir, **flags) -> None:
 
 
 @main.command("fit")
-@_config_options("semimetric", "kappa", "kappa_candidates", "span", "span_candidates")
+@_config_options("config", "semimetric", "kappa", "kappa_candidates", "span", "span_candidates")
 @click.option("--manifest", type=click.Path(exists=True, path_type=Path), required=True, help="Spectrum manifest to fit on.")
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True, help="Model file to write.")
 @_exit_codes
@@ -147,7 +147,7 @@ def cmd_fit(config_path, manifest, out_path, **flags) -> None:
         pair, _ = spectrum_to_pair(spectrum, config)
         pairs.append(pair)
     model, cv_table = fit_pairs(pairs, config)
-    fileio.save_regression(model, out_path)
+    fileio.save_regression(model, out_path, config)
     if cv_table:
         click.echo("kappa  loo_error")
         for kappa, score in cv_table:
@@ -156,20 +156,20 @@ def cmd_fit(config_path, manifest, out_path, **flags) -> None:
 
 
 @main.command("predict")
-@_config_options("seed", "alpha", "kappa_candidates", "span", "span_candidates")
+@_config_options("seed", "alpha")
 @click.option("--model", "model_path", type=click.Path(exists=True, path_type=Path), required=True, help="Fitted model file.")
 @click.option("--manifest", type=click.Path(exists=True, path_type=Path), required=True, help="Spectra to predict.")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), required=True, help="Output directory.")
 @_exit_codes
-def cmd_predict(config_path, model_path, manifest, out_dir, **flags) -> None:
+def cmd_predict(model_path, manifest, out_dir, **flags) -> None:
     """Predict each spectrum's response segment with a conformal band.
 
-    The calibration split is built from the model's stored training pairs.
-    Each band file records the spectrum's normalization constant, which
-    ``eval`` divides the truth curve by.
+    Spectra are smoothed with the settings the model records and calibrated
+    on its stored training pairs. Each band file records the spectrum's
+    normalization constant, which ``eval`` divides the truth curve by.
     """
-    config = _build_config(config_path, **flags)
-    model = fileio.load_regression(model_path)
+    model, settings = fileio.load_regression(model_path)
+    config = load_config(**settings, **flags)
     calibration = conformal_mod.calibrate(
         model.pairs,
         config.alpha,
@@ -197,7 +197,7 @@ def cmd_predict(config_path, model_path, manifest, out_dir, **flags) -> None:
 
 
 @main.command("bootstrap")
-@_config_options("seed", "alpha", "span", "span_candidates")
+@_config_options("seed", "alpha")
 @click.option("--model", "model_path", type=click.Path(exists=True, path_type=Path), required=True, help="Fitted model file.")
 @click.option("--spectrum", "spectrum_path", type=click.Path(exists=True, path_type=Path), required=True, help="Query spectrum.")
 @click.option("--redshift", type=float, default=0.0, help="Query spectrum redshift.")
@@ -205,15 +205,10 @@ def cmd_predict(config_path, model_path, manifest, out_dir, **flags) -> None:
 @click.option("--replicates", "-B", "replicates", type=int, default=None, help="Bootstrap replicates.")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), required=True, help="Output directory.")
 @_exit_codes
-def cmd_bootstrap(config_path, model_path, spectrum_path, redshift, components, replicates, out_dir, **flags) -> None:
+def cmd_bootstrap(model_path, spectrum_path, redshift, components, replicates, out_dir, **flags) -> None:
     """Wild-bootstrap confidence band for the projected prediction at one spectrum."""
-    config = _build_config(
-        config_path,
-        bootstrap_components=components,
-        bootstrap_replicates=replicates,
-        **flags,
-    )
-    model = fileio.load_regression(model_path)
+    model, settings = fileio.load_regression(model_path)
+    config = load_config(**settings, bootstrap_components=components, bootstrap_replicates=replicates, **flags)
     responses = [p.response for p in model.pairs]
     fpca_model = fpca.fit_fpca(responses, config.bootstrap_components)
 

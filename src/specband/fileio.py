@@ -23,6 +23,7 @@ import numpy as np
 
 from .conformal import ConformalBand
 from .curves import Curve, CurvePair, RawSpectrum, WavelengthGrid
+from .pipeline import MODEL_SETTINGS, PipelineConfig
 from .regression import FittedRegression, KernelSpec
 from .semimetrics import SemimetricSpec
 from .wild_bootstrap import BootstrapBand
@@ -154,7 +155,10 @@ def read_manifest(path: Path) -> list[SpectrumRecord]:
     path = Path(path)
     document = _load_json(path, "spectrum_manifest")
     records: dict[str, SpectrumRecord] = {}
-    for entry in document["spectra"]:
+    for index, entry in enumerate(document["spectra"]):
+        for key in ("id", "path"):
+            if key not in entry:
+                raise ValueError(f"{path}: spectrum entry {index} has no {key!r}")
         spectrum_id = str(entry["id"])
         if spectrum_id in records:
             raise ValueError(f"{path}: duplicate spectrum id {spectrum_id!r}")
@@ -175,7 +179,7 @@ def _curve_values(values: np.ndarray) -> list[float]:
     return [float(v) for v in values]
 
 
-def save_regression(model: FittedRegression, path: Path) -> None:
+def save_regression(model: FittedRegression, path: Path, config: PipelineConfig) -> None:
     document = {
         "schema_version": SCHEMA_VERSION,
         "kind": "knn_functional_regression",
@@ -185,12 +189,15 @@ def save_regression(model: FittedRegression, path: Path) -> None:
         "response_grid": _curve_values(model.response_grid.points),
         "predictors": [_curve_values(p.predictor.values) for p in model.pairs],
         "responses": [_curve_values(p.response.values) for p in model.pairs],
+        "config": {name: getattr(config, name) for name in MODEL_SETTINGS},
     }
     _dump_json(document, Path(path))
 
 
-def load_regression(path: Path) -> FittedRegression:
+def load_regression(path: Path) -> tuple[FittedRegression, dict]:
     document = _load_json(Path(path), "knn_functional_regression")
+    if not isinstance(document.get("config"), dict) or document["config"].keys() != set(MODEL_SETTINGS):
+        raise ValueError(f"{path}: model has no 'config' recording {list(MODEL_SETTINGS)}; rerun fit")
     pred_grid = WavelengthGrid(np.asarray(document["predictor_grid"]))
     resp_grid = WavelengthGrid(np.asarray(document["response_grid"]))
     pairs = tuple(
@@ -205,7 +212,7 @@ def load_regression(path: Path) -> FittedRegression:
         semimetric=SemimetricSpec.parse(document["semimetric"]),
         kernel=KernelSpec(),
         kappa=int(document["kappa"]),
-    )
+    ), document["config"]
 
 
 # ------------------------------------------------------------ band documents

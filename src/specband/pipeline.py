@@ -1,7 +1,8 @@
 """Configuration and the wiring from raw spectra to fitted curve pairs.
 
 One config object drives every CLI command; each field is a JSON config
-key, and a command's flags override the fields it reads. The predictor
+key, a command's flags override the fields it reads, and the model file
+records the fields predict and bootstrap take from fit. The predictor
 segment lives redward of 1300 A, the response segment on 1050-1185 A, and
 both smoothed curves are divided by the predictor's value at the grid point
 nearest the normalization wavelength before entering the regression.
@@ -66,7 +67,11 @@ class PipelineConfig:
                 raise ValueError(f"empty wavelength range [{low}, {high}]")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
+        if min(self.kappa_candidates, default=0) < 1 or (self.kappa is not None and self.kappa < 1):
+            raise ValueError("kappa and every kappa candidate (at least one) must be at least 1, "
+                             f"got kappa={self.kappa}, kappa_candidates={self.kappa_candidates}")
         SemimetricSpec.parse(self.semimetric)
+        self.smoother()
 
     @property
     def semimetric_spec(self) -> SemimetricSpec:
@@ -87,6 +92,10 @@ class PipelineConfig:
         span = self.span if self.span is not None else 0.5
         return SmootherConfig(span=span, candidate_spans=self.span_candidates)
 
+
+# recorded in the model file: how predict and bootstrap must treat a query
+MODEL_SETTINGS = ("predictor_range", "response_range", "predictor_points", "response_points",
+                  "normalization_wavelength", "kappa_candidates", "span", "span_candidates")
 
 _TUPLE_FIELDS = {
     "predictor_range": float,

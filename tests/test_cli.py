@@ -6,18 +6,26 @@ from click.testing import CliRunner
 
 from specband import evaluation
 from specband.cli import main
+from specband.conformal import band, calibrate
 from specband.curves import resample
 from specband.fileio import (
     SpectrumRecord,
     load_conformal_band,
+    load_regression,
     read_curve,
     read_manifest,
     read_spectrum,
+    save_bootstrap_band,
+    save_conformal_band,
+    write_curve,
     write_error_summary,
     write_manifest,
     write_spectrum,
 )
+from specband.fpca import fit_fpca
 from specband.pipeline import load_config, spectrum_to_pair, spectrum_to_predictor
+from specband.regression import predict
+from specband.wild_bootstrap import WildBootstrapConfig, bootstrap_bands
 
 CONFIG = {
     "predictor_points": 40,
@@ -31,6 +39,11 @@ CONFIG = {
     "bootstrap_replicates": 50,
     "seed": 7,
 }
+
+
+# predict's and bootstrap's settings from CONFIG; the rest comes from the model
+QUERY_FLAGS = ["--seed", "7", "--alpha", "0.2"]
+BOOTSTRAP_FLAGS = [*QUERY_FLAGS, "-m", "2", "-B", "50"]
 
 
 @pytest.fixture()
@@ -72,13 +85,12 @@ def model_path(runner, config_path, mock_dir, tmp_path):
 
 
 @pytest.fixture()
-def pred_dir(runner, config_path, mock_dir, model_path, tmp_path):
+def pred_dir(runner, mock_dir, model_path, tmp_path):
     out = tmp_path / "predictions"
     result = runner.invoke(
         main,
         [
-            "predict",
-            "--config", str(config_path),
+            "predict", *QUERY_FLAGS,
             "--model", str(model_path),
             "--manifest", str(mock_dir / "manifest.json"),
             "--out", str(out),
@@ -212,13 +224,13 @@ def test_predict_writes_predictions_and_bands(config_path, mock_dir, pred_dir):
     assert not (pred_dir / "plain_error_summary.csv").exists()
 
 
-def test_predict_warns_on_degenerate_alpha(runner, config_path, mock_dir, model_path, tmp_path):
+def test_predict_warns_on_degenerate_alpha(runner, mock_dir, model_path, tmp_path):
     out = tmp_path / "predictions"
     result = runner.invoke(
         main,
         [
             "predict",
-            "--config", str(config_path),
+            "--seed", "7",
             "--model", str(model_path),
             "--manifest", str(mock_dir / "manifest.json"),
             "--alpha", "0.01",
@@ -231,14 +243,13 @@ def test_predict_warns_on_degenerate_alpha(runner, config_path, mock_dir, model_
     assert band["degenerate"] is True
 
 
-def test_bootstrap_writes_band_and_scree(runner, config_path, mock_dir, model_path, tmp_path):
+def test_bootstrap_writes_band_and_scree(runner, mock_dir, model_path, tmp_path):
     records = read_manifest(mock_dir / "manifest.json")
     out = tmp_path / "bootstrap"
     result = runner.invoke(
         main,
         [
-            "bootstrap",
-            "--config", str(config_path),
+            "bootstrap", *BOOTSTRAP_FLAGS,
             "--model", str(model_path),
             "--spectrum", str(records[0].path),
             "--out", str(out),
@@ -253,14 +264,13 @@ def test_bootstrap_writes_band_and_scree(runner, config_path, mock_dir, model_pa
     assert len(scree) > 2
 
 
-def test_bootstrap_single_component(runner, config_path, mock_dir, model_path, tmp_path):
+def test_bootstrap_single_component(runner, mock_dir, model_path, tmp_path):
     records = read_manifest(mock_dir / "manifest.json")
     out = tmp_path / "bootstrap"
     result = runner.invoke(
         main,
         [
-            "bootstrap",
-            "--config", str(config_path),
+            "bootstrap", *QUERY_FLAGS, "-B", "50",
             "--model", str(model_path),
             "--spectrum", str(records[1].path),
             "--components", "1",
@@ -272,13 +282,12 @@ def test_bootstrap_single_component(runner, config_path, mock_dir, model_path, t
     assert len(band["intervals"]) == 1
 
 
-def test_bootstrap_rejects_unresolvable_quantiles(runner, config_path, mock_dir, model_path, tmp_path):
+def test_bootstrap_rejects_unresolvable_quantiles(runner, mock_dir, model_path, tmp_path):
     records = read_manifest(mock_dir / "manifest.json")
     result = runner.invoke(
         main,
         [
-            "bootstrap",
-            "--config", str(config_path),
+            "bootstrap", *QUERY_FLAGS, "-m", "2",
             "--model", str(model_path),
             "--spectrum", str(records[0].path),
             "--replicates", "5",
@@ -287,6 +296,85 @@ def test_bootstrap_rejects_unresolvable_quantiles(runner, config_path, mock_dir,
     )
     assert result.exit_code == 2
     assert "increase B" in result.output
+
+
+def test_predict_and_bootstrap_treat_queries_as_fit_did(runner, mock_dir, tmp_path):
+    """Given no settings, predict and bootstrap smooth, normalize and calibrate
+    with the config fit recorded, which here is far from the defaults."""
+    config_path = tmp_path / "fit_config.json"
+    config_path.write_text(json.dumps(
+        {"predictor_points": 40, "response_points": 30, "kappa_candidates": [3, 5],
+         "normalization_wavelength": 1400.0}
+    ))
+    manifest, model_path = mock_dir / "manifest.json", tmp_path / "model.json"
+    records = read_manifest(manifest)
+    steps = [
+        ["fit", "--config", str(config_path), "--span-candidates", "0.2,0.5,0.8",
+         "--manifest", str(manifest), "--out", str(model_path)],
+        ["predict", "--model", str(model_path), "--manifest", str(manifest), "--out", str(tmp_path / "pred")],
+        ["bootstrap", "--model", str(model_path), "--spectrum", str(records[2].path),
+         "--out", str(tmp_path / "boot")],
+    ]
+    for step in steps:
+        result = runner.invoke(main, step)
+        assert result.exit_code == 0, result.output
+
+    config = load_config(config_path, span_candidates=[0.2, 0.5, 0.8])
+    model, settings = load_regression(model_path)
+    assert settings["span_candidates"] == [0.2, 0.5, 0.8]
+    assert settings["normalization_wavelength"] == 1400.0
+    expected = tmp_path / "expected"
+    calibration = calibrate(
+        model.pairs, config.alpha, model.semimetric, model.kernel,
+        config.kappa_candidates, split_seed=config.seed,
+    )
+    for record in records:
+        predictor, ref = spectrum_to_predictor(read_spectrum(record.path, record.z), config)
+        write_curve(expected / f"{record.id}_prediction.csv", predict(model, predictor))
+        save_conformal_band(band(calibration, predictor), expected / f"{record.id}_band.json", ref)
+        for suffix in ("_prediction.csv", "_band.json"):
+            name = record.id + suffix
+            assert (tmp_path / "pred" / name).read_bytes() == (expected / name).read_bytes(), name
+
+    predictor, _ = spectrum_to_predictor(read_spectrum(records[2].path), config)
+    fpca_model = fit_fpca([p.response for p in model.pairs], config.bootstrap_components)
+    boot = bootstrap_bands(
+        model.pairs, model, predictor, fpca_model,
+        WildBootstrapConfig(replicates=config.bootstrap_replicates, components=config.bootstrap_components,
+                            alpha=config.alpha, seed=config.seed),
+    )
+    save_bootstrap_band(boot, expected / "bootstrap_band.json")
+    assert (tmp_path / "boot" / "bootstrap_band.json").read_bytes() == (
+        expected / "bootstrap_band.json"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["predict", "bootstrap"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda record: record.clear(), "model has no 'config'"),
+        (lambda record: record.pop("span"), "model has no 'config'"),
+        (lambda record: record.update(span_candidates=[0.5, 1.5]), "candidate span"),
+        (lambda record: record.update(predictor_points="40"), "'predictor_points'"),
+    ],
+    ids=["no-record", "partial-record", "bad-span", "bad-type"],
+)
+def test_model_without_a_valid_config_record_is_rejected(
+    runner, mock_dir, model_path, tmp_path, command, edit, message
+):
+    document = json.loads(model_path.read_text())
+    edit(document["config"])
+    model_path.write_text(json.dumps(document))
+    query = {
+        "predict": ["--manifest", str(mock_dir / "manifest.json")],
+        "bootstrap": ["--spectrum", str(read_manifest(mock_dir / "manifest.json")[0].path)],
+    }[command]
+    result = runner.invoke(main, [command, "--model", str(model_path), *query, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    if "model has no" in message:
+        assert str(model_path) in result.output
 
 
 def _eval(runner, pred_dir, manifest, out):
@@ -361,8 +449,8 @@ CONFIG_FLAGS = (
 KEPT_FLAGS = {
     "mockgen": {"--config", "--seed"},
     "fit": {"--config", "--semimetric", "--kappa", "--kappa-candidates", "--span", "--span-candidates"},
-    "predict": {"--config", "--seed", "--alpha", "--kappa-candidates", "--span", "--span-candidates"},
-    "bootstrap": {"--config", "--seed", "--alpha", "--span", "--span-candidates"},
+    "predict": {"--seed", "--alpha"},
+    "bootstrap": {"--seed", "--alpha"},
     "eval": set(),
 }
 
@@ -392,6 +480,33 @@ def test_removed_config_flags_are_rejected(runner, command, flag):
     ],
 )
 def test_malformed_config_exits_with_code_two(runner, mock_dir, tmp_path, document, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    result = runner.invoke(
+        main,
+        ["fit", "--config", str(path), "--manifest", str(mock_dir / "manifest.json"), "--out", str(tmp_path / "m.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"kappa": 0}, "got kappa=0"),
+        ({"kappa_candidates": []}, "kappa_candidates=()"),
+        ({"kappa_candidates": [0, 2]}, "kappa_candidates=(0, 2)"),
+        ({"span": 1.5}, "span must be in (0, 1]"),
+        ({"span_candidates": []}, "candidate_spans must not be empty"),
+    ],
+)
+def test_fit_range_checks_its_config_before_reading_a_spectrum(
+    runner, mock_dir, tmp_path, monkeypatch, document, message
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fit must check its config before reading a spectrum")
+
+    monkeypatch.setattr("specband.fileio.read_spectrum", forbidden)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(document))
     result = runner.invoke(

@@ -19,6 +19,7 @@ from specband.fileio import (
     write_manifest,
     write_spectrum,
 )
+from specband.pipeline import MODEL_SETTINGS, PipelineConfig, load_config
 from specband.regression import FittedRegression, KernelSpec, predict
 from specband.semimetrics import SemimetricSpec
 
@@ -91,6 +92,16 @@ def test_manifest_rejects_duplicate_ids(tmp_path):
         read_manifest(manifest)
 
 
+@pytest.mark.parametrize("key", ["id", "path"])
+def test_manifest_names_the_entry_missing_a_key(tmp_path, key):
+    entries = [{"id": "a", "path": "a.csv"}, {"id": "b", "path": "b.csv", "z": 2.0}]
+    del entries[1][key]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"schema_version": 1, "kind": "spectrum_manifest", "spectra": entries}))
+    with pytest.raises(ValueError, match=f"manifest.json: spectrum entry 1 has no '{key}'"):
+        read_manifest(manifest)
+
+
 def test_regression_round_trip_reproduces_predictions_bitwise(tmp_path):
     rng = np.random.default_rng(2)
     pred_grid = WavelengthGrid(np.linspace(1300.0, 1600.0, 40))
@@ -103,9 +114,15 @@ def test_regression_round_trip_reproduces_predictions_bitwise(tmp_path):
         for _ in range(7)
     )
     model = FittedRegression(pairs, SemimetricSpec.sobolev(1), KernelSpec(), kappa=3)
+    config = PipelineConfig(
+        predictor_points=40, response_points=30, normalization_wavelength=1400.1,
+        kappa_candidates=(3, 5), span=0.35, span_candidates=(0.2, 0.7),
+    )
     path = tmp_path / "model.json"
-    save_regression(model, path)
-    back = load_regression(path)
+    save_regression(model, path, config)
+    back, settings = load_regression(path)
+    assert sorted(settings) == sorted(MODEL_SETTINGS)
+    assert load_config(**settings) == config
     assert back.kappa == 3
     assert back.semimetric == model.semimetric
     x = Curve(pred_grid, rng.normal(size=40))
