@@ -23,7 +23,7 @@ import numpy as np
 
 from .conformal import ConformalBand
 from .curves import Curve, CurvePair, RawSpectrum, WavelengthGrid
-from .pipeline import MODEL_SETTINGS, PipelineConfig
+from .pipeline import MODEL_SETTINGS, PipelineConfig, load_config
 from .regression import FittedRegression, KernelSpec
 from .semimetrics import SemimetricSpec
 from .wild_bootstrap import BootstrapBand
@@ -154,8 +154,13 @@ def write_manifest(path: Path, records: Sequence[SpectrumRecord]) -> None:
 def read_manifest(path: Path) -> list[SpectrumRecord]:
     path = Path(path)
     document = _load_json(path, "spectrum_manifest")
+    entries = document.get("spectra")
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: manifest needs a 'spectra' list, found {entries!r}")
     records: dict[str, SpectrumRecord] = {}
-    for index, entry in enumerate(document["spectra"]):
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: spectrum entry {index} is not a JSON object: {entry!r}")
         for key in ("id", "path"):
             if key not in entry:
                 raise ValueError(f"{path}: spectrum entry {index} has no {key!r}")
@@ -198,6 +203,10 @@ def load_regression(path: Path) -> tuple[FittedRegression, dict]:
     document = _load_json(Path(path), "knn_functional_regression")
     if not isinstance(document.get("config"), dict) or document["config"].keys() != set(MODEL_SETTINGS):
         raise ValueError(f"{path}: model has no 'config' recording {list(MODEL_SETTINGS)}; rerun fit")
+    try:
+        load_config(**document["config"])
+    except ValueError as err:
+        raise ValueError(f"{path}: bad value in the model's 'config' record: {err}; rerun fit") from None
     pred_grid = WavelengthGrid(np.asarray(document["predictor_grid"]))
     resp_grid = WavelengthGrid(np.asarray(document["response_grid"]))
     pairs = tuple(

@@ -83,33 +83,41 @@ class FittedRegression:
         return np.stack([p.response.values for p in self.pairs])
 
 
-def _bandwidth(distances: FloatArray, kappa: int) -> float:
-    """Midpoint between the kappa-th and (kappa+1)-th smallest distances.
+# distance rows weighted at once: no weight buffer grows past _BLOCK_ROWS x n
+_BLOCK_ROWS = 256
 
-    The midpoint keeps all kappa neighbors strictly inside the kernel
-    support; when the two order statistics tie, their common value is
-    returned and more than kappa curves sit inside.
+
+def _weights(dmat: FloatArray, kappa: int, kernel: KernelSpec) -> FloatArray:
+    """Normalized kernel weights for each row of a (rows, n) distance matrix.
+
+    A row's bandwidth is the midpoint between its kappa-th and (kappa+1)-th
+    smallest distances, which keeps all kappa neighbors strictly inside the
+    kernel support; when the two tie, their common value is used and more
+    than kappa curves sit inside. A row whose kernel weights all vanish
+    (distances tied exactly at the bandwidth, where the kernel is zero, or a
+    zero bandwidth) falls back to the unweighted mean of every pair inside.
     """
-    n = distances.size
-    if kappa >= n:
-        raise ValueError(f"kappa={kappa} needs at least kappa+1={kappa + 1} curves")
-    ordered = np.sort(distances)
-    lo, hi = ordered[kappa - 1], ordered[kappa]
-    return float(lo) if lo == hi else float(0.5 * (lo + hi))
+    # one partition point: a second one, at kappa - 1, doubles its cost
+    ordered = np.partition(dmat, kappa, axis=1)
+    lo, hi = ordered[:, :kappa].max(axis=1, keepdims=True), ordered[:, kappa : kappa + 1]
+    h = np.where(lo == hi, lo, 0.5 * (lo + hi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = kernel.weights(dmat / h)
+    vanished = w.sum(axis=1) == 0.0
+    if vanished.any():  # boolean indexing costs more than the weights of one row
+        w[vanished] = dmat[vanished] <= h[vanished]
+    return w / w.sum(axis=1, keepdims=True)
 
 
-def _weights(distances: FloatArray, kappa: int, kernel: KernelSpec) -> FloatArray:
-    """Normalized kernel weights; falls back to the unweighted mean of every
-    pair inside the bandwidth when all kernel weights vanish (distances tied
-    exactly at the bandwidth, where the kernel is zero)."""
-    h = _bandwidth(distances, kappa)
-    if h == 0.0:
-        w = (distances == 0.0).astype(np.float64)
-    else:
-        w = kernel.weights(distances / h)
-        if w.sum() == 0.0:
-            w = (distances <= h).astype(np.float64)
-    return w / w.sum()
+def _weighted_responses(
+    dmat: FloatArray, kappa: int, kernel: KernelSpec, responses: FloatArray
+) -> FloatArray:
+    """One kernel-weighted average of the response rows per distance row."""
+    out = np.empty((dmat.shape[0], responses.shape[1]))
+    for start in range(0, dmat.shape[0], _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        out[block] = _weights(dmat[block], kappa, kernel) @ responses
+    return out
 
 
 def prediction_weights(model: FittedRegression, x: Curve) -> FloatArray:
@@ -119,7 +127,7 @@ def prediction_weights(model: FittedRegression, x: Curve) -> FloatArray:
     distances = distances_to(
         model.semimetric, model.predictor_matrix, x.values, model.predictor_grid.points
     )
-    return _weights(distances, model.kappa, model.kernel)
+    return _weights(distances[None, :], model.kappa, model.kernel)[0]
 
 
 def predict(model: FittedRegression, x: Curve) -> Curve:
@@ -132,11 +140,7 @@ def predict_many(model: FittedRegression, queries: FloatArray) -> FloatArray:
     dmat = distance_matrix(
         model.semimetric, queries, model.predictor_matrix, model.predictor_grid.points
     )
-    out = np.empty((dmat.shape[0], len(model.response_grid)))
-    for i in range(dmat.shape[0]):
-        w = _weights(dmat[i], model.kappa, model.kernel)
-        out[i] = w @ model.response_matrix
-    return out
+    return _weighted_responses(dmat, model.kappa, model.kernel, model.response_matrix)
 
 
 def kappa_cv_scores(
@@ -170,12 +174,8 @@ def kappa_cv_scores(
 
     table: list[tuple[int, float]] = []
     for kappa in kappa_candidates:
-        k_eff = min(int(kappa), n - 2)
-        total = 0.0
-        for i in range(n):
-            diff = _weights(dmat[i], k_eff, kernel) @ y_mat - y_mat[i]
-            total += float(np.sum(quad * diff * diff))
-        table.append((int(kappa), total / n))
+        diff = _weighted_responses(dmat, min(int(kappa), n - 2), kernel, y_mat) - y_mat
+        table.append((int(kappa), float(np.sum(quad * diff * diff)) / n))
     return table
 
 

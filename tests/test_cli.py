@@ -349,6 +349,13 @@ def test_predict_and_bootstrap_treat_queries_as_fit_did(runner, mock_dir, tmp_pa
     ).read_bytes()
 
 
+def _query_args(command, mock_dir):
+    return {
+        "predict": ["--manifest", str(mock_dir / "manifest.json")],
+        "bootstrap": ["--spectrum", str(read_manifest(mock_dir / "manifest.json")[0].path)],
+    }[command]
+
+
 @pytest.mark.parametrize("command", ["predict", "bootstrap"])
 @pytest.mark.parametrize(
     "edit, message",
@@ -366,15 +373,24 @@ def test_model_without_a_valid_config_record_is_rejected(
     document = json.loads(model_path.read_text())
     edit(document["config"])
     model_path.write_text(json.dumps(document))
-    query = {
-        "predict": ["--manifest", str(mock_dir / "manifest.json")],
-        "bootstrap": ["--spectrum", str(read_manifest(mock_dir / "manifest.json")[0].path)],
-    }[command]
+    query = _query_args(command, mock_dir)
     result = runner.invoke(main, [command, "--model", str(model_path), *query, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert message in result.output
-    if "model has no" in message:
-        assert str(model_path) in result.output
+    assert f"error: {model_path}: " in result.output
+    assert result.output.rstrip().endswith("rerun fit")
+    if "model has no" not in message:
+        assert "in the model's 'config' record" in result.output
+
+
+@pytest.mark.parametrize("command", ["predict", "bootstrap"])
+def test_bad_flag_value_is_not_blamed_on_the_model(runner, mock_dir, model_path, tmp_path, command):
+    query = _query_args(command, mock_dir)
+    result = runner.invoke(
+        main, [command, "--model", str(model_path), *query, "--alpha", "1.5", "--out", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == "error: alpha must be in (0, 1)"
 
 
 def _eval(runner, pred_dir, manifest, out):

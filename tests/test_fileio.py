@@ -102,6 +102,22 @@ def test_manifest_names_the_entry_missing_a_key(tmp_path, key):
         read_manifest(manifest)
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({}, "manifest.json: manifest needs a 'spectra' list, found None"),
+        ({"spectra": [{"id": "a", "path": "a.csv"}, 1]}, "manifest.json: spectrum entry 1 is not a JSON object: 1"),
+    ],
+    ids=["no-spectra", "non-object-entry"],
+)
+def test_malformed_manifest_is_a_value_error_naming_the_file(tmp_path, extra, message):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"schema_version": 1, "kind": "spectrum_manifest", **extra}))
+    with pytest.raises(ValueError) as excinfo:
+        read_manifest(manifest)
+    assert str(excinfo.value) == f"{tmp_path}/{message}"
+
+
 def test_regression_round_trip_reproduces_predictions_bitwise(tmp_path):
     rng = np.random.default_rng(2)
     pred_grid = WavelengthGrid(np.linspace(1300.0, 1600.0, 40))

@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from specband.curves import Curve, CurvePair, WavelengthGrid, trapezoid_weights
+from specband import regression
 from specband.regression import (
     FittedRegression,
     KernelSpec,
     best_kappa,
     kappa_cv_scores,
     predict,
+    predict_many,
     prediction_weights,
     select_kappa_cv,
 )
-from specband.semimetrics import SemimetricSpec, distance
+from specband.semimetrics import SemimetricSpec, distance, distance_matrix
 
 L2 = SemimetricSpec.l2()
 KERNEL = KernelSpec()
@@ -59,7 +61,10 @@ def brute_force_prediction(model, x):
             w = 1.0 - u * u if u <= 1.0 else 0.0
         total += w
         values = values + w * pair.response.values
-    assert total > 0.0
+    if total == 0.0:
+        # every pair inside ties at the bandwidth, where the kernel is zero:
+        # unweighted mean of those pairs
+        return np.mean([p.response.values for d, p in zip(dists, model.pairs) if d <= h], axis=0)
     return values / total
 
 
@@ -258,6 +263,32 @@ def test_duplicate_predictors_share_weight():
     model = FittedRegression(pairs, L2, KERNEL, kappa=1)
     out = predict(model, _zero_query())
     assert np.allclose(out.values, (y1 + y2) / 2.0, atol=1e-12)
+
+
+def test_predict_many_matches_brute_force_past_the_first_block():
+    # constant integer offsets on a grid with dyadic trapezoid weights (1/16,
+    # 1/8) summing to 1: the Gram distances are the exact |offset differences|
+    grid = WavelengthGrid(np.linspace(1.0, 2.0, 9))
+    rng = np.random.default_rng(16)
+    offsets = [0, 0, *range(10, 210, 10)]
+    pairs = tuple(CurvePair(Curve(grid, np.full(9, float(o))), Curve(RESP_GRID, rng.normal(size=40))) for o in offsets)
+    model = FittedRegression(pairs, L2, KERNEL, kappa=1)
+    query_offsets = rng.integers(-20, 220, size=regression._BLOCK_ROWS + 40).astype(float)
+    # past the first block: an exact copy of the duplicated training curve
+    # (two distances 0, so h = 0) and a query midway between 10 and 20 (both
+    # neighbors tie at h = 5, where every kernel weight is 0)
+    query_offsets[regression._BLOCK_ROWS + 3] = 0.0
+    query_offsets[regression._BLOCK_ROWS + 7] = 15.0
+    queries = np.repeat(query_offsets[:, None], 9, axis=1)
+    dmat = distance_matrix(L2, queries, model.predictor_matrix, grid.points)
+    assert np.array_equal(dmat, np.abs(query_offsets[:, None] - np.array(offsets, dtype=float)))
+
+    got = predict_many(model, queries)
+    for row, q in zip(got, queries):
+        assert np.max(np.abs(row - brute_force_prediction(model, Curve(grid, q)))) < 1e-12
+    copies, tied = got[regression._BLOCK_ROWS + 3], got[regression._BLOCK_ROWS + 7]
+    assert np.allclose(copies, (pairs[0].response.values + pairs[1].response.values) / 2.0, atol=1e-12)
+    assert np.allclose(tied, (pairs[2].response.values + pairs[3].response.values) / 2.0, atol=1e-12)
 
 
 def test_query_grid_mismatch_raises():
