@@ -52,6 +52,8 @@ def _dump_json(document: dict, path: Path) -> None:
 def _load_json(path: Path, expected_kind: str) -> dict:
     with open(path) as handle:
         document = json.load(handle)
+    if not isinstance(document, dict):
+        raise ValueError(f"{path}: not a JSON object (found a {type(document).__name__})")
     kind = document.get("kind")
     if kind != expected_kind:
         raise ValueError(f"{path}: expected a {expected_kind!r} file, found {kind!r}")
@@ -90,6 +92,12 @@ def _parse_rows(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"{path}: header must start with 'wavelength,flux', found {lines[0]!r}"
         )
     has_noise = len(header) >= 3
+    try:  # the whole body at once; the row parser below names a bad row
+        table = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    except ValueError:
+        table = np.empty(0)
+    if table.ndim == 2 and table.shape[1] == len(header) and np.isfinite(table).all():
+        return table[:, 0], table[:, 1], table[:, 2] if has_noise else np.zeros(len(table))
     wl, fx, sd = [], [], []
     for row_number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
@@ -203,6 +211,9 @@ def load_regression(path: Path) -> tuple[FittedRegression, dict]:
     document = _load_json(Path(path), "knn_functional_regression")
     if not isinstance(document.get("config"), dict) or document["config"].keys() != set(MODEL_SETTINGS):
         raise ValueError(f"{path}: model has no 'config' recording {list(MODEL_SETTINGS)}; rerun fit")
+    for key in ("predictor_grid", "response_grid", "predictors", "responses", "semimetric", "kappa"):
+        if key not in document:
+            raise ValueError(f"{path}: model has no {key!r}; rerun fit")
     try:
         load_config(**document["config"])
     except ValueError as err:

@@ -82,31 +82,38 @@ class FittedRegression:
     def response_matrix(self) -> FloatArray:
         return np.stack([p.response.values for p in self.pairs])
 
+    @cached_property
+    def fitted_values(self) -> FloatArray:  # at the training predictors
+        return predict_many(self, self.predictor_matrix)
 
-# distance rows weighted at once: no weight buffer grows past _BLOCK_ROWS x n
+
+# distance rows weighted at once: no gathered block grows past _BLOCK_ROWS rows
 _BLOCK_ROWS = 256
 
 
-def _weights(dmat: FloatArray, kappa: int, kernel: KernelSpec) -> FloatArray:
-    """Normalized kernel weights for each row of a (rows, n) distance matrix.
+def _neighbours(dmat: FloatArray, kappa: int, kernel: KernelSpec) -> tuple:
+    """Each distance row's kappa nearest pairs and their normalized weights.
 
     A row's bandwidth is the midpoint between its kappa-th and (kappa+1)-th
     smallest distances, which keeps all kappa neighbors strictly inside the
     kernel support; when the two tie, their common value is used and more
-    than kappa curves sit inside. A row whose kernel weights all vanish
+    than kappa curves sit inside, but every non-zero weight (d < h) is still
+    among the kappa nearest. A row whose kernel weights all vanish
     (distances tied exactly at the bandwidth, where the kernel is zero, or a
-    zero bandwidth) falls back to the unweighted mean of every pair inside.
+    zero bandwidth) falls back to the unweighted mean of every pair inside,
+    given as a dense weight row in ``fallback``.
     """
-    # one partition point: a second one, at kappa - 1, doubles its cost
-    ordered = np.partition(dmat, kappa, axis=1)
-    lo, hi = ordered[:, :kappa].max(axis=1, keepdims=True), ordered[:, kappa : kappa + 1]
+    idx = np.argpartition(dmat, kappa, axis=1)[:, : kappa + 1]
+    near = np.take_along_axis(dmat, idx, axis=1)
+    lo, hi = near[:, :kappa].max(axis=1, keepdims=True), near[:, kappa:]
     h = np.where(lo == hi, lo, 0.5 * (lo + hi))
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = kernel.weights(dmat / h)
-    vanished = w.sum(axis=1) == 0.0
-    if vanished.any():  # boolean indexing costs more than the weights of one row
-        w[vanished] = dmat[vanished] <= h[vanished]
-    return w / w.sum(axis=1, keepdims=True)
+        w = kernel.weights(near[:, :kappa] / h)
+    total = w.sum(axis=1, keepdims=True)
+    vanished = np.flatnonzero(total == 0.0)
+    total[vanished] = 1.0  # their kernel weights stay 0 and go unused
+    fallback = {int(r): (dmat[r] <= h[r]) / np.sum(dmat[r] <= h[r]) for r in vanished}
+    return idx[:, :kappa], w / total, fallback
 
 
 def _weighted_responses(
@@ -115,8 +122,10 @@ def _weighted_responses(
     """One kernel-weighted average of the response rows per distance row."""
     out = np.empty((dmat.shape[0], responses.shape[1]))
     for start in range(0, dmat.shape[0], _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        out[block] = _weights(dmat[block], kappa, kernel) @ responses
+        idx, w, fallback = _neighbours(dmat[start : start + _BLOCK_ROWS], kappa, kernel)
+        out[start : start + _BLOCK_ROWS] = np.einsum("rk,rkp->rp", w, responses[idx])
+        for row, dense in fallback.items():
+            out[start + row] = dense @ responses
     return out
 
 
@@ -127,12 +136,17 @@ def prediction_weights(model: FittedRegression, x: Curve) -> FloatArray:
     distances = distances_to(
         model.semimetric, model.predictor_matrix, x.values, model.predictor_grid.points
     )
-    return _weights(distances[None, :], model.kappa, model.kernel)[0]
+    idx, w, fallback = _neighbours(distances[None, :], model.kappa, model.kernel)
+    weights = fallback.get(0, np.zeros(model.n))
+    weights[idx[0]] += w[0]  # a fallback row's kernel weights are all 0
+    return weights
 
 
 def predict(model: FittedRegression, x: Curve) -> Curve:
     """Pointwise convex combination of training responses near ``x``."""
-    return Curve(model.response_grid, prediction_weights(model, x) @ model.response_matrix)
+    weights = prediction_weights(model, x)
+    near = np.flatnonzero(weights)  # the kappa nearest pairs at most, ties aside
+    return Curve(model.response_grid, weights[near] @ model.response_matrix[near])
 
 
 def predict_many(model: FittedRegression, queries: FloatArray) -> FloatArray:

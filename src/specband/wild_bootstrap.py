@@ -24,7 +24,7 @@ import numpy as np
 
 from .curves import Curve, CurvePair, FloatArray
 from .fpca import FpcaModel, trapezoid_weights
-from .regression import FittedRegression, predict_many, prediction_weights
+from .regression import FittedRegression, prediction_weights
 
 V_LOW = (1.0 - math.sqrt(5.0)) / 2.0
 V_HIGH = (1.0 + math.sqrt(5.0)) / 2.0
@@ -127,17 +127,19 @@ def bootstrap_bands(
         )
 
     n = len(sample)
-    if n != model.n:
+    if not (
+        np.array_equal(np.stack([p.predictor.values for p in sample]), model.predictor_matrix)
+        and np.array_equal(np.stack([p.response.values for p in sample]), model.response_matrix)
+    ):
         raise ValueError("the model must be fitted on the given sample")
     if not fpca_model.grid.matches(model.response_grid):
         raise ValueError("the FPCA model is not on the regression's response grid")
-    x_mat = np.stack([p.predictor.values for p in sample])
-    y_mat = np.stack([p.response.values for p in sample])
-    fitted = predict_many(model, x_mat)
-    residuals = y_mat - fitted
+    residuals = model.response_matrix - model.fitted_values
 
     weights = prediction_weights(model, x)
-    point_part = weights @ fitted  # fixed across replicates
+    support = np.flatnonzero(weights)  # only these pairs enter a replicate
+    weights = weights[support]
+    point_part = weights @ model.fitted_values[support]  # fixed across replicates
 
     children = np.random.SeedSequence(config.seed).spawn(config.replicates)
     coords = np.empty((config.replicates, m))
@@ -148,7 +150,7 @@ def bootstrap_bands(
         rng = np.random.default_rng(child)
         draw = rng.integers(0, n, size=n)
         v = _draw_v(rng, n)
-        replicate = point_part + (weights * v) @ residuals[draw]
+        replicate = point_part + (weights * v[support]) @ residuals[draw[support]]
         coords[b] = (grid_w * (replicate - mean_vals)) @ comp_mat.T
 
     intervals = np.empty((m, 2))

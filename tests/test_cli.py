@@ -185,6 +185,16 @@ def test_fit_rejects_spectrum_without_response_coverage(runner, config_path, moc
         assert f"spectrum {name} has too few samples" in result.output
 
 
+def test_fit_rejects_a_manifest_that_is_not_a_json_object(runner, config_path, tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("[1]")
+    result = runner.invoke(
+        main, ["fit", "--config", str(config_path), "--manifest", str(manifest), "--out", str(tmp_path / "m.json")]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == f"error: {manifest}: not a JSON object (found a list)"
+
+
 def test_fit_skips_predict_only_spectra(runner, config_path, mock_dir, tmp_path):
     records, paths = _unusable_spectra(mock_dir, tmp_path)
     usable = records[6]
@@ -381,6 +391,17 @@ def test_model_without_a_valid_config_record_is_rejected(
     assert result.output.rstrip().endswith("rerun fit")
     if "model has no" not in message:
         assert "in the model's 'config' record" in result.output
+
+
+@pytest.mark.parametrize("key", ["predictor_grid", "response_grid", "predictors", "responses", "semimetric", "kappa"])
+def test_model_missing_a_key_is_rejected(runner, mock_dir, model_path, tmp_path, key):
+    document = json.loads(model_path.read_text())
+    del document[key]
+    model_path.write_text(json.dumps(document))
+    query = _query_args("predict", mock_dir)
+    result = runner.invoke(main, ["predict", "--model", str(model_path), *query, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == f"error: {model_path}: model has no {key!r}; rerun fit"
 
 
 @pytest.mark.parametrize("command", ["predict", "bootstrap"])

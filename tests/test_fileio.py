@@ -48,6 +48,21 @@ def test_spectrum_without_noise_column(tmp_path):
     assert np.all(spectrum.noise_sd == 0.0)
 
 
+def test_one_pass_parse_defers_to_the_row_parser(tmp_path):
+    # a third numeric cell under a two-column header is ignored, row by row:
+    # the body is 12 x 3 and must not be read as 18 x 2
+    path = tmp_path / "extra.csv"
+    path.write_text("\n".join(["wavelength,flux"] + [f"{1000.0 + i},{i}.5,9" for i in range(12)]) + "\n")
+    curve = read_curve(path)
+    assert np.array_equal(curve.grid.points, 1000.0 + np.arange(12))
+    assert np.array_equal(curve.values, np.arange(12) + 0.5)
+    rows = [f"{1000.0 + i},1.0,0.1" for i in range(12)]
+    for row, message in [("1011.5,1.0", "row 14: malformed row"), ("1011.5,nan,0.1", "row 14: non-finite")]:
+        path.write_text("\n".join(["wavelength,flux,noise_sd", *rows, row]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_spectrum(path)
+
+
 def test_bad_header_is_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("lambda,value\n1,2\n")
@@ -116,6 +131,17 @@ def test_malformed_manifest_is_a_value_error_naming_the_file(tmp_path, extra, me
     with pytest.raises(ValueError) as excinfo:
         read_manifest(manifest)
     assert str(excinfo.value) == f"{tmp_path}/{message}"
+
+
+@pytest.mark.parametrize(
+    "reader", [read_manifest, load_regression, load_conformal_band], ids=["manifest", "model", "band"]
+)
+def test_json_list_document_is_a_value_error_naming_the_file(tmp_path, reader):
+    path = tmp_path / "document.json"
+    path.write_text("[1]")
+    with pytest.raises(ValueError) as excinfo:
+        reader(path)
+    assert str(excinfo.value) == f"{path}: not a JSON object (found a list)"
 
 
 def test_regression_round_trip_reproduces_predictions_bitwise(tmp_path):

@@ -291,6 +291,76 @@ def test_predict_many_matches_brute_force_past_the_first_block():
     assert np.allclose(tied, (pairs[2].response.values + pairs[3].response.values) / 2.0, atol=1e-12)
 
 
+# constant integer offsets on a grid with dyadic trapezoid weights (1/16,
+# 1/8) summing to 1: both distance kernels give the exact |offset differences|
+DYADIC_GRID = WavelengthGrid(np.linspace(1.0, 2.0, 9))
+# duplicates (0, 0, 0 and 60, 60), equal gaps (10 and -10 from 0) and a
+# curve midway between two others (45 between 30 and 60)
+TIED_OFFSETS = [0, 0, 0, 10, -10, 30, 45, 60, 60, 75, 100]
+
+
+def _tied_pairs(offsets, seed):
+    rng = np.random.default_rng(seed)
+    return tuple(
+        CurvePair(Curve(DYADIC_GRID, np.full(9, float(o))), Curve(RESP_GRID, rng.normal(size=40)))
+        for o in offsets
+    )
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3, 4, 5])
+def test_sparse_neighbours_match_brute_force_on_duplicates_and_ties(kappa):
+    # from 0 the three copies give h = 0 for kappa <= 2 and tie with the
+    # +/-10 curves across the kappa/kappa+1 boundary for kappa = 4; from 5
+    # (kappa <= 3), 20 (kappa = 1) and 52.5 (kappa <= 2) every neighbor
+    # inside ties at the bandwidth, so all kernel weights vanish
+    pairs = _tied_pairs(TIED_OFFSETS, 17)
+    model = FittedRegression(pairs, L2, KERNEL, kappa)
+    query_offsets = [0.0, 5.0, 15.0, 20.0, 30.0, 52.5, 60.0, 67.5, -10.0, 120.0]
+    queries = np.repeat(np.array(query_offsets)[:, None], 9, axis=1)
+    many = predict_many(model, queries)
+    for q, row in zip(queries, many):
+        x = Curve(DYADIC_GRID, q)
+        want = brute_force_prediction(model, x)
+        assert np.max(np.abs(predict(model, x).values - want)) < 1e-12
+        assert np.max(np.abs(row - want)) < 1e-12
+        assert np.max(np.abs(prediction_weights(model, x) @ model.response_matrix - want)) < 1e-12
+    if kappa == 1:  # from 20 the fallback averages the curves at 10 and 30
+        want = (pairs[3].response.values + pairs[5].response.values) / 2.0
+        assert np.allclose(many[3], want, atol=1e-12)
+
+
+def test_sparse_predict_many_matches_brute_force_on_ties_past_the_first_block():
+    model = FittedRegression(_tied_pairs(TIED_OFFSETS, 18), L2, KERNEL, kappa=2)
+    rng = np.random.default_rng(19)
+    query_offsets = rng.integers(-20, 120, size=regression._BLOCK_ROWS + 30).astype(float)
+    # past the first block: the three copies (h = 0), 15 (the copies and 30
+    # tie across the kappa/kappa+1 boundary) and 52.5 (three neighbors tie
+    # at the bandwidth and every kernel weight vanishes)
+    query_offsets[regression._BLOCK_ROWS + 2 :][:3] = [0.0, 15.0, 52.5]
+    queries = np.repeat(query_offsets[:, None], 9, axis=1)
+    got = predict_many(model, queries)
+    for row, q in zip(got, queries):
+        assert np.max(np.abs(row - brute_force_prediction(model, Curve(DYADIC_GRID, q)))) < 1e-12
+
+
+def test_sparse_loo_table_matches_brute_force_on_duplicates_and_ties():
+    # leaving out a copy of 0 leaves two at distance 0 (h = 0 for kappa = 1),
+    # leaving out a 60 ties 45 and 75 across the boundary (kappa = 2), and
+    # from 45 the two 60s and 30 tie at the bandwidth (kappa <= 2)
+    pairs = _tied_pairs(TIED_OFFSETS, 20)
+    n = len(pairs)
+    candidates = [1, 2, 3, 4, 6, n - 1]
+    table = dict(kappa_cv_scores(pairs, L2, KERNEL, candidates))
+    quad = trapezoid_weights(RESP_GRID.points)
+    for kappa in candidates:
+        total = 0.0
+        for i in range(n):
+            rest = FittedRegression(pairs[:i] + pairs[i + 1 :], L2, KERNEL, min(kappa, n - 2))
+            diff = brute_force_prediction(rest, pairs[i].predictor) - pairs[i].response.values
+            total += float(np.sum(quad * diff * diff))
+        assert table[kappa] == pytest.approx(total / n, rel=1e-12)
+
+
 def test_query_grid_mismatch_raises():
     model = _offset_model([1.0, 2.0, 3.0], [0.0] * 3, kappa=1)
     bad = Curve(WavelengthGrid(np.linspace(1.0, 2.0, 50)), np.zeros(50))

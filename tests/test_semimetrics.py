@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specband.curves import Curve, WavelengthGrid
+from specband.curves import Curve, WavelengthGrid, trapezoid_weights
 from specband.semimetrics import (
     SemimetricSpec,
     distance,
@@ -123,3 +123,22 @@ def test_matrix_and_vector_paths_agree_with_scalar(spec):
             scalar = distance(spec, Curve(grid, rows[i]), Curve(grid, cols[j]))
             assert mat[i, j] == pytest.approx(scalar, abs=1e-10)
             assert vec[j] == pytest.approx(scalar, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [L2, D1, D2])
+def test_distance_matrix_is_bitwise_the_plain_gram_expression(spec):
+    rng = np.random.default_rng(22)
+    pts = np.sort(rng.uniform(1.0, 6.0, 35))
+    rows = rng.normal(size=(30, 35))
+    # copies and near copies of the rows, where the expansion clamps at 0
+    cols = np.concatenate([rows[:10], rows[10:20] + 1e-9 * rng.normal(size=(10, 35)), rng.normal(size=(25, 35))])
+    a, b = rows, cols
+    for _ in range(spec.order):
+        a, b = np.gradient(a, pts, axis=1), np.gradient(b, pts, axis=1)
+    w = trapezoid_weights(pts)
+    sa, sb = np.sum(a * a * w, axis=1), np.sum(b * b * w, axis=1)
+    gram = a @ (b * w).T
+    want = np.sqrt(np.maximum(sa[:, None] + sb[None, :] - 2.0 * gram, 0.0))
+    got = distance_matrix(spec, rows, cols, pts)
+    assert got.tobytes() == want.tobytes()
+    assert np.any(sa[:, None] + sb[None, :] - 2.0 * gram < 0.0)  # the clamp ran

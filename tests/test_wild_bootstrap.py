@@ -135,6 +135,53 @@ def test_four_replicates_match_enumerated_oracle():
     assert band.component_intervals[0, 1] == pytest.approx(ordered[2], abs=1e-12)
 
 
+def test_sparse_replicates_match_the_dense_formula():
+    """Every replicate sums over the weights' support only; re-enacting the
+    dense sum over all n pairs with the same draws gives the same band."""
+    rng = np.random.default_rng(43)
+    pairs = _pairs(rng, 40)
+    model = FittedRegression(pairs, L2, KERNEL, kappa=5)
+    fpca_model = fit_fpca([p.response for p in pairs], m=3)
+    x = Curve(PRED_GRID, rng.normal(size=40))
+    config = WildBootstrapConfig(replicates=200, components=3, alpha=0.3, seed=17)
+    band = bootstrap_bands(pairs, model, x, fpca_model, config)
+
+    n = len(pairs)
+    y_mat = np.stack([p.response.values for p in pairs])
+    fitted = predict_many(model, np.stack([p.predictor.values for p in pairs]))
+    residuals = y_mat - fitted
+    weights = prediction_weights(model, x)
+    assert 0 < np.count_nonzero(weights) <= 5  # the sparse path skips pairs
+    quad = trapezoid_weights(RESP_GRID.points)
+    comp = np.stack([c.values for c in fpca_model.components])
+    coords = []
+    for child in np.random.SeedSequence(17).spawn(200):
+        gen = np.random.default_rng(child)
+        draw = gen.integers(0, n, size=n)
+        v = np.where(gen.random(n) < V_LOW_PROB, V_LOW, V_HIGH)
+        replicate = weights @ fitted + (weights * v) @ residuals[draw]
+        coords.append((quad * (replicate - fpca_model.mean.values)) @ comp.T)
+    ordered = np.sort(np.array(coords), axis=0)
+    lo, hi = quantile_levels(0.3, 3)
+    want = np.stack([ordered[math.ceil(lo * 200) - 1], ordered[math.ceil(hi * 200) - 1]], axis=1)
+    assert np.max(np.abs(band.component_intervals - want)) < 1e-12
+
+
+def test_bands_reject_a_sample_that_is_not_the_models():
+    rng = np.random.default_rng(44)
+    pairs = _pairs(rng, 6)
+    model = FittedRegression(pairs, L2, KERNEL, kappa=2)
+    fpca_model = fit_fpca([p.response for p in pairs], m=2)
+    x = Curve(PRED_GRID, rng.normal(size=40))
+    config = WildBootstrapConfig(replicates=64, components=2, alpha=0.5, seed=1)
+    other = _pairs(rng, 6)
+    same_predictors = tuple(CurvePair(p.predictor, q.response) for p, q in zip(pairs, other))
+    for sample in (other, same_predictors, pairs[::-1]):
+        with pytest.raises(ValueError, match="fitted on the given sample"):
+            bootstrap_bands(sample, model, x, fpca_model, config)
+    bootstrap_bands(list(pairs), model, x, fpca_model, config)
+
+
 def test_bands_are_deterministic_in_the_seed():
     rng = np.random.default_rng(1)
     pairs = _pairs(rng, 6)
