@@ -28,7 +28,7 @@ from .pipeline import (
     covers_response_range,
     fit_pairs,
     load_config,
-    spectrum_to_pair,
+    smooth_spectra,
     spectrum_to_predictor,
 )
 
@@ -131,9 +131,8 @@ def cmd_mockgen(config_path, count, out_dir, **flags) -> None:
 def cmd_fit(config_path, manifest, out_path, **flags) -> None:
     """Smooth the manifest spectra into curve pairs and fit the regression."""
     config = _build_config(config_path, **flags)
-    records = fileio.read_manifest(manifest)
-    pairs = []
-    for record in records:
+    spectra = {}
+    for record in fileio.read_manifest(manifest):
         if record.predict_only:
             click.echo(f"skipping predict-only spectrum {record.id}", err=True)
             continue
@@ -144,8 +143,8 @@ def cmd_fit(config_path, manifest, out_path, **flags) -> None:
                 f"predictor range {config.predictor_range} or the response range "
                 f"{config.response_range}; mark it predict_only or drop it"
             )
-        pair, _ = spectrum_to_pair(spectrum, config)
-        pairs.append(pair)
+        spectra[record.id] = spectrum
+    pairs = [pair for pair, _ in smooth_spectra(list(spectra.values()), config, pairs=True, names=list(spectra))]
     model, cv_table = fit_pairs(pairs, config)
     fileio.save_regression(model, out_path, config)
     if cv_table:
@@ -170,6 +169,9 @@ def cmd_predict(model_path, manifest, out_dir, **flags) -> None:
     """
     model, settings = fileio.load_regression(model_path)
     config = load_config(**settings, **flags)
+    records = fileio.read_manifest(manifest)
+    spectra = [fileio.read_spectrum(record.path, record.z) for record in records]
+    predictors = smooth_spectra(spectra, config, pairs=False, names=[r.id for r in records])
     calibration = conformal_mod.calibrate(
         model.pairs,
         config.alpha,
@@ -178,12 +180,8 @@ def cmd_predict(model_path, manifest, out_dir, **flags) -> None:
         config.kappa_candidates,
         split_seed=config.seed,
     )
-
-    records = fileio.read_manifest(manifest)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for record in records:
-        spectrum = fileio.read_spectrum(record.path, record.z)
-        predictor, ref = spectrum_to_predictor(spectrum, config)
+    for record, (predictor, ref) in zip(records, predictors):
         prediction = regression_mod.predict(model, predictor)
         band = conformal_mod.band(calibration, predictor)
         if band.degenerate:

@@ -62,8 +62,9 @@ class WavelengthGrid:
         return float(self.points[-1])
 
     def matches(self, other: "WavelengthGrid") -> bool:
-        return self.points.shape == other.points.shape and bool(
-            np.array_equal(self.points, other.points)
+        return self is other or (
+            self.points.shape == other.points.shape
+            and bool(np.array_equal(self.points, other.points))
         )
 
 

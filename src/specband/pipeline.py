@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .curves import (
     Curve,
@@ -29,8 +32,9 @@ from .smoothing import (
     MIN_CV_SAMPLES,
     MIN_SMOOTH_SAMPLES,
     SmootherConfig,
-    select_span_cv,
-    smooth,
+    in_range,
+    select_spans,
+    smooth_block,
 )
 
 
@@ -71,7 +75,7 @@ class PipelineConfig:
             raise ValueError("kappa and every kappa candidate (at least one) must be at least 1, "
                              f"got kappa={self.kappa}, kappa_candidates={self.kappa_candidates}")
         SemimetricSpec.parse(self.semimetric)
-        self.smoother()
+        SmootherConfig(0.5 if self.span is None else self.span, self.span_candidates)
 
     @property
     def semimetric_spec(self) -> SemimetricSpec:
@@ -87,10 +91,6 @@ class PipelineConfig:
         return WavelengthGrid.uniform(
             self.response_range[0], self.predictor_range[1], self.mock_grid_points
         )
-
-    def smoother(self) -> SmootherConfig:
-        span = self.span if self.span is not None else 0.5
-        return SmootherConfig(span=span, candidate_spans=self.span_candidates)
 
 
 # recorded in the model file: how predict and bootstrap must treat a query
@@ -142,47 +142,52 @@ def load_config(path: Path | None = None, **overrides) -> PipelineConfig:
     return PipelineConfig(**values)
 
 
-def _smooth_segment(
-    spectrum: RawSpectrum,
-    wl_range: tuple[float, float],
-    grid: WavelengthGrid,
-    config: PipelineConfig,
-) -> Curve:
-    smoother = config.smoother()
-    if config.span is None:
-        span = select_span_cv(spectrum, wl_range, smoother)
-        smoother = dataclasses.replace(smoother, span=span)
-    return smooth(spectrum, wl_range, smoother, grid)
+def smooth_spectra(
+    spectra: Sequence[RawSpectrum], config: PipelineConfig, *, pairs: bool, names: Sequence[str] | None = None
+) -> list[tuple[CurvePair, float]] | list[tuple[Curve, float]]:
+    """Rest-frame, smooth and normalize many spectra: (pair, ref), or
+    (predictor, ref) unless ``pairs``, per spectrum in input order, each bit
+    for bit what it gets alone, with one grid object per segment. ``ref`` is
+    the smoothed predictor flux nearest the normalization wavelength; it
+    divides both segments, and callers need it to place truths on the same
+    scale. ``names`` label the spectra in errors (default: their positions)."""
+    names = [str(i) for i in range(len(spectra))] if names is None else names
+    rest = [to_rest_frame(s) for s in spectra]
+    segments = [(config.predictor_range, config.predictor_grid())]
+    segments += [(config.response_range, config.response_grid())] if pairs else []
+    values = [[None] * len(spectra) for _ in segments]
+    for (wl_range, grid), rows in zip(segments, values):
+        # spectra whose in-range wavelengths are equal byte for byte are one
+        # block: one span-CV pass and one kernel call per chosen span
+        samples = [in_range(s, wl_range) for s in rest]
+        groups: dict[bytes, list[int]] = {}
+        for i, (lam, _) in enumerate(samples):
+            groups.setdefault(lam.tobytes(), []).append(i)
+        for members in groups.values():
+            lam, flux = samples[members[0]][0], np.stack([samples[i][1] for i in members])
+            try:
+                spans = select_spans(lam, flux, config.span_candidates) if config.span is None else [config.span] * len(flux)
+                for i, row in zip(members, smooth_block(lam, flux, wl_range, spans, grid)):
+                    rows[i] = row
+            except ValueError as err:
+                raise type(err)(f"spectrum {names[members[0]]}: {err}") from err
+    refs = [float(v[nearest_index(segments[0][1], config.normalization_wavelength)]) for v in values[0]]
+    for name, ref in zip(names, refs):
+        if ref <= 0.0:
+            raise ValueError(f"cannot normalize spectrum {name}: smoothed flux is not "
+                             f"positive at {config.normalization_wavelength}")
+    curves = [[Curve(grid, v / ref) for v, ref in zip(rows, refs)] for (_, grid), rows in zip(segments, values)]
+    return list(zip(map(CurvePair, *curves) if pairs else curves[0], refs))
 
 
-def spectrum_to_predictor(
-    spectrum: RawSpectrum, config: PipelineConfig
-) -> tuple[Curve, float]:
-    """Rest-frame, smooth and normalize the predictor segment.
-
-    Returns the normalized curve together with the normalization constant
-    (the smoothed flux at the grid point nearest the normalization
-    wavelength), which callers need to place truths on the same scale.
-    """
-    rest = to_rest_frame(spectrum)
-    curve = _smooth_segment(rest, config.predictor_range, config.predictor_grid(), config)
-    ref = curve.values[nearest_index(curve.grid, config.normalization_wavelength)]
-    if ref <= 0.0:
-        raise ValueError(
-            "cannot normalize spectrum: smoothed flux is not positive at "
-            f"{config.normalization_wavelength}"
-        )
-    return curve.with_values(curve.values / ref), float(ref)
+def spectrum_to_predictor(spectrum: RawSpectrum, config: PipelineConfig) -> tuple[Curve, float]:
+    """Rest-frame, smooth and normalize the predictor segment of one spectrum."""
+    return smooth_spectra([spectrum], config, pairs=False)[0]
 
 
-def spectrum_to_pair(
-    spectrum: RawSpectrum, config: PipelineConfig
-) -> tuple[CurvePair, float]:
-    """Rest-frame, smooth both segments, normalize by the predictor flux."""
-    rest = to_rest_frame(spectrum)
-    predictor, ref = spectrum_to_predictor(rest, config)
-    response = _smooth_segment(rest, config.response_range, config.response_grid(), config)
-    return CurvePair(predictor, response.with_values(response.values / ref)), ref
+def spectrum_to_pair(spectrum: RawSpectrum, config: PipelineConfig) -> tuple[CurvePair, float]:
+    """Rest-frame, smooth and normalize both segments of one spectrum."""
+    return smooth_spectra([spectrum], config, pairs=True)[0]
 
 
 def covers_response_range(spectrum: RawSpectrum, config: PipelineConfig) -> bool:

@@ -12,12 +12,18 @@ the larger end distance. Where fewer than three samples lie strictly inside
 the radius (the tricube vanishes there), it is raised to the next larger
 distance, the least widening that gives three whatever the ties; a noiseless
 quadratic is then reproduced exactly for every admissible span. Weighted
-moments of the scaled offsets give the normal equations, solved as one
-batch. The noise-sd column of the input spectrum is not a fitting weight.
+moments of the scaled offsets give, by cofactors (by least squares where
+ill-conditioned), the fit's weight on each sample. These weights depend only
+on the sample wavelengths, the output points and the span, so spectra
+sampled alike are smoothed as one (spectra, samples) block: one set of
+weights per (span, CV fold), then one matrix-vector product per spectrum,
+which gives each spectrum bit for bit what it gets alone. The noise-sd
+column is not a fitting weight.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +39,9 @@ _DEFAULT_SPANS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 # quadratic, and for span CV enough that each even/odd fold keeps ten
 MIN_SMOOTH_SAMPLES = 9
 MIN_CV_SAMPLES = 20
+
+# least det / diagonal product of a moment matrix solved by cofactors
+_ILL_CONDITIONED = 1e-6
 
 
 @dataclass(frozen=True)
@@ -52,9 +61,8 @@ class SmootherConfig:
                 raise ValueError("every candidate span must be in (0, 1]")
 
 
-def _in_range(
-    spectrum: RawSpectrum, wl_range: tuple[float, float]
-) -> tuple[FloatArray, FloatArray]:
+def in_range(spectrum: RawSpectrum, wl_range: tuple[float, float]) -> tuple[FloatArray, FloatArray]:
+    """The wavelengths and fluxes of the samples inside ``wl_range``."""
     low, high = wl_range
     if low >= high:
         raise ValueError(f"empty wavelength range [{low}, {high}]")
@@ -65,7 +73,7 @@ def _in_range(
 def _fit_values(
     lam: FloatArray, flux: FloatArray, out: FloatArray, span: float
 ) -> FloatArray:
-    """Evaluate the local quadratic fit at each output wavelength."""
+    """Local quadratic fits of (N, samples) flux rows at ``out``: (N, outputs)."""
     m = lam.size
     q = min(m, max(4, int(np.ceil(span * m))))
     offset = lam[None, :] - out[:, None]
@@ -81,7 +89,7 @@ def _fit_values(
             "than 3 samples carry positive weight"
         )
 
-    # scaled offsets keep the normal equations well conditioned and make the
+    # scaled offsets keep the moment matrices well conditioned and make the
     # intercept the fit at the output point. Buffers are reused and moments
     # taken one power at a time: each fresh (out, samples) array page-faults.
     t = np.divide(offset, scale[:, None], out=offset)
@@ -90,19 +98,53 @@ def _fit_values(
     w *= u
     np.subtract(1.0, w, out=w)  # 1 - u**3
     w *= np.multiply(w, w, out=u)  # tricube (1 - u**3)**3
-    basis = np.stack([np.ones_like(flux), flux], axis=1)
-    sums = np.empty((5, out.size, 2))
-    for k in range(5):
-        sums[k] = w @ basis
-        w *= t
-    normal = sums[:, :, 0].T[:, [[0, 1, 2], [1, 2, 3], [2, 3, 4]]]
-    try:
-        beta = np.linalg.solve(normal, sums[:3, :, 1].T[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        # slogdet runs the LU that solve ran; its sign is 0 on the failed rows
-        r = np.flatnonzero(np.linalg.slogdet(normal)[0] == 0)[0]
-        raise ValueError(f"singular local fit at wavelength {out[r]}") from None
-    return beta[:, 0]
+    wt = np.multiply(w, t, out=u)
+    s0, s1 = w.sum(axis=1), wt.sum(axis=1)
+    s2, s3, s4 = (np.multiply(wt, t, out=wt).sum(axis=1) for _ in range(3))
+    # first row of the inverse moment matrix, by cofactors: the intercept is
+    # sum_j w_j (c0 + c1 t_j + c2 t_j**2) f_j
+    c0, c1, c2 = s2 * s4 - s3 * s3, s2 * s3 - s1 * s4, s1 * s3 - s2 * s2
+    det = s0 * c0 + s1 * c1 + s2 * c2
+    # the moment matrix squares the fit's conditioning: where its diagonally
+    # scaled condition number may pass 7 / _ILL_CONDITIONED, the weights come
+    # from least squares on the window's positive-weight samples instead
+    ill = np.flatnonzero(~(det > _ILL_CONDITIONED * s0 * s2 * s4))
+    det[ill] = 1.0
+    hat = np.multiply(t, (c2 / det)[:, None], out=wt)
+    hat += (c1 / det)[:, None]
+    hat *= t
+    hat += (c0 / det)[:, None]
+    hat *= w
+    for r in ill:
+        inside = w[r] > 0.0
+        root_w = np.sqrt(w[r, inside])
+        design = np.vander(t[r, inside], 3, increasing=True) * root_w[:, None]
+        coef, _, rank, _ = np.linalg.lstsq(design, np.diag(root_w), rcond=None)
+        if rank < 3:
+            raise ValueError(f"singular local fit at wavelength {out[r]}")
+        hat[r, inside] = coef[0]  # hat[r] is 0 where w[r] is
+    # one matrix-vector product per row, so no row affects another's bits
+    return np.matmul(hat, flux[:, :, None])[:, :, 0]
+
+
+def smooth_block(
+    lam: FloatArray, flux: FloatArray, wl_range: tuple[float, float], spans: Sequence[float], output_grid: WavelengthGrid
+) -> FloatArray:
+    """Smooth each row of an (N, samples) flux block, sampled at ``lam``, onto
+    ``output_grid`` with the row's span, in one kernel call per span. Needs
+    ``MIN_SMOOTH_SAMPLES`` samples and an output grid inside ``wl_range``."""
+    if lam.size < MIN_SMOOTH_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_SMOOTH_SAMPLES} samples in "
+            f"[{wl_range[0]}, {wl_range[1]}], found {lam.size}"
+        )
+    if output_grid.low < wl_range[0] or output_grid.high > wl_range[1]:
+        raise ValueError("output grid extends beyond the smoothing range")
+    spans = np.asarray(spans, dtype=float)
+    values = np.empty((flux.shape[0], len(output_grid)))
+    for span in dict.fromkeys(spans.tolist()):
+        values[spans == span] = _fit_values(lam, flux[spans == span], output_grid.points, span)
+    return values
 
 
 def smooth(
@@ -111,65 +153,59 @@ def smooth(
     config: SmootherConfig,
     output_grid: WavelengthGrid,
 ) -> Curve:
-    """Smooth the in-range samples onto ``output_grid``.
-
-    Requires at least ``MIN_SMOOTH_SAMPLES`` samples inside ``wl_range`` and
-    an output grid contained in it.
-    """
-    lam, flux = _in_range(spectrum, wl_range)
-    if lam.size < MIN_SMOOTH_SAMPLES:
-        raise ValueError(
-            f"need at least {MIN_SMOOTH_SAMPLES} samples in "
-            f"[{wl_range[0]}, {wl_range[1]}], found {lam.size}"
-        )
-    if output_grid.low < wl_range[0] or output_grid.high > wl_range[1]:
-        raise ValueError("output grid extends beyond the smoothing range")
-    return Curve(output_grid, _fit_values(lam, flux, output_grid.points, config.span))
+    """Smooth one spectrum's in-range samples onto ``output_grid``."""
+    lam, flux = in_range(spectrum, wl_range)
+    return Curve(output_grid, smooth_block(lam, flux[None], wl_range, [config.span], output_grid)[0])
 
 
-def cv_scores(
-    spectrum: RawSpectrum, wl_range: tuple[float, float], config: SmootherConfig
-) -> list[tuple[float, float]]:
-    """Symmetrized 2-fold CV error for each candidate span.
+def span_cv_table(lam: FloatArray, flux: FloatArray, spans: Sequence[float]) -> FloatArray:
+    """Symmetrized 2-fold CV error of each flux row for each span, (N, spans).
 
     Samples are split into interleaved even/odd-index folds; each fold is
     fitted and scored on the other, and the two squared-error totals are
-    summed. Candidates whose fit fails score infinity.
-    """
-    lam, flux = _in_range(spectrum, wl_range)
+    summed. A span whose fit fails (which depends on ``lam`` alone) scores
+    infinity."""
     if lam.size < MIN_CV_SAMPLES:
         raise ValueError(
             f"span cross-validation needs at least {MIN_CV_SAMPLES} samples in "
             f"range, found {lam.size}"
         )
     even = np.arange(lam.size) % 2 == 0
-    folds = [(even, ~even), (~even, even)]
-    table: list[tuple[float, float]] = []
-    for span in config.candidate_spans:
-        total = 0.0
-        for fit_mask, score_mask in folds:
+    table = np.zeros((flux.shape[0], len(spans)))
+    for i, span in enumerate(spans):
+        for fit_mask, score_mask in ((even, ~even), (~even, even)):
             try:
-                pred = _fit_values(lam[fit_mask], flux[fit_mask], lam[score_mask], span)
+                pred = _fit_values(lam[fit_mask], flux[:, fit_mask], lam[score_mask], span)
             except ValueError:
-                total = np.inf
+                table[:, i] = np.inf
                 break
-            total += float(np.sum((pred - flux[score_mask]) ** 2))
-        table.append((float(span), total))
+            table[:, i] += np.sum((pred - flux[:, score_mask]) ** 2, axis=1)
     return table
+
+
+def select_spans(lam: FloatArray, flux: FloatArray, spans: Sequence[float]) -> list[float]:
+    """The span minimizing each flux row's 2-fold CV error. Scores within a
+    small relative slack of the row's minimum count as tied, and ties go to
+    the largest span, whatever the order of ``spans``."""
+    table = span_cv_table(lam, flux, spans)
+    best = table.min(axis=1, keepdims=True)
+    if not np.isfinite(best).all():
+        raise ValueError("every candidate span failed to fit")
+    tied = table <= best + _CV_TIE_RTOL * (1.0 + best)
+    return np.where(tied, np.asarray(spans, dtype=float), -np.inf).max(axis=1).tolist()
+
+
+def cv_scores(
+    spectrum: RawSpectrum, wl_range: tuple[float, float], config: SmootherConfig
+) -> list[tuple[float, float]]:
+    """(span, CV error) for each candidate span, for one spectrum."""
+    lam, flux = in_range(spectrum, wl_range)
+    return list(zip(config.candidate_spans, span_cv_table(lam, flux[None], config.candidate_spans)[0].tolist()))
 
 
 def select_span_cv(
     spectrum: RawSpectrum, wl_range: tuple[float, float], config: SmootherConfig
 ) -> float:
-    """Pick the candidate span minimizing the 2-fold CV error.
-
-    Scores within a small relative slack of the minimum count as tied, and
-    ties go to the largest span; the outcome does not depend on the order of
-    ``candidate_spans``.
-    """
-    table = cv_scores(spectrum, wl_range, config)
-    best = min(score for _, score in table)
-    if not np.isfinite(best):
-        raise ValueError("every candidate span failed to fit")
-    cutoff = best + _CV_TIE_RTOL * (1.0 + best)
-    return max(span for span, score in table if score <= cutoff)
+    """The candidate span chosen by 2-fold CV for one spectrum."""
+    lam, flux = in_range(spectrum, wl_range)
+    return select_spans(lam, flux[None], config.candidate_spans)[0]

@@ -185,6 +185,51 @@ def test_fit_rejects_spectrum_without_response_coverage(runner, config_path, moc
         assert f"spectrum {name} has too few samples" in result.output
 
 
+def _spectrum_manifest(mock_dir, tmp_path, name, edit):
+    """The training records with one more spectrum, the first mock edited."""
+    records = read_manifest(mock_dir / "manifest.json")
+    path = tmp_path / f"{name}.csv"
+    write_spectrum(path, edit(read_spectrum(records[0].path)))
+    manifest = tmp_path / f"{name}_manifest.json"
+    write_manifest(manifest, [SpectrumRecord(r.id, r.path, r.z) for r in records[:4]] + [SpectrumRecord(name, path)])
+    return manifest
+
+
+def _keep(spectrum, keep):
+    return type(spectrum)(spectrum.wavelengths[keep], spectrum.flux[keep], spectrum.noise_sd[keep])
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("fewpred", lambda s: _keep(s, s.wavelengths <= s.wavelengths[s.wavelengths >= 1300.0][11]),
+         "spectrum fewpred: span cross-validation needs at least 20 samples in range, found 12"),
+        ("negative", lambda s: type(s)(s.wavelengths, -s.flux, s.noise_sd),
+         "cannot normalize spectrum negative: smoothed flux is not positive at 1300.0"),
+    ],
+)
+def test_predict_names_the_spectrum_it_cannot_smooth(runner, mock_dir, model_path, tmp_path, name, edit, message):
+    """Every spectrum is smoothed before anything is written, so the id is
+    what tells the user which one to fix."""
+    manifest = _spectrum_manifest(mock_dir, tmp_path, name, edit)
+    out = tmp_path / "pred"
+    result = runner.invoke(
+        main, ["predict", *QUERY_FLAGS, "--model", str(model_path), "--manifest", str(manifest), "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == f"error: {message}"
+    assert not out.exists()
+
+
+def test_fit_names_the_spectrum_it_cannot_normalize(runner, config_path, mock_dir, tmp_path):
+    manifest = _spectrum_manifest(mock_dir, tmp_path, "negative", lambda s: type(s)(s.wavelengths, -s.flux, s.noise_sd))
+    out = tmp_path / "m.json"
+    result = runner.invoke(main, ["fit", "--config", str(config_path), "--manifest", str(manifest), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "cannot normalize spectrum negative: smoothed flux is not positive" in result.output
+    assert not out.exists()
+
+
 def test_fit_rejects_a_manifest_that_is_not_a_json_object(runner, config_path, tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text("[1]")
@@ -457,9 +502,12 @@ def test_eval_reads_no_spectrum_and_smooths_nothing(
 
     for target in (
         "specband.cli.spectrum_to_predictor",
+        "specband.cli.smooth_spectra",
         "specband.fileio.read_spectrum",
-        "specband.pipeline.select_span_cv",
-        "specband.pipeline.smooth",
+        "specband.pipeline.select_spans",
+        "specband.pipeline.smooth_block",
+        "specband.smoothing.select_span_cv",
+        "specband.smoothing.smooth",
     ):
         monkeypatch.setattr(target, forbidden)
     result = _eval(runner, pred_dir, mock_dir / "manifest.json", tmp_path / "eval")

@@ -33,6 +33,16 @@ def test_grid_rejects_non_positive_and_non_finite():
         WavelengthGrid([1.0, np.inf])
 
 
+def test_grid_matches_itself_without_comparing_points(monkeypatch):
+    grid = WavelengthGrid([1.0, 2.0, 3.0])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a grid is the same as itself")
+
+    monkeypatch.setattr(np, "array_equal", forbidden)
+    assert grid.matches(grid)
+
+
 def test_curve_length_must_match_grid():
     grid = WavelengthGrid([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="3-point grid"):

@@ -4,16 +4,19 @@ import json
 import numpy as np
 import pytest
 
-from specband.curves import RawSpectrum, nearest_index
+from specband import pipeline
+from specband.curves import RawSpectrum, nearest_index, to_rest_frame
 from specband.mockgen import generate, synthetic_model
 from specband.pipeline import (
     PipelineConfig,
     covers_response_range,
     fit_pairs,
     load_config,
+    smooth_spectra,
     spectrum_to_pair,
     spectrum_to_predictor,
 )
+from specband.smoothing import SmootherConfig, select_span_cv, smooth
 
 
 def _mock_spectrum(seed=0, points=160):
@@ -85,6 +88,48 @@ def test_rest_frame_is_applied_before_smoothing():
     moved, ref_moved = spectrum_to_predictor(shifted, config)
     assert ref_moved == pytest.approx(ref_direct, rel=1e-9)
     assert np.allclose(moved.values, direct.values, atol=1e-9)
+
+
+def test_batch_smooths_each_spectrum_as_it_would_alone(monkeypatch):
+    """Four z=0 mocks share their sample grid. Two more are observed at
+    their own redshift, off that grid, and one loses a response-range
+    sample, so they share no grid in the ranges they change. Each spectrum
+    gets, in input order and to the last bit, the span select_span_cv picks
+    for it alone and the curves that span gives."""
+    config = PipelineConfig(mock_grid_points=160)
+    spectra = [r.noisy for r in generate(synthetic_model(config.mock_grid(), seed=11), 7, seed=12)]
+    for i, z in ((4, 2.1), (5, 3.3)):
+        s = spectra[i]
+        spectra[i] = RawSpectrum((s.wavelengths + 0.4 * z) * (1.0 + z), s.flux, s.noise_sd, redshift=z)
+    keep = np.arange(len(spectra[6])) != 20
+    s = spectra[6]
+    spectra[6] = RawSpectrum(s.wavelengths[keep], s.flux[keep], s.noise_sd[keep])
+    group_sizes = []
+    select_spans = pipeline.select_spans
+
+    def recording(lam, flux, spans):
+        group_sizes.append(len(flux))
+        return select_spans(lam, flux, spans)
+
+    monkeypatch.setattr(pipeline, "select_spans", recording)
+    batch = smooth_spectra(spectra, config, pairs=True)
+    # predictor range: the four z=0 mocks and the one with a response sample
+    # dropped, then each redshifted mock; response range: four, then three of one
+    assert group_sizes == [5, 1, 1, 4, 1, 1, 1]
+
+    smoother = SmootherConfig(candidate_spans=config.span_candidates)
+    for spectrum, (pair, ref) in zip(spectra, batch):
+        rest = to_rest_frame(spectrum)
+        alone = []
+        for wl_range, grid in ((config.predictor_range, config.predictor_grid()),
+                               (config.response_range, config.response_grid())):
+            span = select_span_cv(rest, wl_range, smoother)
+            alone.append(smooth(rest, wl_range, dataclasses.replace(smoother, span=span), grid).values)
+        assert ref == alone[0][nearest_index(pair.predictor.grid, config.normalization_wavelength)]
+        assert np.array_equal(pair.predictor.values, alone[0] / ref)
+        assert np.array_equal(pair.response.values, alone[1] / ref)
+        assert pair.predictor.grid is batch[0][0].predictor.grid
+        assert pair.response.grid is batch[0][0].response.grid
 
 
 def test_covers_response_range():

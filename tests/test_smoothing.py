@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from specband.curves import RawSpectrum, WavelengthGrid
-from specband.smoothing import SmootherConfig, cv_scores, select_span_cv, smooth
+from specband.smoothing import (
+    SmootherConfig,
+    cv_scores,
+    select_span_cv,
+    select_spans,
+    smooth,
+    smooth_block,
+    span_cv_table,
+)
 
 
 def _spectrum(wl, flux):
@@ -113,6 +121,37 @@ def test_widened_window_matches_oracle():
         pred = oracle_local_quadratic(lam[tr], flux[tr], lam[~tr], 0.1)
         total += np.sum((pred - flux[~tr]) ** 2)
     assert score == pytest.approx(total, rel=1e-10, abs=0.0)
+
+
+def _thin_third_neighbour(delta):
+    """Samples 1 apart around 1000 with the 3rd nearest to 1000 moved to
+    1 - delta: with the base window of 4 (span 0.1 of 12 samples) its
+    tricube weight is about (3 delta)**3, and the 4th nearest, at 1, has
+    none."""
+    offsets = [-5.0, -4.0, -3.0, -2.0, -1.0, -0.4, 0.3, 1.0 - delta, 2.0, 3.0, 4.0, 5.0]
+    return 1000.0 + np.array(offsets)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ill_conditioned_window_matches_oracle(seed):
+    """A weight of ~3e-18 leaves the moment matrix singular to working
+    precision, but the weighted fit is still the quadratic through the three
+    weighted samples, which the least-squares re-solve finds."""
+    lam = _thin_third_neighbour(5e-7)
+    flux = np.random.default_rng(seed).normal(size=lam.size)
+    grid = WavelengthGrid([999.0, 1000.0])
+    got = smooth(_spectrum(lam, flux), (lam[0], lam[-1]), SmootherConfig(span=0.1), grid)
+    want = oracle_local_quadratic(lam, flux, grid.points, 0.1)
+    assert np.allclose(got.values, want, rtol=0.0, atol=1e-6)
+
+
+def test_rank_deficient_window_is_a_singular_fit():
+    """A weight of ~3e-38 is below working precision: two samples carry the
+    window, and no quadratic is determined."""
+    lam = _thin_third_neighbour(1e-13)
+    flux = np.random.default_rng(0).normal(size=lam.size)
+    with pytest.raises(ValueError, match="singular local fit at wavelength 1000.0"):
+        smooth(_spectrum(lam, flux), (lam[0], lam[-1]), SmootherConfig(span=0.1), WavelengthGrid([999.0, 1000.0]))
 
 
 def test_cv_smoothing_recovers_sine_under_noise():
@@ -226,3 +265,29 @@ def test_cv_needs_twenty_samples():
     spec = _spectrum(lam, np.ones(15))
     with pytest.raises(ValueError, match="at least 20"):
         select_span_cv(spec, (1.0, 10.0), SmootherConfig())
+
+
+# ------------------------------------------------------------ batches
+
+def test_batch_span_cv_is_the_one_spectrum_span_cv_row_by_row():
+    """Each row of a block gets, bit for bit, the CV scores, span and smooth
+    it gets alone. On this uniform grid every window of span 0.1 on a CV
+    fold is rank-deficient where rounding breaks the tie between the 3rd and
+    4th nearest samples, so that span scores inf for every row."""
+    lam = 1000.0 + 0.3 * np.arange(40)
+    rng = np.random.default_rng(9)
+    flux = np.sin(np.outer([0.1, 0.5, 1.0, 1.5, 2.0], lam)) + rng.normal(0.0, 0.05, (5, lam.size))
+    spans = (0.1, 0.3, 0.5)
+    config = SmootherConfig(candidate_spans=spans)
+    table = span_cv_table(lam, flux, spans)
+    assert np.isinf(table[:, 0]).all() and np.isfinite(table[:, 1:]).all()
+    chosen = select_spans(lam, flux, spans)
+    assert chosen == [0.5, 0.5, 0.3, 0.3, 0.3]
+    grid = WavelengthGrid(np.linspace(lam[0], lam[-1], 25))
+    block = smooth_block(lam, flux, (lam[0], lam[-1]), chosen, grid)
+    for row, scores, span, values in zip(flux, table, chosen, block):
+        spectrum = _spectrum(lam, row)
+        assert cv_scores(spectrum, (lam[0], lam[-1]), config) == list(zip(spans, scores))
+        assert select_span_cv(spectrum, (lam[0], lam[-1]), config) == span
+        alone = smooth(spectrum, (lam[0], lam[-1]), SmootherConfig(span=span), grid)
+        assert np.array_equal(alone.values, values)
