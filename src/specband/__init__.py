@@ -32,7 +32,7 @@ from .evaluation import (
 )
 from .fpca import FpcaModel, explained_variance, fit_fpca, project, reconstruct
 from .mockgen import MockModel, MockRealization, generate, synthetic_model
-from .pipeline import PipelineConfig, load_config, spectrum_to_pair
+from .pipeline import PipelineConfig, load_config, smooth_spectra
 from .regression import (
     FittedRegression,
     KernelSpec,
@@ -40,7 +40,6 @@ from .regression import (
     select_kappa_cv,
 )
 from .semimetrics import SemimetricSpec, distance
-from .smoothing import SmootherConfig, select_span_cv, smooth
 from .wild_bootstrap import (
     BootstrapBand,
     WildBootstrapConfig,
@@ -56,9 +55,6 @@ __all__ = [
     "resample",
     "sup_distance",
     "to_rest_frame",
-    "SmootherConfig",
-    "smooth",
-    "select_span_cv",
     "SemimetricSpec",
     "distance",
     "KernelSpec",
@@ -91,5 +87,5 @@ __all__ = [
     "coverage_rate",
     "PipelineConfig",
     "load_config",
-    "spectrum_to_pair",
+    "smooth_spectra",
 ]

@@ -23,14 +23,7 @@ from . import evaluation, fileio, fpca, mockgen
 from . import regression as regression_mod
 from . import wild_bootstrap as wb
 from .curves import resample
-from .pipeline import (
-    PipelineConfig,
-    covers_response_range,
-    fit_pairs,
-    load_config,
-    smooth_spectra,
-    spectrum_to_predictor,
-)
+from .pipeline import PipelineConfig, fit_pairs, load_config, smooth_spectra
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -136,14 +129,7 @@ def cmd_fit(config_path, manifest, out_path, **flags) -> None:
         if record.predict_only:
             click.echo(f"skipping predict-only spectrum {record.id}", err=True)
             continue
-        spectrum = fileio.read_spectrum(record.path, record.z)
-        if not covers_response_range(spectrum, config):
-            raise ValueError(
-                f"spectrum {record.id} has too few samples to smooth in the "
-                f"predictor range {config.predictor_range} or the response range "
-                f"{config.response_range}; mark it predict_only or drop it"
-            )
-        spectra[record.id] = spectrum
+        spectra[record.id] = fileio.read_spectrum(record.path, record.z)
     pairs = [pair for pair, _ in smooth_spectra(list(spectra.values()), config, pairs=True, names=list(spectra))]
     model, cv_table = fit_pairs(pairs, config)
     fileio.save_regression(model, out_path, config)
@@ -211,7 +197,7 @@ def cmd_bootstrap(model_path, spectrum_path, redshift, components, replicates, o
     fpca_model = fpca.fit_fpca(responses, config.bootstrap_components)
 
     spectrum = fileio.read_spectrum(spectrum_path, redshift)
-    predictor, _ = spectrum_to_predictor(spectrum, config)
+    predictor, _ = smooth_spectra([spectrum], config, pairs=False, names=[str(spectrum_path)])[0]
     band = wb.bootstrap_bands(
         model.pairs,
         model,

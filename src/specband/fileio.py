@@ -159,6 +159,16 @@ def write_manifest(path: Path, records: Sequence[SpectrumRecord]) -> None:
     )
 
 
+# what a manifest entry's keys must hold, and the test for each
+_ENTRY_VALUES = (
+    ("z", "a finite, non-negative number",
+     lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v < math.inf),
+    ("path", "a string", lambda v: isinstance(v, str)),
+    ("truth_path", "a string", lambda v: isinstance(v, str)),
+    ("predict_only", "true or false", lambda v: isinstance(v, bool)),
+)
+
+
 def read_manifest(path: Path) -> list[SpectrumRecord]:
     path = Path(path)
     document = _load_json(path, "spectrum_manifest")
@@ -172,6 +182,9 @@ def read_manifest(path: Path) -> list[SpectrumRecord]:
         for key in ("id", "path"):
             if key not in entry:
                 raise ValueError(f"{path}: spectrum entry {index} has no {key!r}")
+        for key, kind, valid in _ENTRY_VALUES:
+            if key in entry and not valid(entry[key]):
+                raise ValueError(f"{path}: spectrum entry {index} needs {kind} for {key!r}, found {entry[key]!r}")
         spectrum_id = str(entry["id"])
         if spectrum_id in records:
             raise ValueError(f"{path}: duplicate spectrum id {spectrum_id!r}")
@@ -181,7 +194,7 @@ def read_manifest(path: Path) -> list[SpectrumRecord]:
             path=path.parent / entry["path"],
             z=float(entry.get("z", 0.0)),
             truth_path=path.parent / truth if truth else None,
-            predict_only=bool(entry.get("predict_only", False)),
+            predict_only=entry.get("predict_only", False),
         )
     return list(records.values())
 
@@ -214,6 +227,11 @@ def load_regression(path: Path) -> tuple[FittedRegression, dict]:
     for key in ("predictor_grid", "response_grid", "predictors", "responses", "semimetric", "kappa"):
         if key not in document:
             raise ValueError(f"{path}: model has no {key!r}; rerun fit")
+    if isinstance(document["kappa"], bool) or not isinstance(document["kappa"], int):
+        raise ValueError(f"{path}: model's 'kappa' is not an integer: {document['kappa']!r}; rerun fit")
+    predictors, responses = document["predictors"], document["responses"]
+    if not (isinstance(predictors, list) and isinstance(responses, list) and len(predictors) == len(responses)):
+        raise ValueError(f"{path}: model's 'predictors' and 'responses' are not lists of equal length; rerun fit")
     try:
         load_config(**document["config"])
     except ValueError as err:
@@ -225,13 +243,13 @@ def load_regression(path: Path) -> tuple[FittedRegression, dict]:
             Curve(pred_grid, np.asarray(pv)),
             Curve(resp_grid, np.asarray(rv)),
         )
-        for pv, rv in zip(document["predictors"], document["responses"])
+        for pv, rv in zip(predictors, responses)
     )
     return FittedRegression(
         pairs=pairs,
         semimetric=SemimetricSpec.parse(document["semimetric"]),
         kernel=KernelSpec(),
-        kappa=int(document["kappa"]),
+        kappa=document["kappa"],
     ), document["config"]
 
 

@@ -6,6 +6,7 @@ records the fields predict and bootstrap take from fit. The predictor
 segment lives redward of 1300 A, the response segment on 1050-1185 A, and
 both smoothed curves are divided by the predictor's value at the grid point
 nearest the normalization wavelength before entering the regression.
+``smooth_spectra`` is the one way from raw spectra to those curves.
 """
 
 from __future__ import annotations
@@ -28,14 +29,7 @@ from .curves import (
 )
 from .regression import FittedRegression, KernelSpec, best_kappa, kappa_cv_scores
 from .semimetrics import SemimetricSpec
-from .smoothing import (
-    MIN_CV_SAMPLES,
-    MIN_SMOOTH_SAMPLES,
-    SmootherConfig,
-    in_range,
-    select_spans,
-    smooth_block,
-)
+from .smoothing import in_range, select_spans, smooth_block
 
 
 @dataclass(frozen=True)
@@ -75,7 +69,12 @@ class PipelineConfig:
             raise ValueError("kappa and every kappa candidate (at least one) must be at least 1, "
                              f"got kappa={self.kappa}, kappa_candidates={self.kappa_candidates}")
         SemimetricSpec.parse(self.semimetric)
-        SmootherConfig(0.5 if self.span is None else self.span, self.span_candidates)
+        if self.span is not None and not 0.0 < self.span <= 1.0:
+            raise ValueError("span must be in (0, 1]")
+        if not self.span_candidates:
+            raise ValueError("span_candidates must not be empty")
+        if not all(0.0 < s <= 1.0 for s in self.span_candidates):
+            raise ValueError("every candidate span must be in (0, 1]")
 
     @property
     def semimetric_spec(self) -> SemimetricSpec:
@@ -170,7 +169,8 @@ def smooth_spectra(
                 for i, row in zip(members, smooth_block(lam, flux, wl_range, spans, grid)):
                     rows[i] = row
             except ValueError as err:
-                raise type(err)(f"spectrum {names[members[0]]}: {err}") from err
+                raise type(err)(f"spectrum {names[members[0]]}, rest-frame range [{wl_range[0]}, "
+                                f"{wl_range[1]}]: {err}") from err
     refs = [float(v[nearest_index(segments[0][1], config.normalization_wavelength)]) for v in values[0]]
     for name, ref in zip(names, refs):
         if ref <= 0.0:
@@ -178,31 +178,6 @@ def smooth_spectra(
                              f"positive at {config.normalization_wavelength}")
     curves = [[Curve(grid, v / ref) for v, ref in zip(rows, refs)] for (_, grid), rows in zip(segments, values)]
     return list(zip(map(CurvePair, *curves) if pairs else curves[0], refs))
-
-
-def spectrum_to_predictor(spectrum: RawSpectrum, config: PipelineConfig) -> tuple[Curve, float]:
-    """Rest-frame, smooth and normalize the predictor segment of one spectrum."""
-    return smooth_spectra([spectrum], config, pairs=False)[0]
-
-
-def spectrum_to_pair(spectrum: RawSpectrum, config: PipelineConfig) -> tuple[CurvePair, float]:
-    """Rest-frame, smooth and normalize both segments of one spectrum."""
-    return smooth_spectra([spectrum], config, pairs=True)[0]
-
-
-def covers_response_range(spectrum: RawSpectrum, config: PipelineConfig) -> bool:
-    """Whether the spectrum can be smoothed into a training pair.
-
-    Both the predictor and the response range must hold, in the rest frame,
-    as many samples as smoothing needs: ``MIN_CV_SAMPLES`` when the span is
-    chosen by cross-validation, ``MIN_SMOOTH_SAMPLES`` with a fixed span.
-    """
-    wavelengths = to_rest_frame(spectrum).wavelengths
-    needed = MIN_CV_SAMPLES if config.span is None else MIN_SMOOTH_SAMPLES
-    return all(
-        int(((wavelengths >= low) & (wavelengths <= high)).sum()) >= needed
-        for low, high in (config.predictor_range, config.response_range)
-    )
 
 
 def fit_pairs(

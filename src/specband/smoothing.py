@@ -19,21 +19,22 @@ sampled alike are smoothed as one (spectra, samples) block: one set of
 weights per (span, CV fold), then one matrix-vector product per spectrum,
 which gives each spectrum bit for bit what it gets alone. The noise-sd
 column is not a fitting weight.
+
+The API works on such blocks: ``span_cv_table`` scores each candidate
+span, ``select_spans`` picks one per row and ``smooth_block`` smooths;
+``pipeline.smooth_spectra`` groups raw spectra into blocks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, FloatArray, RawSpectrum, WavelengthGrid
+from .curves import FloatArray, RawSpectrum, WavelengthGrid
 
 # relative slack under which candidate CV scores count as tied
 _CV_TIE_RTOL = 1e-9
-
-_DEFAULT_SPANS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 # in-range samples needed to smooth: three per coefficient of the local
 # quadratic, and for span CV enough that each even/odd fold keeps ten
@@ -44,28 +45,9 @@ MIN_CV_SAMPLES = 20
 _ILL_CONDITIONED = 1e-6
 
 
-@dataclass(frozen=True)
-class SmootherConfig:
-    """Local-fit settings: span and the span CV candidates."""
-
-    span: float = 0.5
-    candidate_spans: tuple[float, ...] = _DEFAULT_SPANS
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.span <= 1.0:
-            raise ValueError("span must be in (0, 1]")
-        if len(self.candidate_spans) == 0:
-            raise ValueError("candidate_spans must not be empty")
-        for s in self.candidate_spans:
-            if not 0.0 < s <= 1.0:
-                raise ValueError("every candidate span must be in (0, 1]")
-
-
 def in_range(spectrum: RawSpectrum, wl_range: tuple[float, float]) -> tuple[FloatArray, FloatArray]:
     """The wavelengths and fluxes of the samples inside ``wl_range``."""
     low, high = wl_range
-    if low >= high:
-        raise ValueError(f"empty wavelength range [{low}, {high}]")
     mask = (spectrum.wavelengths >= low) & (spectrum.wavelengths <= high)
     return spectrum.wavelengths[mask], spectrum.flux[mask]
 
@@ -134,10 +116,7 @@ def smooth_block(
     ``output_grid`` with the row's span, in one kernel call per span. Needs
     ``MIN_SMOOTH_SAMPLES`` samples and an output grid inside ``wl_range``."""
     if lam.size < MIN_SMOOTH_SAMPLES:
-        raise ValueError(
-            f"need at least {MIN_SMOOTH_SAMPLES} samples in "
-            f"[{wl_range[0]}, {wl_range[1]}], found {lam.size}"
-        )
+        raise ValueError(f"smoothing needs at least {MIN_SMOOTH_SAMPLES} samples, found {lam.size}")
     if output_grid.low < wl_range[0] or output_grid.high > wl_range[1]:
         raise ValueError("output grid extends beyond the smoothing range")
     spans = np.asarray(spans, dtype=float)
@@ -145,17 +124,6 @@ def smooth_block(
     for span in dict.fromkeys(spans.tolist()):
         values[spans == span] = _fit_values(lam, flux[spans == span], output_grid.points, span)
     return values
-
-
-def smooth(
-    spectrum: RawSpectrum,
-    wl_range: tuple[float, float],
-    config: SmootherConfig,
-    output_grid: WavelengthGrid,
-) -> Curve:
-    """Smooth one spectrum's in-range samples onto ``output_grid``."""
-    lam, flux = in_range(spectrum, wl_range)
-    return Curve(output_grid, smooth_block(lam, flux[None], wl_range, [config.span], output_grid)[0])
 
 
 def span_cv_table(lam: FloatArray, flux: FloatArray, spans: Sequence[float]) -> FloatArray:
@@ -166,10 +134,7 @@ def span_cv_table(lam: FloatArray, flux: FloatArray, spans: Sequence[float]) -> 
     summed. A span whose fit fails (which depends on ``lam`` alone) scores
     infinity."""
     if lam.size < MIN_CV_SAMPLES:
-        raise ValueError(
-            f"span cross-validation needs at least {MIN_CV_SAMPLES} samples in "
-            f"range, found {lam.size}"
-        )
+        raise ValueError(f"span cross-validation needs at least {MIN_CV_SAMPLES} samples, found {lam.size}")
     even = np.arange(lam.size) % 2 == 0
     table = np.zeros((flux.shape[0], len(spans)))
     for i, span in enumerate(spans):
@@ -193,19 +158,3 @@ def select_spans(lam: FloatArray, flux: FloatArray, spans: Sequence[float]) -> l
         raise ValueError("every candidate span failed to fit")
     tied = table <= best + _CV_TIE_RTOL * (1.0 + best)
     return np.where(tied, np.asarray(spans, dtype=float), -np.inf).max(axis=1).tolist()
-
-
-def cv_scores(
-    spectrum: RawSpectrum, wl_range: tuple[float, float], config: SmootherConfig
-) -> list[tuple[float, float]]:
-    """(span, CV error) for each candidate span, for one spectrum."""
-    lam, flux = in_range(spectrum, wl_range)
-    return list(zip(config.candidate_spans, span_cv_table(lam, flux[None], config.candidate_spans)[0].tolist()))
-
-
-def select_span_cv(
-    spectrum: RawSpectrum, wl_range: tuple[float, float], config: SmootherConfig
-) -> float:
-    """The candidate span chosen by 2-fold CV for one spectrum."""
-    lam, flux = in_range(spectrum, wl_range)
-    return select_spans(lam, flux[None], config.candidate_spans)[0]

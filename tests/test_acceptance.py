@@ -35,7 +35,6 @@ from specband.conformal import ConformalCalibration, band, calibrate, contains
 from specband.curves import (
     Curve,
     CurvePair,
-    RawSpectrum,
     WavelengthGrid,
     resample,
     trapezoid_weights,
@@ -43,10 +42,10 @@ from specband.curves import (
 from specband.evaluation import coverage_rate, plain_error, relative_error, summarize
 from specband.fpca import fit_fpca, project, reconstruct
 from specband.mockgen import generate, synthetic_model
-from specband.pipeline import PipelineConfig, fit_pairs, spectrum_to_pair
+from specband.pipeline import PipelineConfig, fit_pairs, smooth_spectra
 from specband.regression import FittedRegression, KernelSpec, predict, predict_many
 from specband.semimetrics import SemimetricSpec, distance
-from specband.smoothing import SmootherConfig, smooth
+from specband.smoothing import smooth_block
 from specband.wild_bootstrap import sample_v
 
 L2 = SemimetricSpec.l2()
@@ -161,10 +160,9 @@ def test_criterion_3_smoother_reproduces_quadratics():
         flux = a + b_ * (lam / 1000.0) + c * (lam / 1000.0) ** 2
         flux = flux + 10.0  # keep values away from zero for the relative error
         truth = a + b_ * (out_grid.points / 1000.0) + c * (out_grid.points / 1000.0) ** 2 + 10.0
-        spectrum = RawSpectrum(lam, flux, np.zeros_like(lam))
         for span in (0.3, 0.5, 0.9):
-            fit = smooth(spectrum, (1000.0, 1200.0), SmootherConfig(span=span), out_grid)
-            rel = np.max(np.abs(fit.values - truth) / np.abs(truth))
+            fit = smooth_block(lam, flux[None], (1000.0, 1200.0), [span], out_grid)[0]
+            rel = np.max(np.abs(fit - truth) / np.abs(truth))
             worst = max(worst, float(rel))
     _report(
         "3 smoother exactness",
@@ -240,8 +238,8 @@ def mock_study():
 
     pairs, truths = [], []
     resp_grid = config.response_grid()
-    for realization in realizations:
-        pair, ref = spectrum_to_pair(realization.noisy, config)
+    smoothed = smooth_spectra([r.noisy for r in realizations], config, pairs=True)
+    for realization, (pair, ref) in zip(realizations, smoothed):
         pairs.append(pair)
         truth = resample(realization.true_continuum, resp_grid)
         truths.append(truth.with_values(truth.values / ref))

@@ -23,7 +23,7 @@ from specband.fileio import (
     write_spectrum,
 )
 from specband.fpca import fit_fpca
-from specband.pipeline import load_config, spectrum_to_pair, spectrum_to_predictor
+from specband.pipeline import load_config, smooth_spectra
 from specband.regression import predict
 from specband.wild_bootstrap import WildBootstrapConfig, bootstrap_bands
 
@@ -167,24 +167,6 @@ def _unusable_spectra(mock_dir, tmp_path):
     return records, paths
 
 
-def test_fit_rejects_spectrum_without_response_coverage(runner, config_path, mock_dir, tmp_path):
-    records, paths = _unusable_spectra(mock_dir, tmp_path)
-    for name, path in paths.items():
-        manifest = tmp_path / f"{name}_manifest.json"
-        write_manifest(
-            manifest,
-            [SpectrumRecord(name, path)] + [
-                SpectrumRecord(r.id, r.path, r.z) for r in records[:4]
-            ],
-        )
-        result = runner.invoke(
-            main,
-            ["fit", "--config", str(config_path), "--manifest", str(manifest), "--out", str(tmp_path / "m.json")],
-        )
-        assert result.exit_code == 2
-        assert f"spectrum {name} has too few samples" in result.output
-
-
 def _spectrum_manifest(mock_dir, tmp_path, name, edit):
     """The training records with one more spectrum, the first mock edited."""
     records = read_manifest(mock_dir / "manifest.json")
@@ -199,11 +181,49 @@ def _keep(spectrum, keep):
     return type(spectrum)(spectrum.wavelengths[keep], spectrum.flux[keep], spectrum.noise_sd[keep])
 
 
+@pytest.mark.parametrize("command", ["fit", "predict", "bootstrap"])
+@pytest.mark.parametrize(
+    "name, edit, range_, found",
+    [
+        ("trunc", lambda s: _keep(s, s.wavelengths >= 1300.0), "[1050.0, 1185.0]", 0),
+        ("short", lambda s: _keep(s, s.wavelengths >= s.wavelengths[s.wavelengths <= 1185.0][-12]),
+         "[1050.0, 1185.0]", 12),
+        ("fewpred", lambda s: _keep(s, s.wavelengths <= s.wavelengths[s.wavelengths >= 1300.0][11]),
+         "[1300.0, 1600.0]", 12),
+    ],
+    ids=["trunc", "short", "fewpred"],
+)
+def test_unusable_spectrum_is_rejected_by_one_rule(
+    runner, config_path, mock_dir, model_path, tmp_path, command, name, edit, range_, found
+):
+    """fit smooths both ranges, predict and bootstrap the predictor range
+    alone, all by the same rule; a spectrum with too few samples in one stops
+    the command before it writes anything, with one message naming the
+    spectrum (bootstrap's by its path), the rest-frame range and the samples
+    found there."""
+    manifest = _spectrum_manifest(mock_dir, tmp_path, name, edit)
+    out = tmp_path / "out"
+    command_args = {
+        "fit": ["--config", str(config_path), "--manifest", str(manifest)],
+        "predict": [*QUERY_FLAGS, "--model", str(model_path), "--manifest", str(manifest)],
+        "bootstrap": [*BOOTSTRAP_FLAGS, "--model", str(model_path), "--spectrum", str(tmp_path / f"{name}.csv")],
+    }
+    result = runner.invoke(main, [command, *command_args[command], "--out", str(out)])
+    if command != "fit" and range_ == "[1050.0, 1185.0]":
+        assert result.exit_code == 0, result.output
+        return
+    assert result.exit_code == 2, result.output
+    label = tmp_path / f"{name}.csv" if command == "bootstrap" else name
+    assert result.output.strip() == (
+        f"error: spectrum {label}, rest-frame range {range_}: "
+        f"span cross-validation needs at least 20 samples, found {found}"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "name, edit, message",
     [
-        ("fewpred", lambda s: _keep(s, s.wavelengths <= s.wavelengths[s.wavelengths >= 1300.0][11]),
-         "spectrum fewpred: span cross-validation needs at least 20 samples in range, found 12"),
         ("negative", lambda s: type(s)(s.wavelengths, -s.flux, s.noise_sd),
          "cannot normalize spectrum negative: smoothed flux is not positive at 1300.0"),
     ],
@@ -261,7 +281,7 @@ def test_fit_skips_predict_only_spectra(runner, config_path, mock_dir, tmp_path)
     assert f"skipping predict-only spectrum {usable.id}" in result.output
     predictors = json.loads(out.read_text())["predictors"]
     assert len(predictors) == 6
-    pair, _ = spectrum_to_pair(read_spectrum(usable.path, usable.z), load_config(config_path))
+    pair, _ = smooth_spectra([read_spectrum(usable.path, usable.z)], load_config(config_path), pairs=True)[0]
     assert not any(np.array_equal(p, pair.predictor.values) for p in predictors)
 
 
@@ -272,7 +292,7 @@ def test_predict_writes_predictions_and_bands(config_path, mock_dir, pred_dir):
     band = json.loads((pred_dir / "mock_0000_band.json").read_text())
     assert band["kind"] == "conformal_band"
     assert not band["degenerate"]
-    _, ref = spectrum_to_predictor(read_spectrum(records[0].path), load_config(config_path))
+    _, ref = smooth_spectra([read_spectrum(records[0].path)], load_config(config_path), pairs=False)[0]
     assert band["normalization"] == ref
     # evaluation is eval's job alone
     assert not (pred_dir / "relative_error_summary.csv").exists()
@@ -384,14 +404,14 @@ def test_predict_and_bootstrap_treat_queries_as_fit_did(runner, mock_dir, tmp_pa
         config.kappa_candidates, split_seed=config.seed,
     )
     for record in records:
-        predictor, ref = spectrum_to_predictor(read_spectrum(record.path, record.z), config)
+        predictor, ref = smooth_spectra([read_spectrum(record.path, record.z)], config, pairs=False)[0]
         write_curve(expected / f"{record.id}_prediction.csv", predict(model, predictor))
         save_conformal_band(band(calibration, predictor), expected / f"{record.id}_band.json", ref)
         for suffix in ("_prediction.csv", "_band.json"):
             name = record.id + suffix
             assert (tmp_path / "pred" / name).read_bytes() == (expected / name).read_bytes(), name
 
-    predictor, _ = spectrum_to_predictor(read_spectrum(records[2].path), config)
+    predictor, _ = smooth_spectra([read_spectrum(records[2].path)], config, pairs=False)[0]
     fpca_model = fit_fpca([p.response for p in model.pairs], config.bootstrap_components)
     boot = bootstrap_bands(
         model.pairs, model, predictor, fpca_model,
@@ -449,6 +469,26 @@ def test_model_missing_a_key_is_rejected(runner, mock_dir, model_path, tmp_path,
     assert result.output.strip() == f"error: {model_path}: model has no {key!r}; rerun fit"
 
 
+def test_badly_typed_manifest_or_model_value_exits_with_code_two(runner, config_path, mock_dir, model_path, tmp_path):
+    manifest = json.loads((mock_dir / "manifest.json").read_text())
+    manifest["spectra"][3]["predict_only"] = "false"
+    bad_manifest = mock_dir / "bad_manifest.json"
+    bad_manifest.write_text(json.dumps(manifest))
+    result = runner.invoke(
+        main, ["fit", "--config", str(config_path), "--manifest", str(bad_manifest), "--out", str(tmp_path / "m.json")]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == f"error: {bad_manifest}: spectrum entry 3 needs true or false for 'predict_only', found 'false'"
+
+    document = json.loads(model_path.read_text())
+    document["kappa"] = 2.7
+    model_path.write_text(json.dumps(document))
+    query = _query_args("predict", mock_dir)
+    result = runner.invoke(main, ["predict", "--model", str(model_path), *query, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == f"error: {model_path}: model's 'kappa' is not an integer: 2.7; rerun fit"
+
+
 @pytest.mark.parametrize("command", ["predict", "bootstrap"])
 def test_bad_flag_value_is_not_blamed_on_the_model(runner, mock_dir, model_path, tmp_path, command):
     query = _query_args(command, mock_dir)
@@ -478,7 +518,7 @@ def test_eval_divides_truths_by_the_normalization_predict_used(
     predictions, truths = [], []
     for record in records:
         prediction = read_curve(pred_dir / f"{record.id}_prediction.csv")
-        _, ref = spectrum_to_predictor(read_spectrum(record.path, record.z), config)
+        _, ref = smooth_spectra([read_spectrum(record.path, record.z)], config, pairs=False)[0]
         truth = resample(read_curve(record.truth_path), prediction.grid)
         predictions.append(prediction)
         truths.append(truth.with_values(truth.values / ref))
@@ -501,13 +541,11 @@ def test_eval_reads_no_spectrum_and_smooths_nothing(
         raise AssertionError("eval must not read or smooth a raw spectrum")
 
     for target in (
-        "specband.cli.spectrum_to_predictor",
         "specband.cli.smooth_spectra",
         "specband.fileio.read_spectrum",
         "specband.pipeline.select_spans",
         "specband.pipeline.smooth_block",
-        "specband.smoothing.select_span_cv",
-        "specband.smoothing.smooth",
+        "specband.smoothing._fit_values",
     ):
         monkeypatch.setattr(target, forbidden)
     result = _eval(runner, pred_dir, mock_dir / "manifest.json", tmp_path / "eval")
@@ -582,7 +620,7 @@ def test_malformed_config_exits_with_code_two(runner, mock_dir, tmp_path, docume
         ({"kappa_candidates": []}, "kappa_candidates=()"),
         ({"kappa_candidates": [0, 2]}, "kappa_candidates=(0, 2)"),
         ({"span": 1.5}, "span must be in (0, 1]"),
-        ({"span_candidates": []}, "candidate_spans must not be empty"),
+        ({"span_candidates": []}, "span_candidates must not be empty"),
     ],
 )
 def test_fit_range_checks_its_config_before_reading_a_spectrum(

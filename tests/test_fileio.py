@@ -134,6 +134,36 @@ def test_malformed_manifest_is_a_value_error_naming_the_file(tmp_path, extra, me
 
 
 @pytest.mark.parametrize(
+    "key, value, kind",
+    [
+        ("z", None, "a finite, non-negative number"),
+        ("z", "abc", "a finite, non-negative number"),
+        ("z", -1, "a finite, non-negative number"),
+        ("z", True, "a finite, non-negative number"),
+        ("z", math.inf, "a finite, non-negative number"),
+        ("path", 5, "a string"),
+        ("truth_path", 3, "a string"),
+        ("predict_only", "false", "true or false"),
+        ("predict_only", 0, "true or false"),
+    ],
+    ids=["z-null", "z-string", "z-negative", "z-bool", "z-inf", "path-number", "truth-number",
+         "predict-only-string", "predict-only-number"],
+)
+def test_manifest_value_of_the_wrong_type_names_the_file_and_entry(tmp_path, key, value, kind):
+    entries = [{"id": "a", "path": "a.csv", "z": 2, "truth_path": "ta.csv", "predict_only": False},
+               {"id": "b", "path": "b.csv", key: value}]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"schema_version": 1, "kind": "spectrum_manifest", "spectra": entries}))
+    with pytest.raises(ValueError) as excinfo:
+        read_manifest(manifest)
+    assert str(excinfo.value) == f"{manifest}: spectrum entry 1 needs {kind} for {key!r}, found {value!r}"
+    # the first entry holds a valid value for every key
+    manifest.write_text(json.dumps({"schema_version": 1, "kind": "spectrum_manifest", "spectra": entries[:1]}))
+    (record,) = read_manifest(manifest)
+    assert record == SpectrumRecord("a", tmp_path / "a.csv", 2.0, tmp_path / "ta.csv", False)
+
+
+@pytest.mark.parametrize(
     "reader", [read_manifest, load_regression, load_conformal_band], ids=["manifest", "model", "band"]
 )
 def test_json_list_document_is_a_value_error_naming_the_file(tmp_path, reader):
@@ -176,6 +206,38 @@ def test_regression_file_rejects_wrong_kind(tmp_path):
     path.write_text(json.dumps({"schema_version": 1, "kind": "conformal_band"}))
     with pytest.raises(ValueError, match="expected a 'knn_functional_regression'"):
         load_regression(path)
+
+
+def _saved_model(path):
+    pred_grid, resp_grid = WavelengthGrid(np.linspace(1300.0, 1600.0, 5)), WavelengthGrid(np.linspace(1050.0, 1185.0, 5))
+    pairs = tuple(CurvePair(Curve(pred_grid, np.full(5, i + 1.0)), Curve(resp_grid, np.full(5, -i - 1.0)))
+                  for i in range(4))
+    save_regression(FittedRegression(pairs, SemimetricSpec.l2(), KernelSpec(), kappa=2), path,
+                    PipelineConfig(predictor_points=5, response_points=5))
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(kappa=None), "model's 'kappa' is not an integer: None"),
+        (lambda d: d.update(kappa=2.7), "model's 'kappa' is not an integer: 2.7"),
+        (lambda d: d.update(kappa=True), "model's 'kappa' is not an integer: True"),
+        (lambda d: d.update(predictors=5), "model's 'predictors' and 'responses' are not lists of equal length"),
+        (lambda d: d.update(responses={}), "model's 'predictors' and 'responses' are not lists of equal length"),
+        (lambda d: d["predictors"].pop(), "model's 'predictors' and 'responses' are not lists of equal length"),
+    ],
+    ids=["kappa-null", "kappa-float", "kappa-bool", "predictors-number", "responses-object", "predictors-short"],
+)
+def test_model_value_of_the_wrong_type_is_rejected(tmp_path, edit, message):
+    path = tmp_path / "model.json"
+    document = _saved_model(path)
+    assert load_regression(path)[0].kappa == 2
+    edit(document)
+    path.write_text(json.dumps(document))
+    with pytest.raises(ValueError) as excinfo:
+        load_regression(path)
+    assert str(excinfo.value) == f"{path}: {message}; rerun fit"
 
 
 def test_conformal_band_round_trip(tmp_path):

@@ -187,17 +187,16 @@ def test_mock_responses_concentrate_in_five_components():
     """Smooth response segments of simulated spectra keep most of their
     variance in the leading five components."""
     from specband.mockgen import generate, synthetic_model
-    from specband.smoothing import SmootherConfig, select_span_cv, smooth
+    from specband.pipeline import PipelineConfig
+    from specband.smoothing import in_range, select_spans, smooth_block
 
     full_grid = WavelengthGrid.uniform(1050.0, 1600.0, 276)
     model = synthetic_model(full_grid, seed=2024)
     resp_grid = WavelengthGrid.uniform(1050.0, 1185.0, 60)
-    curves = []
-    for realization in generate(model, 60, seed=5):
-        span = select_span_cv(realization.noisy, (1050.0, 1185.0), SmootherConfig())
-        curves.append(
-            smooth(realization.noisy, (1050.0, 1185.0), SmootherConfig(span=span), resp_grid)
-        )
+    samples = [in_range(r.noisy, (1050.0, 1185.0)) for r in generate(model, 60, seed=5)]
+    lam, flux = samples[0][0], np.stack([f for _, f in samples])
+    spans = select_spans(lam, flux, PipelineConfig().span_candidates)
+    curves = [Curve(resp_grid, v) for v in smooth_block(lam, flux, (1050.0, 1185.0), spans, resp_grid)]
     fraction = explained_variance(fit_fpca(curves, m=5))[-1]
     assert fraction > 0.9
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,16 +8,8 @@ import pytest
 from specband import pipeline
 from specband.curves import RawSpectrum, nearest_index, to_rest_frame
 from specband.mockgen import generate, synthetic_model
-from specband.pipeline import (
-    PipelineConfig,
-    covers_response_range,
-    fit_pairs,
-    load_config,
-    smooth_spectra,
-    spectrum_to_pair,
-    spectrum_to_predictor,
-)
-from specband.smoothing import SmootherConfig, select_span_cv, smooth
+from specband.pipeline import PipelineConfig, fit_pairs, load_config, smooth_spectra
+from specband.smoothing import in_range, select_spans, smooth_block
 
 
 def _mock_spectrum(seed=0, points=160):
@@ -64,7 +57,7 @@ def test_load_config_rejects_unknown_keys(tmp_path):
 
 def test_pair_is_normalized_at_the_reference_wavelength():
     spectrum, config = _mock_spectrum(seed=3)
-    pair, ref = spectrum_to_pair(spectrum, config)
+    ((pair, ref),) = smooth_spectra([spectrum], config, pairs=True)
     assert ref > 0.0
     idx = nearest_index(pair.predictor.grid, config.normalization_wavelength)
     assert pair.predictor.values[idx] == pytest.approx(1.0, abs=1e-12)
@@ -75,7 +68,7 @@ def test_pair_is_normalized_at_the_reference_wavelength():
 def test_fixed_span_skips_cv():
     spectrum, config = _mock_spectrum(seed=4)
     fixed = PipelineConfig(mock_grid_points=160, span=0.5)
-    pair_fixed, _ = spectrum_to_pair(spectrum, fixed)
+    ((pair_fixed, _),) = smooth_spectra([spectrum], fixed, pairs=True)
     assert np.all(np.isfinite(pair_fixed.predictor.values))
 
 
@@ -84,8 +77,7 @@ def test_rest_frame_is_applied_before_smoothing():
     shifted = RawSpectrum(
         spectrum.wavelengths * 3.0, spectrum.flux, spectrum.noise_sd, redshift=2.0
     )
-    direct, ref_direct = spectrum_to_predictor(spectrum, config)
-    moved, ref_moved = spectrum_to_predictor(shifted, config)
+    (direct, ref_direct), (moved, ref_moved) = smooth_spectra([spectrum, shifted], config, pairs=False)
     assert ref_moved == pytest.approx(ref_direct, rel=1e-9)
     assert np.allclose(moved.values, direct.values, atol=1e-9)
 
@@ -94,8 +86,8 @@ def test_batch_smooths_each_spectrum_as_it_would_alone(monkeypatch):
     """Four z=0 mocks share their sample grid. Two more are observed at
     their own redshift, off that grid, and one loses a response-range
     sample, so they share no grid in the ranges they change. Each spectrum
-    gets, in input order and to the last bit, the span select_span_cv picks
-    for it alone and the curves that span gives."""
+    gets, in input order and to the last bit, the span select_spans picks
+    for it alone and the curves smooth_block gives it with that span."""
     config = PipelineConfig(mock_grid_points=160)
     spectra = [r.noisy for r in generate(synthetic_model(config.mock_grid(), seed=11), 7, seed=12)]
     for i, z in ((4, 2.1), (5, 3.3)):
@@ -105,7 +97,6 @@ def test_batch_smooths_each_spectrum_as_it_would_alone(monkeypatch):
     s = spectra[6]
     spectra[6] = RawSpectrum(s.wavelengths[keep], s.flux[keep], s.noise_sd[keep])
     group_sizes = []
-    select_spans = pipeline.select_spans
 
     def recording(lam, flux, spans):
         group_sizes.append(len(flux))
@@ -117,14 +108,14 @@ def test_batch_smooths_each_spectrum_as_it_would_alone(monkeypatch):
     # dropped, then each redshifted mock; response range: four, then three of one
     assert group_sizes == [5, 1, 1, 4, 1, 1, 1]
 
-    smoother = SmootherConfig(candidate_spans=config.span_candidates)
     for spectrum, (pair, ref) in zip(spectra, batch):
         rest = to_rest_frame(spectrum)
         alone = []
         for wl_range, grid in ((config.predictor_range, config.predictor_grid()),
                                (config.response_range, config.response_grid())):
-            span = select_span_cv(rest, wl_range, smoother)
-            alone.append(smooth(rest, wl_range, dataclasses.replace(smoother, span=span), grid).values)
+            lam, flux = in_range(rest, wl_range)
+            span = select_spans(lam, flux[None], config.span_candidates)
+            alone.append(smooth_block(lam, flux[None], wl_range, span, grid)[0])
         assert ref == alone[0][nearest_index(pair.predictor.grid, config.normalization_wavelength)]
         assert np.array_equal(pair.predictor.values, alone[0] / ref)
         assert np.array_equal(pair.response.values, alone[1] / ref)
@@ -132,28 +123,35 @@ def test_batch_smooths_each_spectrum_as_it_would_alone(monkeypatch):
         assert pair.response.grid is batch[0][0].response.grid
 
 
-def test_covers_response_range():
+def test_smooth_spectra_needs_enough_samples_in_each_range():
     spectrum, config = _mock_spectrum(seed=6)
-    assert covers_response_range(spectrum, config)
+    smooth_spectra([spectrum], config, pairs=True)
     wl = spectrum.wavelengths
 
     def kept(keep):
         return RawSpectrum(wl[keep], spectrum.flux[keep], spectrum.noise_sd[keep])
 
-    assert not covers_response_range(kept(wl >= 1300.0), config)
-    assert not covers_response_range(kept(wl <= 1250.0), config)
+    def fails(spectrum, range_, found):
+        message = f"spectrum 0, rest-frame range {range_}: span cross-validation needs at least 20 samples, found {found}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            smooth_spectra([spectrum], config, pairs=True)
+
+    # no response samples: a pair fails, a predictor alone does not
+    fails(kept(wl >= 1300.0), "[1050.0, 1185.0]", 0)
+    smooth_spectra([kept(wl >= 1300.0)], config, pairs=False)
+    fails(kept(wl <= 1250.0), "[1300.0, 1600.0]", 0)
     # 12 response samples smooth with a fixed span but not under span CV
     short = kept(wl >= wl[wl <= 1185.0][-12])
-    assert not covers_response_range(short, config)
-    assert covers_response_range(short, dataclasses.replace(config, span=0.5))
+    fails(short, "[1050.0, 1185.0]", 12)
+    smooth_spectra([short], dataclasses.replace(config, span=0.5), pairs=True)
+    with pytest.raises(ValueError, match=r"\[1050.0, 1185.0\]: smoothing needs at least 9 samples, found 8$"):
+        smooth_spectra([kept(wl >= wl[wl <= 1185.0][-8])], dataclasses.replace(config, span=0.5), pairs=True)
 
 
 def test_fit_pairs_with_fixed_kappa_skips_cv():
     config = PipelineConfig(mock_grid_points=160, span=0.5, kappa=2)
     model = synthetic_model(config.mock_grid(), seed=7)
-    pairs = [
-        spectrum_to_pair(r.noisy, config)[0] for r in generate(model, 5, seed=8)
-    ]
+    pairs = [pair for pair, _ in smooth_spectra([r.noisy for r in generate(model, 5, seed=8)], config, pairs=True)]
     fitted, table = fit_pairs(pairs, config)
     assert fitted.kappa == 2
     assert table == []
@@ -164,9 +162,7 @@ def test_fit_pairs_selects_kappa_from_candidates():
         mock_grid_points=160, span=0.5, kappa_candidates=(1, 2, 3)
     )
     model = synthetic_model(config.mock_grid(), seed=9)
-    pairs = [
-        spectrum_to_pair(r.noisy, config)[0] for r in generate(model, 6, seed=10)
-    ]
+    pairs = [pair for pair, _ in smooth_spectra([r.noisy for r in generate(model, 6, seed=10)], config, pairs=True)]
     fitted, table = fit_pairs(pairs, config)
     assert fitted.kappa in (1, 2, 3)
     assert len(table) == 3

@@ -2,20 +2,21 @@ import numpy as np
 import pytest
 
 from specband.curves import RawSpectrum, WavelengthGrid
-from specband.smoothing import (
-    SmootherConfig,
-    cv_scores,
-    select_span_cv,
-    select_spans,
-    smooth,
-    smooth_block,
-    span_cv_table,
-)
+from specband.pipeline import PipelineConfig
+from specband.smoothing import in_range, select_spans, smooth_block, span_cv_table
+
+SPANS = PipelineConfig().span_candidates
 
 
 def _spectrum(wl, flux):
     wl = np.asarray(wl, dtype=float)
     return RawSpectrum(wl, np.asarray(flux, dtype=float), np.zeros_like(wl))
+
+
+def _smooth(lam, flux, wl_range, span, grid):
+    """The samples in ``wl_range`` smoothed onto ``grid`` as a block of one."""
+    lam, flux = in_range(_spectrum(lam, flux), wl_range)
+    return smooth_block(lam, flux[None], wl_range, [span], grid)[0]
 
 
 def oracle_local_quadratic(lam, flux, out, span):
@@ -48,9 +49,9 @@ def test_reproduces_quadratics_exactly(span):
     lam = np.linspace(1000.0, 1100.0, 60)
     flux = 2.0 + 3.0 * lam + lam**2
     grid = WavelengthGrid(np.linspace(1005.0, 1095.0, 40))
-    out = smooth(_spectrum(lam, flux), (1000.0, 1100.0), SmootherConfig(span=span), grid)
+    out = _smooth(lam, flux, (1000.0, 1100.0), span, grid)
     truth = 2.0 + 3.0 * grid.points + grid.points**2
-    assert np.max(np.abs(out.values - truth) / np.abs(truth)) < 1e-9
+    assert np.max(np.abs(out - truth) / np.abs(truth)) < 1e-9
 
 
 def test_reproduces_random_quadratics():
@@ -60,16 +61,16 @@ def test_reproduces_random_quadratics():
     for _ in range(10):
         a, b, c = rng.uniform(-2.0, 2.0, 3)
         flux = a + b * (lam / 1000.0) + c * (lam / 1000.0) ** 2
-        out = smooth(_spectrum(lam, flux), (1000.0, 1200.0), SmootherConfig(span=0.4), grid)
+        out = _smooth(lam, flux, (1000.0, 1200.0), 0.4, grid)
         truth = a + b * (grid.points / 1000.0) + c * (grid.points / 1000.0) ** 2
-        assert np.max(np.abs(out.values - truth)) < 1e-9 * max(1.0, np.max(np.abs(truth)))
+        assert np.max(np.abs(out - truth)) < 1e-9 * max(1.0, np.max(np.abs(truth)))
 
 
 def test_constant_flux_stays_constant():
     lam = np.linspace(1.0, 10.0, 30)
     grid = WavelengthGrid(np.linspace(2.0, 9.0, 15))
-    out = smooth(_spectrum(lam, np.full(30, 5.0)), (1.0, 10.0), SmootherConfig(span=0.5), grid)
-    assert np.allclose(out.values, 5.0, atol=1e-12)
+    out = _smooth(lam, np.full(30, 5.0), (1.0, 10.0), 0.5, grid)
+    assert np.allclose(out, 5.0, atol=1e-12)
 
 
 def test_matches_dense_oracle_on_noisy_data():
@@ -77,20 +78,20 @@ def test_matches_dense_oracle_on_noisy_data():
     lam = np.sort(rng.uniform(1000.0, 1500.0, 200))
     flux = np.sin(lam / 40.0) + rng.normal(0.0, 0.1, 200)
     out_grid = WavelengthGrid(np.linspace(1020.0, 1480.0, 50))
-    got = smooth(_spectrum(lam, flux), (1000.0, 1500.0), SmootherConfig(span=0.3), out_grid)
+    got = _smooth(lam, flux, (1000.0, 1500.0), 0.3, out_grid)
     want = oracle_local_quadratic(lam, flux, out_grid.points, 0.3)
-    assert np.allclose(got.values, want, atol=1e-8)
+    assert np.allclose(got, want, atol=1e-8)
 
 
-@pytest.mark.parametrize("span", SmootherConfig().candidate_spans)
+@pytest.mark.parametrize("span", SPANS)
 def test_matches_dense_oracle_across_spans(span):
     rng = np.random.default_rng(8)
     lam = np.sort(rng.uniform(1000.0, 1300.0, 150))
     flux = np.cos(lam / 25.0) + rng.normal(0.0, 0.2, 150)
     out_grid = WavelengthGrid(np.linspace(lam[0], lam[-1], 70))
-    got = smooth(_spectrum(lam, flux), (1000.0, 1300.0), SmootherConfig(span=span), out_grid)
+    got = _smooth(lam, flux, (1000.0, 1300.0), span, out_grid)
     want = oracle_local_quadratic(lam, flux, out_grid.points, span)
-    assert np.allclose(got.values, want, rtol=0.0, atol=1e-10)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-10)
 
 
 def test_widened_window_matches_oracle():
@@ -106,14 +107,13 @@ def test_widened_window_matches_oracle():
     # midpoints, one sample and both range ends; span 0.05 of 60 gives 4
     points = np.unique(np.concatenate([midpoints, [lam[0], lam[10], lam[-1]]]))
     grid = WavelengthGrid(points)
-    got = smooth(_spectrum(lam, flux), (lam[0], lam[-1]), SmootherConfig(span=0.05), grid)
+    got = _smooth(lam, flux, (lam[0], lam[-1]), 0.05, grid)
     want = oracle_local_quadratic(lam, flux, points, 0.05)
-    assert np.allclose(got.values, want, rtol=0.0, atol=1e-10)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-10)
 
     # the even/odd CV folds score each fold at the other's midpoints and at
     # one range end; span 0.1 of each 30-sample fold gives 4
-    config = SmootherConfig(candidate_spans=(0.1,))
-    ((_, score),) = cv_scores(_spectrum(lam, flux), (lam[0], lam[-1]), config)
+    ((score,),) = span_cv_table(lam, flux[None], (0.1,))
     idx = np.arange(lam.size)
     total = 0.0
     for f in (0, 1):
@@ -140,9 +140,9 @@ def test_ill_conditioned_window_matches_oracle(seed):
     lam = _thin_third_neighbour(5e-7)
     flux = np.random.default_rng(seed).normal(size=lam.size)
     grid = WavelengthGrid([999.0, 1000.0])
-    got = smooth(_spectrum(lam, flux), (lam[0], lam[-1]), SmootherConfig(span=0.1), grid)
+    got = _smooth(lam, flux, (lam[0], lam[-1]), 0.1, grid)
     want = oracle_local_quadratic(lam, flux, grid.points, 0.1)
-    assert np.allclose(got.values, want, rtol=0.0, atol=1e-6)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-6)
 
 
 def test_rank_deficient_window_is_a_singular_fit():
@@ -151,7 +151,7 @@ def test_rank_deficient_window_is_a_singular_fit():
     lam = _thin_third_neighbour(1e-13)
     flux = np.random.default_rng(0).normal(size=lam.size)
     with pytest.raises(ValueError, match="singular local fit at wavelength 1000.0"):
-        smooth(_spectrum(lam, flux), (lam[0], lam[-1]), SmootherConfig(span=0.1), WavelengthGrid([999.0, 1000.0]))
+        _smooth(lam, flux, (lam[0], lam[-1]), 0.1, WavelengthGrid([999.0, 1000.0]))
 
 
 def test_cv_smoothing_recovers_sine_under_noise():
@@ -160,14 +160,13 @@ def test_cv_smoothing_recovers_sine_under_noise():
     truth = np.sin(lam / 20.0)
     grid = WavelengthGrid(np.linspace(1010.0, 1590.0, 120))
     truth_on_grid = np.sin(grid.points / 20.0)
-    config = SmootherConfig()
     rmses = []
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        spec = _spectrum(lam, truth + rng.normal(0.0, 0.05, lam.size))
-        span = select_span_cv(spec, (1000.0, 1600.0), config)
-        fit = smooth(spec, (1000.0, 1600.0), SmootherConfig(span=span), grid)
-        rmses.append(np.sqrt(np.mean((fit.values - truth_on_grid) ** 2)))
+        flux = truth + rng.normal(0.0, 0.05, lam.size)
+        (span,) = select_spans(lam, flux[None], SPANS)
+        fit = _smooth(lam, flux, (1000.0, 1600.0), span, grid)
+        rmses.append(np.sqrt(np.mean((fit - truth_on_grid) ** 2)))
     assert max(rmses) < 0.05
     assert np.mean(rmses) < 0.02
 
@@ -176,23 +175,25 @@ def test_cv_smoothing_recovers_sine_under_noise():
 
 def test_too_few_samples_raises():
     lam = np.linspace(1.0, 10.0, 10)
-    spec = _spectrum(lam, np.ones(10))
     with pytest.raises(ValueError, match="at least 9"):
-        smooth(spec, (1.0, 3.0), SmootherConfig(), WavelengthGrid([1.5, 2.0]))
+        _smooth(lam, np.ones(10), (1.0, 3.0), 0.5, WavelengthGrid([1.5, 2.0]))
 
 
 def test_output_grid_must_stay_in_range():
     lam = np.linspace(1.0, 10.0, 30)
-    spec = _spectrum(lam, np.ones(30))
     with pytest.raises(ValueError, match="beyond the smoothing range"):
-        smooth(spec, (2.0, 8.0), SmootherConfig(), WavelengthGrid([2.0, 9.0]))
+        _smooth(lam, np.ones(30), (2.0, 8.0), 0.5, WavelengthGrid([2.0, 9.0]))
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="span"):
-        SmootherConfig(span=0.0)
-    with pytest.raises(ValueError, match="candidate"):
-        SmootherConfig(candidate_spans=())
+    for span in (0.0, -0.1, 1.5):
+        with pytest.raises(ValueError, match=r"span must be in \(0, 1\]"):
+            PipelineConfig(span=span)
+    assert PipelineConfig(span=1.0).span == 1.0
+    with pytest.raises(ValueError, match="span_candidates must not be empty"):
+        PipelineConfig(span_candidates=())
+    with pytest.raises(ValueError, match=r"every candidate span must be in \(0, 1\]"):
+        PipelineConfig(span_candidates=(0.5, 0.0))
 
 
 # -------------------------------------------------------------- linearity
@@ -204,10 +205,9 @@ def test_smoother_is_linear_in_flux():
     f2 = rng.normal(size=60)
     a, b = 1.75, -0.5
     grid = WavelengthGrid(np.linspace(2.0, 19.0, 30))
-    config = SmootherConfig(span=0.4)
-    s1 = smooth(_spectrum(lam, f1), (1.0, 20.0), config, grid).values
-    s2 = smooth(_spectrum(lam, f2), (1.0, 20.0), config, grid).values
-    s12 = smooth(_spectrum(lam, a * f1 + b * f2), (1.0, 20.0), config, grid).values
+    s1 = _smooth(lam, f1, (1.0, 20.0), 0.4, grid)
+    s2 = _smooth(lam, f2, (1.0, 20.0), 0.4, grid)
+    s12 = _smooth(lam, a * f1 + b * f2, (1.0, 20.0), 0.4, grid)
     assert np.max(np.abs(s12 - (a * s1 + b * s2))) < 1e-10
 
 
@@ -216,20 +216,17 @@ def test_smoother_is_linear_in_flux():
 def test_cv_prefers_larger_span_on_pure_quadratic():
     lam = np.linspace(1.0, 50.0, 60)
     flux = 1.0 + 0.1 * lam + 0.02 * lam**2
-    config = SmootherConfig(candidate_spans=(0.3, 0.9))
-    assert select_span_cv(_spectrum(lam, flux), (1.0, 50.0), config) == 0.9
+    assert select_spans(lam, flux[None], (0.3, 0.9)) == [0.9]
 
 
 def test_cv_picks_smallest_span_for_wiggly_signal():
     rng = np.random.default_rng(31)
     lam = np.linspace(1.0, 100.0, 240)
     flux = np.sin(lam) + rng.normal(0.0, 0.01, lam.size)
-    spec = _spectrum(lam, flux)
-    config = SmootherConfig(candidate_spans=(0.1, 0.4, 0.8))
-    chosen = select_span_cv(spec, (1.0, 100.0), config)
-    assert chosen == 0.1
+    spans = (0.1, 0.4, 0.8)
+    assert select_spans(lam, flux[None], spans) == [0.1]
     # argmin agrees with an independently computed CV table
-    table = dict(cv_scores(spec, (1.0, 100.0), config))
+    table = dict(zip(spans, span_cv_table(lam, flux[None], spans)[0]))
     idx = np.arange(lam.size)
     for span, score in table.items():
         total = 0.0
@@ -243,28 +240,23 @@ def test_cv_picks_smallest_span_for_wiggly_signal():
 
 def test_cv_single_candidate_is_returned():
     lam = np.linspace(1.0, 10.0, 40)
-    spec = _spectrum(lam, np.ones(40))
-    assert select_span_cv(spec, (1.0, 10.0), SmootherConfig(candidate_spans=(0.5,))) == 0.5
+    assert select_spans(lam, np.ones((1, 40)), (0.5,)) == [0.5]
 
 
 def test_cv_selection_is_permutation_stable():
     rng = np.random.default_rng(42)
     lam = np.linspace(1.0, 60.0, 150)
     flux = np.cos(lam / 3.0) + rng.normal(0.0, 0.05, lam.size)
-    spec = _spectrum(lam, flux)
     spans = (0.1, 0.3, 0.5, 0.7, 0.9)
-    first = select_span_cv(spec, (1.0, 60.0), SmootherConfig(candidate_spans=spans))
-    second = select_span_cv(
-        spec, (1.0, 60.0), SmootherConfig(candidate_spans=spans[::-1])
-    )
+    first = select_spans(lam, flux[None], spans)
+    second = select_spans(lam, flux[None], spans[::-1])
     assert first == second
 
 
 def test_cv_needs_twenty_samples():
     lam = np.linspace(1.0, 10.0, 15)
-    spec = _spectrum(lam, np.ones(15))
     with pytest.raises(ValueError, match="at least 20"):
-        select_span_cv(spec, (1.0, 10.0), SmootherConfig())
+        select_spans(lam, np.ones((1, 15)), SPANS)
 
 
 # ------------------------------------------------------------ batches
@@ -278,7 +270,6 @@ def test_batch_span_cv_is_the_one_spectrum_span_cv_row_by_row():
     rng = np.random.default_rng(9)
     flux = np.sin(np.outer([0.1, 0.5, 1.0, 1.5, 2.0], lam)) + rng.normal(0.0, 0.05, (5, lam.size))
     spans = (0.1, 0.3, 0.5)
-    config = SmootherConfig(candidate_spans=spans)
     table = span_cv_table(lam, flux, spans)
     assert np.isinf(table[:, 0]).all() and np.isfinite(table[:, 1:]).all()
     chosen = select_spans(lam, flux, spans)
@@ -286,8 +277,6 @@ def test_batch_span_cv_is_the_one_spectrum_span_cv_row_by_row():
     grid = WavelengthGrid(np.linspace(lam[0], lam[-1], 25))
     block = smooth_block(lam, flux, (lam[0], lam[-1]), chosen, grid)
     for row, scores, span, values in zip(flux, table, chosen, block):
-        spectrum = _spectrum(lam, row)
-        assert cv_scores(spectrum, (lam[0], lam[-1]), config) == list(zip(spans, scores))
-        assert select_span_cv(spectrum, (lam[0], lam[-1]), config) == span
-        alone = smooth(spectrum, (lam[0], lam[-1]), SmootherConfig(span=span), grid)
-        assert np.array_equal(alone.values, values)
+        assert np.array_equal(span_cv_table(lam, row[None], spans)[0], scores)
+        assert select_spans(lam, row[None], spans) == [span]
+        assert np.array_equal(_smooth(lam, row, (lam[0], lam[-1]), span, grid), values)
