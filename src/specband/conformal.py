@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .curves import Curve, CurvePair, FloatArray, sup_distance
-from .regression import FittedRegression, KernelSpec, predict, select_kappa_cv
+from .regression import FittedRegression, KernelSpec, predict, predict_many, select_kappa_cv
 from .semimetrics import SemimetricSpec
 
 
@@ -48,6 +49,12 @@ class ConformalCalibration:
     @property
     def n2(self) -> int:
         return int(self.calibration_scores.size)
+
+    @cached_property
+    def half_width(self) -> float:
+        """Minus the k-th smallest score, k = floor((n2 + 1) * alpha); inf if k = 0."""
+        k = _score_rank(self.n2, self.alpha)
+        return -float(np.partition(self.calibration_scores, k - 1)[k - 1]) if k else math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +121,13 @@ def calibrate(
         kappa = candidates[0]
     model = FittedRegression(tuple(fit_pairs), semimetric, kernel, kappa)
 
-    scores = np.array(
-        [conformity_score(model, p.predictor, p.response) for p in score_pairs]
-    )
+    if not all(p.predictor.grid.matches(model.predictor_grid)
+               and p.response.grid.matches(model.response_grid) for p in score_pairs):
+        raise ValueError("every pair must share the grids of the fitted half")
+    predictors = np.stack([p.predictor.values for p in score_pairs])
+    responses = np.stack([p.response.values for p in score_pairs])
+    # one block of predictions; each score is conformity_score's, bit for bit
+    scores = -np.max(np.abs(responses - predict_many(model, predictors)), axis=1)
     return ConformalCalibration(model, scores, float(alpha), int(split_seed))
 
 
@@ -134,11 +145,7 @@ def band(cal: ConformalCalibration, x: Curve) -> ConformalBand:
     band.
     """
     center = predict(cal.trained_model, x)
-    k = _score_rank(cal.n2, cal.alpha)
-    if k < 1:
-        return ConformalBand(center, math.inf, cal.alpha, degenerate=True)
-    q = float(np.sort(cal.calibration_scores)[k - 1])
-    return ConformalBand(center, -q, cal.alpha, degenerate=False)
+    return ConformalBand(center, cal.half_width, cal.alpha, math.isinf(cal.half_width))
 
 
 def contains(band_: ConformalBand, y: Curve) -> bool:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import Curve, CurvePair, FloatArray, trapezoid_weights
-from .semimetrics import SemimetricSpec, distance_matrix, distances_to
+from .semimetrics import SemimetricSpec, nearest, reference
 
 
 @dataclass(frozen=True)
@@ -83,16 +83,25 @@ class FittedRegression:
         return np.stack([p.response.values for p in self.pairs])
 
     @cached_property
+    def reference(self) -> tuple[FloatArray, FloatArray]:  # what every search reads
+        return reference(self.semimetric, self.predictor_matrix, self.predictor_grid.points)
+
+    @cached_property
     def fitted_values(self) -> FloatArray:  # at the training predictors
         return predict_many(self, self.predictor_matrix)
 
 
-# distance rows weighted at once: no gathered block grows past _BLOCK_ROWS rows
-_BLOCK_ROWS = 256
+# query rows searched and weighted at once: the screen holds a few
+# (_BLOCK_ROWS, n) arrays and gathers about kappa rows per query
+_BLOCK_ROWS = 64
 
 
-def _neighbours(dmat: FloatArray, kappa: int, kernel: KernelSpec) -> tuple:
-    """Each distance row's kappa nearest pairs and their normalized weights.
+def _neighbours(idx: np.ndarray, dist: FloatArray, kappa: int, kernel: KernelSpec) -> tuple:
+    """Each query's kappa nearest pairs and their normalized weights.
+
+    ``idx`` and ``dist`` come from :func:`nearest`. The kappa nearest are
+    taken by distance, ties to the smaller index, and weighted in index
+    order, so the bits do not depend on which other rows the screen let in.
 
     A row's bandwidth is the midpoint between its kappa-th and (kappa+1)-th
     smallest distances, which keeps all kappa neighbors strictly inside the
@@ -101,60 +110,66 @@ def _neighbours(dmat: FloatArray, kappa: int, kernel: KernelSpec) -> tuple:
     among the kappa nearest. A row whose kernel weights all vanish
     (distances tied exactly at the bandwidth, where the kernel is zero, or a
     zero bandwidth) falls back to the unweighted mean of every pair inside,
-    given as a dense weight row in ``fallback``.
+    whose indices ``fallback`` gives.
     """
-    idx = np.argpartition(dmat, kappa, axis=1)[:, : kappa + 1]
-    near = np.take_along_axis(dmat, idx, axis=1)
-    lo, hi = near[:, :kappa].max(axis=1, keepdims=True), near[:, kappa:]
+    rows = np.arange(len(dist))[:, None]
+    order = np.argsort(dist, axis=1, kind="stable")
+    edge = dist[rows, order[:, kappa - 1 : kappa + 1]]
+    lo, hi = edge[:, :1], edge[:, 1:]
     h = np.where(lo == hi, lo, 0.5 * (lo + hi))
+    pos = np.sort(order[:, :kappa], axis=1)  # candidates are in index order
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = kernel.weights(near[:, :kappa] / h)
+        w = kernel.weights(dist[rows, pos] / h)
     total = w.sum(axis=1, keepdims=True)
     vanished = np.flatnonzero(total == 0.0)
     total[vanished] = 1.0  # their kernel weights stay 0 and go unused
-    fallback = {int(r): (dmat[r] <= h[r]) / np.sum(dmat[r] <= h[r]) for r in vanished}
-    return idx[:, :kappa], w / total, fallback
+    fallback = {int(r): idx[r][dist[r] <= h[r]] for r in vanished}
+    return idx[rows, pos], w / total, fallback
 
 
 def _weighted_responses(
-    dmat: FloatArray, kappa: int, kernel: KernelSpec, responses: FloatArray
+    idx: np.ndarray, dist: FloatArray, kappa: int, kernel: KernelSpec, responses: FloatArray
 ) -> FloatArray:
-    """One kernel-weighted average of the response rows per distance row."""
-    out = np.empty((dmat.shape[0], responses.shape[1]))
-    for start in range(0, dmat.shape[0], _BLOCK_ROWS):
-        idx, w, fallback = _neighbours(dmat[start : start + _BLOCK_ROWS], kappa, kernel)
-        out[start : start + _BLOCK_ROWS] = np.einsum("rk,rkp->rp", w, responses[idx])
-        for row, dense in fallback.items():
-            out[start + row] = dense @ responses
+    """One kernel-weighted average of the response rows per query."""
+    near, w, fallback = _neighbours(idx, dist, kappa, kernel)
+    out = np.matmul(w[:, None, :], responses[near])[:, 0]  # one BLAS product per row
+    for row, inside in fallback.items():
+        out[row] = responses[inside].mean(axis=0)
     return out
+
+
+def _query(model: FittedRegression, x: Curve) -> FloatArray:
+    if not x.grid.matches(model.predictor_grid):
+        raise ValueError("query curve is not on the model's predictor grid")
+    return x.values[None, :]
 
 
 def prediction_weights(model: FittedRegression, x: Curve) -> FloatArray:
     """The normalized weight each training pair contributes at ``x``."""
-    if not x.grid.matches(model.predictor_grid):
-        raise ValueError("query curve is not on the model's predictor grid")
-    distances = distances_to(
-        model.semimetric, model.predictor_matrix, x.values, model.predictor_grid.points
-    )
-    idx, w, fallback = _neighbours(distances[None, :], model.kappa, model.kernel)
-    weights = fallback.get(0, np.zeros(model.n))
-    weights[idx[0]] += w[0]  # a fallback row's kernel weights are all 0
+    idx, dist = nearest(model.semimetric, model.reference, _query(model, x),
+                        model.predictor_grid.points, model.kappa + 1)
+    near, w, fallback = _neighbours(idx, dist, model.kappa, model.kernel)
+    weights = np.zeros(model.n)
+    weights[near[0]] = w[0]
+    for inside in fallback.values():  # the kappa nearest are inside
+        weights[inside] = 1.0 / inside.size
     return weights
 
 
 def predict(model: FittedRegression, x: Curve) -> Curve:
     """Pointwise convex combination of training responses near ``x``."""
-    weights = prediction_weights(model, x)
-    near = np.flatnonzero(weights)  # the kappa nearest pairs at most, ties aside
-    return Curve(model.response_grid, weights[near] @ model.response_matrix[near])
+    return Curve(model.response_grid, predict_many(model, _query(model, x))[0])
 
 
 def predict_many(model: FittedRegression, queries: FloatArray) -> FloatArray:
     """Predictions for a stack of predictor-value rows; returns (q, p) values."""
-    dmat = distance_matrix(
-        model.semimetric, queries, model.predictor_matrix, model.predictor_grid.points
-    )
-    return _weighted_responses(dmat, model.kappa, model.kernel, model.response_matrix)
+    out = np.empty((len(queries), len(model.response_grid)))
+    for start in range(0, len(queries), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        idx, dist = nearest(model.semimetric, model.reference, queries[block],
+                            model.predictor_grid.points, model.kappa + 1)
+        out[block] = _weighted_responses(idx, dist, model.kappa, model.kernel, model.response_matrix)
+    return out
 
 
 def kappa_cv_scores(
@@ -180,17 +195,21 @@ def kappa_cv_scores(
     x_mat = np.stack([p.predictor.values for p in pairs])
     y_mat = np.stack([p.response.values for p in pairs])
     grid = pairs[0].predictor.grid.points
-    dmat = distance_matrix(semimetric, x_mat, x_mat, grid)
-    # leaving pair i out: at +inf it sorts last and gets zero weight, so the
-    # full row and the full response matrix serve every fit without copies
-    np.fill_diagonal(dmat, np.inf)
     quad = trapezoid_weights(pairs[0].response.grid.points)
-
-    table: list[tuple[int, float]] = []
-    for kappa in kappa_candidates:
-        diff = _weighted_responses(dmat, min(int(kappa), n - 2), kernel, y_mat) - y_mat
-        table.append((int(kappa), float(np.sum(quad * diff * diff)) / n))
-    return table
+    kappas = [min(int(kappa), n - 2) for kappa in kappa_candidates]
+    # leaving pair i out: the search skips row i, so the full response
+    # matrix serves every fit, and one search serves every candidate
+    errors = np.empty((len(kappas), n))
+    ref = reference(semimetric, x_mat, grid)
+    for start in range(0, n, _BLOCK_ROWS):
+        block = np.arange(start, min(start + _BLOCK_ROWS, n))
+        idx, dist = nearest(semimetric, ref, x_mat[block], grid, max(kappas) + 1, block)
+        for j, kappa in enumerate(kappas):
+            diff = _weighted_responses(idx, dist, kappa, kernel, y_mat) - y_mat[block]
+            errors[j, block] = np.sum(quad * diff * diff, axis=1)
+    return [
+        (int(kappa), float(np.sum(row)) / n) for kappa, row in zip(kappa_candidates, errors)
+    ]
 
 
 def best_kappa(table: Sequence[tuple[int, float]]) -> int:

@@ -5,23 +5,37 @@ difference) and derivative-based semimetrics of order 1 or 2, which apply
 the same integral to finite-difference derivatives and therefore ignore
 additive constants (order 1) or affine trends (order 2).
 
-Two kernels evaluate them, chosen by the shape of the job:
+Every distance is the direct expression: the weighted sum of squared
+differences of the two curves' derivatives, each curve differentiated on its
+own. It is exact near zero, ``distance(a, a) == 0.0``, and swapping the
+curves gives the same bits. :func:`distances_to` evaluates it for one query.
 
-- :func:`distances_to` (and :func:`distance`, a one-row call of it) takes
-  one query against a stack of curves and integrates the squared
-  difference directly, in one ``einsum`` pass over one (n, p) difference.
-  It runs for every prediction and conformal score. It is exact near zero:
-  ``distance(a, a) == 0.0`` and swapping the curves gives the same bits.
-- :func:`distance_matrix` takes a block of queries and expands
-  ``|a - b|^2 = |a|^2 + |b|^2 - 2<a, b>`` into one Gram product. It runs
-  for leave-one-out kappa selection and the model's fitted values, where
-  it is some 40 times faster than direct differences at n = 2000. It is
-  built in place in two (n, m) buffers, bit for bit the plain expression:
-  doubling is exact and the sums keep their order. The expansion cancels
-  for nearby curves: on 2000 mock predictors it is off by 1e-6 on the
-  diagonal, where the distance is 0, and by 2e-12 elsewhere. Single
-  predictions therefore never use it; their weights, and so the saved
-  predictions, would change.
+:func:`nearest` finds each query's ``count`` nearest rows by measuring only
+candidates. One Gram product screens a block of queries,
+``g = |a|^2 + |b|^2 - 2 <a, w b>`` (w the trapezoid weights, b the query),
+and the rows with ``g - B <= T`` are measured directly, bit for bit as
+:func:`distances_to` does. The expansion cancels for nearby curves (off by
+1e-6 at distance 0 on 2000 mock predictors), hence the slack
+``B = 3 (p + 4) u S`` on p grid points, u the unit roundoff and
+``S = (|a| + |b|)^2 >= |a - b|^2``. With ``gamma_k = k u / (1 - k u)``
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1): the
+direct value e rounds p + 3 times along each term (the difference, twice as
+it is squared, the square, the weight, p - 1 additions in any order), so it
+is within ``gamma_(p+3) S`` of the exact squared distance; the norms and the
+Gram entry round p + 1 times along each term, within ``gamma_(p+1)`` times
+``|a|^2``, ``|b|^2`` and ``|a| |b|`` (Cauchy-Schwarz), and the last two
+additions add u S each, so g is within ``gamma_(p+4) S``. Hence
+``|g - e| < 2.01 (p + 4) u S`` while ``(p + 4) u < 0.005``; the rest of B,
+at least 5.9 u S, covers rounding the slack, ``g + B`` (formed as
+``(g - B) + 2B``) and T.
+
+The candidates are exact: T is the count-th smallest ``g + B`` times
+``1 + 8u``, and every row has ``e <= g + B``, so T bounds the count-th
+smallest e and any e whose square root ties with it (a relative gap near
+4u). Every row at or below the count-th distance has ``g - B <= e <= T``.
+The bandwidth is at most the (kappa + 1)-th distance, so the candidates hold
+every pair a weight, the bandwidth, the ties or the fallback can touch.
+:func:`distance_matrix` is the Gram step under a square root.
 """
 
 from __future__ import annotations
@@ -32,6 +46,7 @@ import numpy as np
 
 from .curves import Curve, FloatArray, ensure_same_grid, trapezoid_weights
 
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _CLI_TOKENS = {"l2": ("l2", 0), "deriv1": ("sobolev", 1), "deriv2": ("sobolev", 2)}
 
 
@@ -94,14 +109,25 @@ def distance(spec: SemimetricSpec, a: Curve, b: Curve) -> float:
     return float(distances_to(spec, a.values, b.values, a.grid.points)[0])
 
 
+def _direct(diff: FloatArray, w: FloatArray) -> FloatArray:
+    return np.sqrt(np.einsum("ij,ij,j->i", diff, diff, w))
+
+
+def _gram_squares(a, sa, b, sb, w) -> FloatArray:
+    """``sa + sb - 2 <a, w b>``, (n, m), in place: bit for bit the plain expression."""
+    gram = a @ (b * w).T
+    sq = sa[:, None] + sb[None, :]
+    gram *= 2.0
+    sq -= gram
+    return sq
+
+
 def distances_to(
     spec: SemimetricSpec, rows: FloatArray, query: FloatArray, points: FloatArray
 ) -> FloatArray:
     """Distance from each row of a value matrix to one query value vector."""
-    diff = _derivatives(
-        spec, np.atleast_2d(rows) - np.asarray(query, dtype=np.float64), points
-    )
-    return np.sqrt(np.einsum("ij,ij,j->i", diff, diff, trapezoid_weights(points)))
+    diff = _derivatives(spec, rows, points) - _derivatives(spec, query, points)
+    return _direct(diff, trapezoid_weights(points))
 
 
 def distance_matrix(
@@ -113,13 +139,46 @@ def distance_matrix(
     grid ``points``; returns the (n, m) distance matrix through a Gram
     product, so entries differ from :func:`distances_to` by rounding.
     """
-    a = _derivatives(spec, rows, points)
-    b = _derivatives(spec, cols, points)
-    w = trapezoid_weights(points)
-    sa = np.sum(a * a * w, axis=1)
-    sb = np.sum(b * b * w, axis=1)
-    gram = a @ (b * w).T
-    sq = sa[:, None] + sb[None, :]  # in place from here: see the module docstring
-    gram *= 2.0
-    sq -= gram
+    a, b = reference(spec, rows, points), reference(spec, cols, points)
+    sq = _gram_squares(*a, *b, trapezoid_weights(points))
     return np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
+
+
+def reference(
+    spec: SemimetricSpec, values: FloatArray, points: FloatArray
+) -> tuple[FloatArray, FloatArray]:
+    """Derivative rows (for ``l2``, ``values`` itself) and their squared norms."""
+    rows = _derivatives(spec, values, points)
+    return rows, np.sum(rows * rows * trapezoid_weights(points), axis=1)
+
+
+def nearest(
+    spec: SemimetricSpec, ref: tuple[FloatArray, FloatArray], queries: FloatArray,
+    points: FloatArray, count: int, exclude: np.ndarray | None = None,
+) -> tuple[np.ndarray, FloatArray]:
+    """Candidates for each query's ``count`` nearest rows of ``ref``, a :func:`reference`.
+
+    Returns (q, width) row indices, increasing along each row, and their
+    direct distances: every row at or below a query's count-th distance, and
+    the screen's next rows up to ``width``. ``exclude`` names a row per query
+    to leave out. The screen holds a few (q, n) arrays: pass queries in blocks.
+    """
+    rows, row_sq = ref
+    w = trapezoid_weights(points)
+    q, q_sq = reference(spec, queries, points)
+    low = np.ascontiguousarray(_gram_squares(rows, row_sq, q, q_sq, w).T)
+    if exclude is not None:
+        low[np.arange(len(q)), exclude] = np.inf
+    slack = np.add.outer(np.sqrt(q_sq), np.sqrt(row_sq)) ** 2
+    slack *= 3 * (q.shape[1] + 4) * _UNIT_ROUNDOFF
+    low -= slack
+    slack *= 2.0
+    top = np.add(low, slack, out=slack)  # g + B, from the rows' g - B
+    top.partition(count - 1, axis=1)
+    # each query's candidates are the rows lowest in g - B; take as many for
+    # every query as the one that needs most
+    width = (low <= top[:, count - 1 : count] * (1.0 + 8 * _UNIT_ROUNDOFF)).sum(axis=1).max()
+    idx = np.sort(np.argpartition(low, width - 1, axis=1)[:, :width], axis=1)
+    diff = rows[idx]
+    diff -= q[:, None, :]
+    return idx, _direct(diff.reshape(-1, q.shape[1]), w).reshape(idx.shape)

@@ -102,6 +102,15 @@ def test_scores_are_non_positive():
     assert np.all(cal.calibration_scores <= 0.0)
 
 
+def test_calibration_scores_are_bitwise_conformity_scores():
+    rng = np.random.default_rng(13)
+    pairs = _random_pairs(rng, 150)  # 75 scores, past one block of predictions
+    cal = calibrate(pairs, 0.1, L2, KERNEL, [2, 4], split_seed=5)
+    held_out = np.random.default_rng(5).permutation(150)[75:]
+    want = [conformity_score(cal.trained_model, pairs[i].predictor, pairs[i].response) for i in held_out]
+    assert cal.calibration_scores.tobytes() == np.array(want).tobytes()
+
+
 # --------------------------------------------------------------------- band
 
 def test_rank_one_uses_most_negative_score():

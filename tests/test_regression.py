@@ -13,7 +13,7 @@ from specband.regression import (
     prediction_weights,
     select_kappa_cv,
 )
-from specband.semimetrics import SemimetricSpec, distance, distance_matrix
+from specband.semimetrics import SemimetricSpec, distance, distance_matrix, distances_to
 
 L2 = SemimetricSpec.l2()
 KERNEL = KernelSpec()
@@ -359,6 +359,82 @@ def test_sparse_loo_table_matches_brute_force_on_duplicates_and_ties():
             diff = brute_force_prediction(rest, pairs[i].predictor) - pairs[i].response.values
             total += float(np.sum(quad * diff * diff))
         assert table[kappa] == pytest.approx(total / n, rel=1e-12)
+
+
+def test_loo_table_matches_brute_force_past_the_first_block():
+    # under the first-derivative distance: copies (distance 0) and curves
+    # shifted by a constant (distance ~1e-15, the derivatives' rounding)
+    rng = np.random.default_rng(27)
+    values = rng.normal(size=(regression._BLOCK_ROWS + 16, 101))
+    values[-10:] = values[:10]
+    values[-15:-10] = values[:5] + 3.0
+    pairs = tuple(_pair(v, rng.normal(size=40)) for v in values)
+    d1 = SemimetricSpec.sobolev(1)
+    n = len(pairs)
+    candidates = [1, 3, 8]
+    table = dict(kappa_cv_scores(pairs, d1, KERNEL, candidates))
+    quad = trapezoid_weights(RESP_GRID.points)
+    for kappa in candidates:
+        total = 0.0
+        for i in range(n):
+            rest = FittedRegression(pairs[:i] + pairs[i + 1 :], d1, KERNEL, kappa)
+            diff = brute_force_prediction(rest, pairs[i].predictor) - pairs[i].response.values
+            total += float(np.sum(quad * diff * diff))
+        assert table[kappa] == pytest.approx(total / n, rel=1e-12)
+
+
+def test_gram_screen_alone_would_pick_wrong_neighbours():
+    # 60 near-duplicate curves, a 1e4 offset plus 1e-7 noise on 300 points:
+    # the Gram expansion's rounding dwarfs the distances, so its 9 nearest
+    # are not the 9 nearest by direct distance; predictions still equal a
+    # brute force over direct distances
+    grid = WavelengthGrid(np.linspace(1.0, 2.0, 300))
+    rng = np.random.default_rng(25)
+    values = 1e4 + 1e-7 * rng.normal(size=(60, 300))
+    pairs = tuple(CurvePair(Curve(grid, v), Curve(RESP_GRID, rng.normal(size=40))) for v in values)
+    model = FittedRegression(pairs, L2, KERNEL, kappa=8)
+    queries = 1e4 + 1e-7 * rng.normal(size=(10, 300))
+    gram = distance_matrix(L2, queries, values, grid.points)
+    direct = np.stack([distances_to(L2, values, q, grid.points) for q in queries])
+    assert np.max(np.abs(gram - direct)) > 100 * np.max(direct)
+    assert any(set(np.argsort(g)[:9]) != set(np.argsort(d)[:9]) for g, d in zip(gram, direct))
+    for q, row in zip(queries, predict_many(model, queries)):
+        assert np.max(np.abs(row - brute_force_prediction(model, Curve(grid, q)))) < 1e-12
+
+
+def test_squared_distances_that_tie_after_the_square_root_share_the_bandwidth():
+    # from 0: a curve at distance 0.5, then squared distances 1 and
+    # 1 + 2**-52 (dyadic weights make both exact), whose square roots are
+    # both 1.0, then a curve at 5. With kappa = 2 the 2nd and 3rd nearest tie
+    # at h = 1, where the kernel is zero, so only the nearest curve counts
+    rng = np.random.default_rng(28)
+    near, a, far = np.full(9, 0.5), np.zeros(9), np.full(9, 5.0)
+    a[1:3] = 2.0  # interior weights 1/8: 2 * 4 / 8 = 1
+    b = a.copy()
+    b[0] = 2.0**-24  # end weight 1/16 adds 2**-52
+    pairs = tuple(
+        CurvePair(Curve(DYADIC_GRID, v), Curve(RESP_GRID, rng.normal(size=40)))
+        for v in (far, b, near, a)
+    )
+    w = trapezoid_weights(DYADIC_GRID.points)
+    assert np.sum(w * b * b) == 1.0 + 2.0**-52 and np.sum(w * a * a) == 1.0
+    x = Curve(DYADIC_GRID, np.zeros(9))
+    assert distance(L2, pairs[1].predictor, x) == distance(L2, pairs[3].predictor, x) == 1.0
+    model = FittedRegression(pairs, L2, KERNEL, kappa=2)
+    assert np.array_equal(prediction_weights(model, x), [0.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(predict(model, x).values, pairs[2].response.values)
+    assert np.allclose(brute_force_prediction(model, x), pairs[2].response.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("semimetric", [L2, SemimetricSpec.sobolev(1), SemimetricSpec.sobolev(2)])
+def test_predict_is_bitwise_predict_many_past_the_first_block(semimetric):
+    rng = np.random.default_rng(26)
+    pairs = tuple(_pair(rng.normal(size=101), rng.normal(size=40)) for _ in range(150))
+    model = FittedRegression(pairs, semimetric, KERNEL, kappa=16)
+    queries = rng.normal(size=(regression._BLOCK_ROWS + 20, 101))
+    queries[-3:] = model.predictor_matrix[:3]  # copies: distance 0
+    for q, row in zip(queries, predict_many(model, queries)):
+        assert predict(model, Curve(PRED_GRID, q)).values.tobytes() == row.tobytes()
 
 
 def test_query_grid_mismatch_raises():

@@ -7,6 +7,8 @@ from specband.semimetrics import (
     distance,
     distance_matrix,
     distances_to,
+    nearest,
+    reference,
 )
 
 L2 = SemimetricSpec.l2()
@@ -142,3 +144,37 @@ def test_distance_matrix_is_bitwise_the_plain_gram_expression(spec):
     got = distance_matrix(spec, rows, cols, pts)
     assert got.tobytes() == want.tobytes()
     assert np.any(sa[:, None] + sb[None, :] - 2.0 * gram < 0.0)  # the clamp ran
+
+
+@pytest.mark.parametrize("spec", [L2, D1, D2])
+def test_nearest_candidates_hold_the_direct_distances_of_their_rows(spec):
+    # 100 queries, past one block of the regression's searches; a few are
+    # copies of training rows, so distance 0 and duplicate rows occur
+    rng = np.random.default_rng(23)
+    pts = np.sort(rng.uniform(1.0, 6.0, 60))
+    values = rng.normal(size=(150, 60))
+    values[140:] = values[:10]
+    queries = rng.normal(size=(100, 60))
+    queries[::10] = values[::15]
+    count = 9
+    idx, dist = nearest(spec, reference(spec, values, pts), queries, pts, count)
+    assert np.all(np.diff(idx, axis=1) > 0)
+    for q, rows, got in zip(queries, idx, dist):
+        assert got.tobytes() == distances_to(spec, values[rows], q, pts).tobytes()
+        full = distances_to(spec, values, q, pts)
+        inside = np.flatnonzero(full <= np.sort(full)[count - 1])
+        assert set(inside) <= set(rows)
+        assert full[rows].tobytes() == got.tobytes()  # a subset of the full row, bit for bit
+
+
+def test_nearest_leaves_out_the_excluded_row():
+    rng = np.random.default_rng(24)
+    pts = np.linspace(1.0, 2.0, 30)
+    values = rng.normal(size=(20, 30))
+    values[5] = values[4]
+    idx, dist = nearest(L2, reference(L2, values, pts), values, pts, 19, exclude=np.arange(20))
+    assert idx.shape == (20, 19)
+    for i, (rows, got) in enumerate(zip(idx, dist)):
+        assert i not in rows
+        assert got.tobytes() == distances_to(L2, values[rows], values[i], pts).tobytes()
+    assert dist[4][list(idx[4]).index(5)] == 0.0  # the copy stays, at 0
