@@ -11,7 +11,6 @@ from .conformal import (
     ConformalCalibration,
     band,
     calibrate,
-    conformity_score,
     contains,
 )
 from .curves import (
@@ -30,7 +29,7 @@ from .evaluation import (
     relative_error,
     summarize,
 )
-from .fpca import FpcaModel, explained_variance, fit_fpca, project, reconstruct
+from .fpca import FpcaModel, fit_fpca, project
 from .mockgen import MockModel, MockRealization, generate, synthetic_model
 from .pipeline import PipelineConfig, load_config, smooth_spectra
 from .regression import (
@@ -63,15 +62,12 @@ __all__ = [
     "select_kappa_cv",
     "ConformalBand",
     "ConformalCalibration",
-    "conformity_score",
     "calibrate",
     "band",
     "contains",
     "FpcaModel",
     "fit_fpca",
     "project",
-    "reconstruct",
-    "explained_variance",
     "WildBootstrapConfig",
     "BootstrapBand",
     "sample_v",

@@ -8,7 +8,7 @@ rank statistics of exchangeable scores make the band contain a fresh
 response with probability at least 1 - alpha, for any data distribution.
 
 When k = 0 the guarantee can only be met by the whole response space, so the
-band is returned with an infinite half-width and a ``degenerate`` flag.
+band is returned with an infinite half-width, and only then is it ``degenerate``.
 """
 
 from __future__ import annotations
@@ -59,33 +59,19 @@ class ConformalCalibration:
 
 @dataclass(frozen=True, eq=False)
 class ConformalBand:
-    """Constant-width sup-norm band: center curve plus half-width."""
+    """Constant-width sup-norm band: center curve plus half-width (inf: degenerate)."""
 
     center: Curve
     half_width: float
     alpha: float
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
-        if not self.degenerate and not (
-            np.isfinite(self.half_width) and self.half_width >= 0.0
-        ):
-            raise ValueError("half width must be finite and non-negative")
+        if not self.half_width >= 0.0:
+            raise ValueError("half width must be non-negative")
 
-    def lower(self) -> Curve:
-        if self.degenerate:
-            raise ValueError("degenerate band has no finite envelope")
-        return self.center.with_values(self.center.values - self.half_width)
-
-    def upper(self) -> Curve:
-        if self.degenerate:
-            raise ValueError("degenerate band has no finite envelope")
-        return self.center.with_values(self.center.values + self.half_width)
-
-
-def conformity_score(model: FittedRegression, x: Curve, y: Curve) -> float:
-    """Negative sup distance between ``y`` and the model prediction at ``x``."""
-    return -sup_distance(y, predict(model, x))
+    @property
+    def degenerate(self) -> bool:
+        return math.isinf(self.half_width)
 
 
 def calibrate(
@@ -126,7 +112,7 @@ def calibrate(
         raise ValueError("every pair must share the grids of the fitted half")
     predictors = np.stack([p.predictor.values for p in score_pairs])
     responses = np.stack([p.response.values for p in score_pairs])
-    # one block of predictions; each score is conformity_score's, bit for bit
+    # one block of predictions; each score is -sup_distance(y, predict(model, x)), bit for bit
     scores = -np.max(np.abs(responses - predict_many(model, predictors)), axis=1)
     return ConformalCalibration(model, scores, float(alpha), int(split_seed))
 
@@ -145,7 +131,7 @@ def band(cal: ConformalCalibration, x: Curve) -> ConformalBand:
     band.
     """
     center = predict(cal.trained_model, x)
-    return ConformalBand(center, cal.half_width, cal.alpha, math.isinf(cal.half_width))
+    return ConformalBand(center, cal.half_width, cal.alpha)
 
 
 def contains(band_: ConformalBand, y: Curve) -> bool:

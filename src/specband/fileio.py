@@ -201,6 +201,11 @@ def read_manifest(path: Path) -> list[SpectrumRecord]:
 
 # ----------------------------------------------------------- model documents
 
+def _reason(err: Exception) -> str:
+    # numpy's TypeError on a JSON null, list or object words its message by Python version
+    return str(err) if isinstance(err, ValueError) else "a null, list or object where numbers belong"
+
+
 def _curve_values(values: np.ndarray) -> list[float]:
     return [float(v) for v in values]
 
@@ -236,21 +241,16 @@ def load_regression(path: Path) -> tuple[FittedRegression, dict]:
         load_config(**document["config"])
     except ValueError as err:
         raise ValueError(f"{path}: bad value in the model's 'config' record: {err}; rerun fit") from None
-    pred_grid = WavelengthGrid(np.asarray(document["predictor_grid"]))
-    resp_grid = WavelengthGrid(np.asarray(document["response_grid"]))
-    pairs = tuple(
-        CurvePair(
-            Curve(pred_grid, np.asarray(pv)),
-            Curve(resp_grid, np.asarray(rv)),
-        )
-        for pv, rv in zip(predictors, responses)
-    )
-    return FittedRegression(
-        pairs=pairs,
-        semimetric=SemimetricSpec.parse(document["semimetric"]),
-        kernel=KernelSpec(),
-        kappa=document["kappa"],
-    ), document["config"]
+    try:  # values that numpy, a grid, a curve or the regression rejects
+        pred_grid = WavelengthGrid(np.asarray(document["predictor_grid"]))
+        resp_grid = WavelengthGrid(np.asarray(document["response_grid"]))
+        pairs = tuple(CurvePair(Curve(pred_grid, np.asarray(pv)), Curve(resp_grid, np.asarray(rv)))
+                      for pv, rv in zip(predictors, responses))
+        model = FittedRegression(pairs, SemimetricSpec.parse(document["semimetric"]), KernelSpec(),
+                                 document["kappa"])
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: bad value in the model: {_reason(err)}; rerun fit") from None
+    return model, document["config"]
 
 
 # ------------------------------------------------------------ band documents
@@ -272,18 +272,18 @@ def save_conformal_band(band: ConformalBand, path: Path, normalization: float) -
 
 def load_conformal_band(path: Path) -> tuple[ConformalBand, float]:
     document = _load_json(Path(path), "conformal_band")
-    if "normalization" not in document:
-        raise ValueError(f"{path}: band has no 'normalization'; rerun predict")
-    grid = WavelengthGrid(np.asarray(document["grid"]))
-    degenerate = bool(document["degenerate"])
-    half_width = math.inf if degenerate else float(document["half_width"])
-    band = ConformalBand(
-        center=Curve(grid, np.asarray(document["center"])),
-        half_width=half_width,
-        alpha=float(document["alpha"]),
-        degenerate=degenerate,
-    )
-    return band, float(document["normalization"])
+    for key in ("alpha", "degenerate", "half_width", "grid", "center", "normalization"):
+        if key not in document:
+            raise ValueError(f"{path}: band has no {key!r}; rerun predict")
+    if document["degenerate"] is not (document["half_width"] is None):
+        raise ValueError(f"{path}: band's 'half_width' must be null exactly when 'degenerate' is true; rerun predict")
+    try:
+        grid = WavelengthGrid(np.asarray(document["grid"]))
+        half_width = math.inf if document["degenerate"] else float(document["half_width"])
+        band = ConformalBand(Curve(grid, np.asarray(document["center"])), half_width, float(document["alpha"]))
+        return band, float(document["normalization"])
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: bad value in the band: {_reason(err)}; rerun predict") from None
 
 
 def save_bootstrap_band(band: BootstrapBand, path: Path) -> None:

@@ -94,42 +94,18 @@ def project(model: FpcaModel, curve: Curve) -> FloatArray:
     )
 
 
-def reconstruct(model: FpcaModel, scores: FloatArray) -> Curve:
-    """Mean plus the score-weighted combination of the components."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size != model.m:
-        raise ValueError(f"expected {model.m} scores, got {scores.size}")
-    values = model.mean.values + np.stack(
-        [c.values for c in model.components]
-    ).T @ scores
-    return Curve(model.grid, values)
-
-
-def _total_variance(model: FpcaModel) -> float:
-    """Eigenvalue sum, or raise when it is zero up to rounding.
+def scree_rows(model: FpcaModel) -> list[tuple[int, float, float]]:
+    """(component index, eigenvalue, cumulative variance fraction) rows.
 
     A sample of identical curves leaves variance at the level of squared
     machine epsilon relative to the curves themselves; that counts as an
-    all-zero spectrum.
+    all-zero spectrum, whose fractions are undefined.
     """
     total = float(np.sum(np.clip(model.eigenvalues, 0.0, None)))
     w = trapezoid_weights(model.grid.points)
     mean_square = float(np.sum(w * model.mean.values**2))
     if total <= 1e-24 * (total + mean_square):
         raise ValueError("all eigenvalues are zero; variance fractions undefined")
-    return total
-
-
-def explained_variance(model: FpcaModel) -> FloatArray:
-    """Cumulative fraction of total variance carried by the leading components."""
-    total = _total_variance(model)
-    top = np.clip(model.eigenvalues[: model.m], 0.0, None)
-    return np.cumsum(top) / total
-
-
-def scree_rows(model: FpcaModel) -> list[tuple[int, float, float]]:
-    """(component index, eigenvalue, cumulative variance fraction) rows."""
-    total = _total_variance(model)
     rows = []
     running = 0.0
     for j, lam in enumerate(model.eigenvalues, start=1):

@@ -76,10 +76,6 @@ class PipelineConfig:
         if not all(0.0 < s <= 1.0 for s in self.span_candidates):
             raise ValueError("every candidate span must be in (0, 1]")
 
-    @property
-    def semimetric_spec(self) -> SemimetricSpec:
-        return SemimetricSpec.parse(self.semimetric)
-
     def predictor_grid(self) -> WavelengthGrid:
         return WavelengthGrid.uniform(*self.predictor_range, self.predictor_points)
 
@@ -187,7 +183,7 @@ def fit_pairs(
     if len(pairs) < 3:
         raise ValueError(f"need at least 3 usable spectra to fit, got {len(pairs)}")
     kernel = KernelSpec()
-    spec = config.semimetric_spec
+    spec = SemimetricSpec.parse(config.semimetric)
     if config.kappa is not None:
         return FittedRegression(tuple(pairs), spec, kernel, config.kappa), []
     candidates = sorted(

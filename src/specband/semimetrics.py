@@ -35,7 +35,6 @@ smallest e and any e whose square root ties with it (a relative gap near
 4u). Every row at or below the count-th distance has ``g - B <= e <= T``.
 The bandwidth is at most the (kappa + 1)-th distance, so the candidates hold
 every pair a weight, the bandwidth, the ties or the fallback can touch.
-:func:`distance_matrix` is the Gram step under a square root.
 """
 
 from __future__ import annotations
@@ -47,47 +46,26 @@ import numpy as np
 from .curves import Curve, FloatArray, ensure_same_grid, trapezoid_weights
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-_CLI_TOKENS = {"l2": ("l2", 0), "deriv1": ("sobolev", 1), "deriv2": ("sobolev", 2)}
+_TOKENS = ("l2", "deriv1", "deriv2")  # position = derivative order
 
 
 @dataclass(frozen=True)
 class SemimetricSpec:
-    """Which distance to use: kind "l2", or "sobolev" with order 1 or 2."""
+    """Which distance to use: "l2", or "deriv1"/"deriv2" (derivative order 1 or 2)."""
 
-    kind: str = "l2"
-    order: int = 0
+    token: str = "l2"
 
     def __post_init__(self) -> None:
-        if self.kind == "l2":
-            if self.order != 0:
-                raise ValueError("the l2 semimetric takes no derivative order")
-        elif self.kind == "sobolev":
-            if self.order not in (1, 2):
-                raise ValueError("derivative order must be 1 or 2")
-        else:
-            raise ValueError(f"unknown semimetric kind: {self.kind!r}")
-
-    @classmethod
-    def l2(cls) -> "SemimetricSpec":
-        return cls("l2", 0)
-
-    @classmethod
-    def sobolev(cls, order: int) -> "SemimetricSpec":
-        return cls("sobolev", order)
+        if self.token not in _TOKENS:
+            raise ValueError(f"unknown semimetric {self.token!r}; expected one of {sorted(_TOKENS)}")
 
     @classmethod
     def parse(cls, token: str) -> "SemimetricSpec":
-        try:
-            kind, order = _CLI_TOKENS[token]
-        except KeyError:
-            raise ValueError(
-                f"unknown semimetric {token!r}; expected one of {sorted(_CLI_TOKENS)}"
-            ) from None
-        return cls(kind, order)
+        return cls(token)
 
     @property
-    def token(self) -> str:
-        return "l2" if self.kind == "l2" else f"deriv{self.order}"
+    def order(self) -> int:
+        return _TOKENS.index(self.token)
 
 
 def _derivatives(spec: SemimetricSpec, values: FloatArray, points: FloatArray) -> FloatArray:
@@ -113,35 +91,12 @@ def _direct(diff: FloatArray, w: FloatArray) -> FloatArray:
     return np.sqrt(np.einsum("ij,ij,j->i", diff, diff, w))
 
 
-def _gram_squares(a, sa, b, sb, w) -> FloatArray:
-    """``sa + sb - 2 <a, w b>``, (n, m), in place: bit for bit the plain expression."""
-    gram = a @ (b * w).T
-    sq = sa[:, None] + sb[None, :]
-    gram *= 2.0
-    sq -= gram
-    return sq
-
-
 def distances_to(
     spec: SemimetricSpec, rows: FloatArray, query: FloatArray, points: FloatArray
 ) -> FloatArray:
     """Distance from each row of a value matrix to one query value vector."""
     diff = _derivatives(spec, rows, points) - _derivatives(spec, query, points)
     return _direct(diff, trapezoid_weights(points))
-
-
-def distance_matrix(
-    spec: SemimetricSpec, rows: FloatArray, cols: FloatArray, points: FloatArray
-) -> FloatArray:
-    """All pairwise distances between two stacks of curve values.
-
-    ``rows`` and ``cols`` are (n, p) and (m, p) value matrices on the same
-    grid ``points``; returns the (n, m) distance matrix through a Gram
-    product, so entries differ from :func:`distances_to` by rounding.
-    """
-    a, b = reference(spec, rows, points), reference(spec, cols, points)
-    sq = _gram_squares(*a, *b, trapezoid_weights(points))
-    return np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
 
 
 def reference(
@@ -166,7 +121,7 @@ def nearest(
     rows, row_sq = ref
     w = trapezoid_weights(points)
     q, q_sq = reference(spec, queries, points)
-    low = np.ascontiguousarray(_gram_squares(rows, row_sq, q, q_sq, w).T)
+    low = np.ascontiguousarray((row_sq[:, None] + q_sq[None, :] - 2.0 * (rows @ (q * w).T)).T)  # g
     if exclude is not None:
         low[np.arange(len(q)), exclude] = np.inf
     slack = np.add.outer(np.sqrt(q_sq), np.sqrt(row_sq)) ** 2

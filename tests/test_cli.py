@@ -489,6 +489,23 @@ def test_badly_typed_manifest_or_model_value_exits_with_code_two(runner, config_
     assert result.output.strip() == f"error: {model_path}: model's 'kappa' is not an integer: 2.7; rerun fit"
 
 
+def test_malformed_model_exits_with_code_two_naming_the_file(runner, mock_dir, model_path, tmp_path):
+    saved = json.loads(model_path.read_text())
+    edits = {
+        "semimetric": ["l2"],
+        "predictor_grid": {},
+        "predictors": [{"flux": row} for row in saved["predictors"]],
+        "kappa": 0,
+    }
+    query = _query_args("predict", mock_dir)
+    for key, value in edits.items():
+        model_path.write_text(json.dumps({**saved, key: value}))
+        result = runner.invoke(main, ["predict", "--model", str(model_path), *query, "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, (key, result.output)
+        assert result.output.startswith(f"error: {model_path}: bad value in the model: "), result.output
+        assert result.output.strip().endswith("; rerun fit")
+
+
 @pytest.mark.parametrize("command", ["predict", "bootstrap"])
 def test_bad_flag_value_is_not_blamed_on_the_model(runner, mock_dir, model_path, tmp_path, command):
     query = _query_args(command, mock_dir)
@@ -562,6 +579,21 @@ def test_eval_rejects_band_without_normalization(runner, mock_dir, pred_dir, tmp
     assert result.exit_code == 2
     assert "mock_0003_band.json" in result.output
     assert "normalization" in result.output
+
+
+def test_eval_rejects_malformed_band_naming_the_file(runner, mock_dir, pred_dir, tmp_path):
+    path = pred_dir / "mock_0003_band.json"
+    saved = json.loads(path.read_text())
+    for edit in ({"half_width": [1]}, {"grid": {}}):
+        path.write_text(json.dumps({**saved, **edit}))
+        result = _eval(runner, pred_dir, mock_dir / "manifest.json", tmp_path / "eval")
+        assert result.exit_code == 2, (edit, result.output)
+        assert result.output.strip() == (
+            f"error: {path}: bad value in the band: a null, list or object where numbers belong; rerun predict")
+    path.write_text(json.dumps({k: v for k, v in saved.items() if k != "degenerate"}))
+    result = _eval(runner, pred_dir, mock_dir / "manifest.json", tmp_path / "eval")
+    assert result.exit_code == 2
+    assert result.output.strip() == f"error: {path}: band has no 'degenerate'; rerun predict"
 
 
 CONFIG_FLAGS = (

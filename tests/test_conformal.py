@@ -8,14 +8,13 @@ from specband.conformal import (
     ConformalCalibration,
     band,
     calibrate,
-    conformity_score,
     contains,
 )
-from specband.curves import Curve, CurvePair, WavelengthGrid
+from specband.curves import Curve, CurvePair, WavelengthGrid, sup_distance
 from specband.regression import FittedRegression, KernelSpec, predict
 from specband.semimetrics import SemimetricSpec
 
-L2 = SemimetricSpec.l2()
+L2 = SemimetricSpec.parse("l2")
 KERNEL = KernelSpec()
 PRED_GRID = WavelengthGrid(np.linspace(2.0, 3.0, 50))
 RESP_GRID = WavelengthGrid(np.linspace(1.0, 1.5, 30))
@@ -41,32 +40,44 @@ def _calibration(scores, alpha, rng_seed=0):
 
 
 # ------------------------------------------------------------------- scores
+# a calibration score is -sup_distance(y, predict(model, x)) for a held-out
+# pair (x, y), with the model fitted on the other half of the sample
+
+def _held_out(n, split_seed):
+    return np.random.default_rng(split_seed).permutation(n)[n // 2:]
+
+
+def _scores_by_definition(cal, pairs, split_seed):
+    model = cal.trained_model
+    return np.array([-sup_distance(pairs[i].response, predict(model, pairs[i].predictor))
+                     for i in _held_out(len(pairs), split_seed)])
+
 
 def test_score_is_zero_at_the_prediction():
+    # one neighbour, weight exactly 1: every prediction is the shared response
     rng = np.random.default_rng(1)
-    model = _model(rng)
-    x = Curve(PRED_GRID, rng.normal(size=50))
-    y = predict(model, x)
-    assert conformity_score(model, x, y) == 0.0
+    y = rng.normal(size=30)
+    pairs = [CurvePair(Curve(PRED_GRID, rng.normal(size=50)), Curve(RESP_GRID, y)) for _ in range(10)]
+    cal = calibrate(pairs, 0.1, L2, KERNEL, [1], split_seed=3)
+    assert cal.trained_model.kappa == 1
+    assert np.all(cal.calibration_scores == 0.0)
 
 
 def test_score_of_constant_offset():
     rng = np.random.default_rng(2)
-    model = _model(rng)
-    x = Curve(PRED_GRID, rng.normal(size=50))
-    y = predict(model, x)
-    shifted = y.with_values(y.values + 2.0)
-    assert conformity_score(model, x, shifted) == pytest.approx(-2.0)
+    y = rng.normal(size=30)
+    held_out = set(_held_out(10, 3).tolist())
+    pairs = [CurvePair(Curve(PRED_GRID, rng.normal(size=50)), Curve(RESP_GRID, y + 2.0 * (i in held_out)))
+             for i in range(10)]
+    cal = calibrate(pairs, 0.1, L2, KERNEL, [1], split_seed=3)
+    assert cal.calibration_scores == pytest.approx([-2.0] * 5)
 
 
 def test_score_matches_sup_distance_composition():
-    from specband.curves import sup_distance
-
     rng = np.random.default_rng(3)
-    model = _model(rng)
-    x = Curve(PRED_GRID, rng.normal(size=50))
-    y = Curve(RESP_GRID, rng.normal(size=30))
-    assert conformity_score(model, x, y) == -sup_distance(y, predict(model, x))
+    pairs = _random_pairs(rng, 12)
+    cal = calibrate(pairs, 0.1, SemimetricSpec.parse("deriv1"), KERNEL, [1, 2], split_seed=4)
+    assert cal.calibration_scores.tobytes() == _scores_by_definition(cal, pairs, 4).tobytes()
 
 
 # ---------------------------------------------------------------- calibrate
@@ -106,9 +117,7 @@ def test_calibration_scores_are_bitwise_conformity_scores():
     rng = np.random.default_rng(13)
     pairs = _random_pairs(rng, 150)  # 75 scores, past one block of predictions
     cal = calibrate(pairs, 0.1, L2, KERNEL, [2, 4], split_seed=5)
-    held_out = np.random.default_rng(5).permutation(150)[75:]
-    want = [conformity_score(cal.trained_model, pairs[i].predictor, pairs[i].response) for i in held_out]
-    assert cal.calibration_scores.tobytes() == np.array(want).tobytes()
+    assert cal.calibration_scores.tobytes() == _scores_by_definition(cal, pairs, 5).tobytes()
 
 
 # --------------------------------------------------------------------- band
@@ -129,8 +138,7 @@ def test_small_alpha_gives_degenerate_band():
     b = band(cal, Curve(PRED_GRID, np.zeros(50)))
     assert b.degenerate
     assert math.isinf(b.half_width)
-    with pytest.raises(ValueError, match="degenerate"):
-        b.lower()
+    assert contains(b, b.center.with_values(b.center.values + 1e12))
 
 
 def test_second_smallest_score_example():
@@ -172,13 +180,10 @@ def test_band_width_is_constant_in_wavelength():
     rng = np.random.default_rng(12)
     cal = calibrate(_random_pairs(rng, 12), 0.2, L2, KERNEL, [2, 3], split_seed=1)
     b = band(cal, Curve(PRED_GRID, rng.normal(size=50)))
-    gap = b.upper().values - b.lower().values
-    assert np.allclose(gap, 2.0 * b.half_width, atol=1e-12)
-    assert np.allclose(
-        b.upper().values - b.center.values,
-        b.center.values - b.lower().values,
-        atol=1e-12,
-    )
+    assert isinstance(b.half_width, float)  # one radius for every wavelength
+    lower, upper = b.center.values - b.half_width, b.center.values + b.half_width
+    assert np.allclose(upper - lower, 2.0 * b.half_width, atol=1e-12)
+    assert np.allclose(upper - b.center.values, b.center.values - lower, atol=1e-12)
 
 
 def test_boundary_rank_arithmetic_is_exact():
@@ -202,9 +207,20 @@ def test_contains_center_and_rejects_offsets():
 
 def test_degenerate_band_contains_everything():
     center = Curve(RESP_GRID, np.zeros(30))
-    b = ConformalBand(center, math.inf, alpha=0.01, degenerate=True)
+    b = ConformalBand(center, math.inf, alpha=0.01)
     wild = Curve(RESP_GRID, 1e12 * np.ones(30))
     assert contains(b, wild)
+
+
+def test_band_is_degenerate_exactly_when_its_half_width_is_infinite():
+    center = Curve(RESP_GRID, np.zeros(30))
+    assert [ConformalBand(center, h, 0.1).degenerate for h in (0.0, 0.5, 1e300, math.inf)] == [
+        False, False, False, True]
+    for bad in (-0.5, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="half width"):
+            ConformalBand(center, bad, 0.1)
+    with pytest.raises(TypeError):  # no flag that could disagree with the width
+        ConformalBand(center, 0.5, 0.1, degenerate=True)
 
 
 # ------------------------------------------------------- marginal validity

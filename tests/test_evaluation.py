@@ -101,7 +101,7 @@ def test_overall_mean_averages_the_mean_curve():
 
 def test_coverage_rates():
     center = _curve(1.0)
-    degenerate = ConformalBand(center, math.inf, 0.1, degenerate=True)
+    degenerate = ConformalBand(center, math.inf, 0.1)
     assert coverage_rate([degenerate] * 3, [_curve(1e9)] * 3) == 1.0
 
     zero_width = ConformalBand(center, 0.0, 0.1)

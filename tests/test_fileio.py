@@ -185,7 +185,7 @@ def test_regression_round_trip_reproduces_predictions_bitwise(tmp_path):
         )
         for _ in range(7)
     )
-    model = FittedRegression(pairs, SemimetricSpec.sobolev(1), KernelSpec(), kappa=3)
+    model = FittedRegression(pairs, SemimetricSpec.parse("deriv1"), KernelSpec(), kappa=3)
     config = PipelineConfig(
         predictor_points=40, response_points=30, normalization_wavelength=1400.1,
         kappa_candidates=(3, 5), span=0.35, span_candidates=(0.2, 0.7),
@@ -212,7 +212,7 @@ def _saved_model(path):
     pred_grid, resp_grid = WavelengthGrid(np.linspace(1300.0, 1600.0, 5)), WavelengthGrid(np.linspace(1050.0, 1185.0, 5))
     pairs = tuple(CurvePair(Curve(pred_grid, np.full(5, i + 1.0)), Curve(resp_grid, np.full(5, -i - 1.0)))
                   for i in range(4))
-    save_regression(FittedRegression(pairs, SemimetricSpec.l2(), KernelSpec(), kappa=2), path,
+    save_regression(FittedRegression(pairs, SemimetricSpec.parse("l2"), KernelSpec(), kappa=2), path,
                     PipelineConfig(predictor_points=5, response_points=5))
     return json.loads(path.read_text())
 
@@ -226,8 +226,19 @@ def _saved_model(path):
         (lambda d: d.update(predictors=5), "model's 'predictors' and 'responses' are not lists of equal length"),
         (lambda d: d.update(responses={}), "model's 'predictors' and 'responses' are not lists of equal length"),
         (lambda d: d["predictors"].pop(), "model's 'predictors' and 'responses' are not lists of equal length"),
+        (lambda d: d.update(semimetric=["l2"]),
+         "bad value in the model: unknown semimetric ['l2']; expected one of ['deriv1', 'deriv2', 'l2']"),
+        (lambda d: d.update(semimetric="foo"),
+         "bad value in the model: unknown semimetric 'foo'; expected one of ['deriv1', 'deriv2', 'l2']"),
+        (lambda d: d.update(predictor_grid={}), "bad value in the model: a null, list or object where numbers belong"),
+        (lambda d: d.update(predictors=[{"flux": row} for row in d["predictors"]]),
+         "bad value in the model: a null, list or object where numbers belong"),
+        (lambda d: d.update(kappa=0), "bad value in the model: kappa must satisfy 1 <= kappa <= n-1 = 3, got 0"),
+        (lambda d: d["responses"][1].pop(), "bad value in the model: curve has 4 values for a 5-point grid"),
     ],
-    ids=["kappa-null", "kappa-float", "kappa-bool", "predictors-number", "responses-object", "predictors-short"],
+    ids=["kappa-null", "kappa-float", "kappa-bool", "predictors-number", "responses-object", "predictors-short",
+         "semimetric-list", "semimetric-unknown", "grid-object", "predictor-rows-objects", "kappa-zero",
+         "response-row-short"],
 )
 def test_model_value_of_the_wrong_type_is_rejected(tmp_path, edit, message):
     path = tmp_path / "model.json"
@@ -254,12 +265,41 @@ def test_conformal_band_round_trip(tmp_path):
 
 def test_degenerate_band_round_trip(tmp_path):
     grid = WavelengthGrid(np.linspace(1050.0, 1185.0, 20))
-    band = ConformalBand(Curve(grid, np.zeros(20)), math.inf, alpha=0.01, degenerate=True)
+    band = ConformalBand(Curve(grid, np.zeros(20)), math.inf, alpha=0.01)
     save_conformal_band(band, tmp_path / "band.json", 2.5)
     document = json.loads((tmp_path / "band.json").read_text())
-    assert document["half_width"] is None
+    assert document["degenerate"] is True and document["half_width"] is None
     back, _ = load_conformal_band(tmp_path / "band.json")
     assert back.degenerate and math.isinf(back.half_width)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(half_width=[1]), "bad value in the band: a null, list or object where numbers belong"),
+        (lambda d: d.update(grid={}), "bad value in the band: a null, list or object where numbers belong"),
+        (lambda d: d.update(half_width=None), "band's 'half_width' must be null exactly when 'degenerate' is true"),
+        (lambda d: d.update(degenerate=True), "band's 'half_width' must be null exactly when 'degenerate' is true"),
+        (lambda d: d.update(degenerate="false"), "band's 'half_width' must be null exactly when 'degenerate' is true"),
+        (lambda d: d.update(half_width=-0.5), "bad value in the band: half width must be non-negative"),
+        (lambda d: d["center"].pop(), "bad value in the band: curve has 19 values for a 20-point grid"),
+        (lambda d: d.pop("degenerate"), "band has no 'degenerate'"),
+        (lambda d: d.pop("normalization"), "band has no 'normalization'"),
+    ],
+    ids=["half-width-list", "grid-object", "half-width-null", "degenerate-with-width", "degenerate-string",
+         "half-width-negative", "center-short",
+         "no-degenerate", "no-normalization"],
+)
+def test_malformed_band_is_rejected_naming_the_file(tmp_path, edit, message):
+    path = tmp_path / "band.json"
+    save_conformal_band(ConformalBand(Curve(WavelengthGrid(np.linspace(1050.0, 1185.0, 20)), np.ones(20)), 0.4, 0.1),
+                        path, 2.5)
+    document = json.loads(path.read_text())
+    edit(document)
+    path.write_text(json.dumps(document))
+    with pytest.raises(ValueError) as excinfo:
+        load_conformal_band(path)
+    assert str(excinfo.value) == f"{path}: {message}; rerun predict"
 
 
 def test_writers_are_byte_identical_across_reruns(tmp_path):

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from specband.curves import Curve, WavelengthGrid, trapezoid_weights
-from specband.fpca import (
-    FpcaModel,
-    explained_variance,
-    fit_fpca,
-    project,
-    reconstruct,
-    scree_rows,
-)
+from specband.fpca import FpcaModel, fit_fpca, project, scree_rows
 
 GRID = WavelengthGrid(np.linspace(1.0, 3.0, 60))
 W = trapezoid_weights(GRID.points)
@@ -54,7 +47,7 @@ def test_identical_curves_give_zero_spectrum():
     assert np.allclose(model.mean.values, c)
     assert np.all(np.abs(model.eigenvalues) < 1e-12)
     with pytest.raises(ValueError, match="zero"):
-        explained_variance(model)
+        scree_rows(model)
 
 
 def test_recovers_a_known_three_component_model():
@@ -141,9 +134,10 @@ def test_full_rank_reconstruction_of_training_curves():
     n = 9
     curves = [Curve(GRID, rng.normal(size=60)) for _ in range(n)]
     model = fit_fpca(curves, m=n - 1)
+    components = np.stack([comp.values for comp in model.components])
     for c in curves:
-        back = reconstruct(model, project(model, c))
-        assert _l2_norm(back.values - c.values) < 1e-6
+        back = model.mean.values + project(model, c) @ components
+        assert _l2_norm(back - c.values) < 1e-6
 
 
 def test_explained_variance_fractions():
@@ -155,14 +149,14 @@ def test_explained_variance_fractions():
         eigenvalues=np.array([3.0, 1.0]),
         grid=GRID,
     )
-    assert np.allclose(explained_variance(model), [0.75, 1.0])
+    assert np.allclose([fraction for _, _, fraction in scree_rows(model)], [0.75, 1.0])
 
 
 def test_explained_variance_rank_one():
     rng = np.random.default_rng(9)
     c = rng.normal(size=60)
     model = fit_fpca([Curve(GRID, c), Curve(GRID, -c)], m=1)
-    assert explained_variance(model)[-1] == pytest.approx(1.0, abs=1e-10)
+    assert scree_rows(model)[0][2] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_component_sign_is_fixed_leading_positive():
@@ -197,7 +191,7 @@ def test_mock_responses_concentrate_in_five_components():
     lam, flux = samples[0][0], np.stack([f for _, f in samples])
     spans = select_spans(lam, flux, PipelineConfig().span_candidates)
     curves = [Curve(resp_grid, v) for v in smooth_block(lam, flux, (1050.0, 1185.0), spans, resp_grid)]
-    fraction = explained_variance(fit_fpca(curves, m=5))[-1]
+    fraction = scree_rows(fit_fpca(curves, m=5))[4][2]  # carried by the leading five
     assert fraction > 0.9
 
 

@@ -1,15 +1,10 @@
 """Peak-memory guards for the stages that compare n curves, measured with tracemalloc.
 
 numpy reports its buffers to tracemalloc, so the traced peak of a call is
-the most its arrays held at once. A distance matrix needs the (n, n) result
-plus one Gram buffer. The plain expression ``sqrt(maximum(sa + sb - 2
-gram, 0))`` holds three (numpy reuses the temporary sum in place), so the
-bound sits between the two, at two and a half (n, n) float64 buffers, with
-room for the small per-block arrays.
-
-Leave-one-out kappa selection and ``predict_many`` hold no (n, n) array: they
-search the training rows one block of queries at a time. Their peak is at
-least one block's (_BLOCK_ROWS, n) screen and less than one (n, n) buffer.
+the most its arrays held at once. Leave-one-out kappa selection and
+``predict_many`` hold no (n, n) array: they search the training rows one
+block of queries at a time. Their peak is at least one block's
+(_BLOCK_ROWS, n) screen and less than one (n, n) buffer.
 """
 
 import tracemalloc
@@ -18,10 +13,9 @@ import numpy as np
 
 from specband.curves import Curve, CurvePair, WavelengthGrid
 from specband.regression import _BLOCK_ROWS, FittedRegression, KernelSpec, kappa_cv_scores, predict_many
-from specband.semimetrics import SemimetricSpec, distance_matrix
+from specband.semimetrics import SemimetricSpec
 
 N = 600
-BOUND = 5 * N * N * 8 // 2
 SQUARE = N * N * 8
 BLOCK = _BLOCK_ROWS * N * 8
 GRID = WavelengthGrid(np.linspace(1.0, 2.0, 40))
@@ -47,20 +41,14 @@ def _pairs(seed):
     ]
 
 
-def test_distance_matrix_peak_stays_under_two_and_a_half_square_buffers():
-    values = np.random.default_rng(0).normal(size=(N, 40))
-    peak = _traced_peak(lambda: distance_matrix(SemimetricSpec.l2(), values, values, GRID.points))
-    assert SQUARE <= peak < BOUND, f"{peak / 1e6:.2f} MB traced"
-
-
 def test_kappa_cv_peak_stays_under_one_square_buffer():
     pairs = _pairs(1)
-    peak = _traced_peak(lambda: kappa_cv_scores(pairs, SemimetricSpec.l2(), KernelSpec(), [2, 4, 8, 16, 32]))
+    peak = _traced_peak(lambda: kappa_cv_scores(pairs, SemimetricSpec.parse("l2"), KernelSpec(), [2, 4, 8, 16, 32]))
     assert BLOCK <= peak < SQUARE, f"{peak / 1e6:.2f} MB traced"
 
 
 def test_predict_many_peak_stays_under_one_square_buffer():
-    model = FittedRegression(tuple(_pairs(2)), SemimetricSpec.l2(), KernelSpec(), 32)
+    model = FittedRegression(tuple(_pairs(2)), SemimetricSpec.parse("l2"), KernelSpec(), 32)
     model.reference, model.response_matrix  # the model's own caches, built once
     queries = np.random.default_rng(3).normal(size=(N, 40))
     peak = _traced_peak(lambda: predict_many(model, queries))

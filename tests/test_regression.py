@@ -13,9 +13,9 @@ from specband.regression import (
     prediction_weights,
     select_kappa_cv,
 )
-from specband.semimetrics import SemimetricSpec, distance, distance_matrix, distances_to
+from specband.semimetrics import SemimetricSpec, distance, distances_to
 
-L2 = SemimetricSpec.l2()
+L2 = SemimetricSpec.parse("l2")
 KERNEL = KernelSpec()
 
 # predictor grid on a unit-length interval so constant-offset curves have an
@@ -245,7 +245,7 @@ def test_derivative_semimetric_ignores_constant_offsets():
     predictors = [rng.normal(size=101) for _ in range(6)]
     responses = [rng.normal(size=40) for _ in range(6)]
     pairs = tuple(_pair(p, r) for p, r in zip(predictors, responses))
-    model = FittedRegression(pairs, SemimetricSpec.sobolev(1), KERNEL, kappa=3)
+    model = FittedRegression(pairs, SemimetricSpec.parse("deriv1"), KERNEL, kappa=3)
     x = rng.normal(size=101)
     base = predict(model, Curve(PRED_GRID, x))
     shifted = predict(model, Curve(PRED_GRID, x + 5.0))
@@ -267,7 +267,7 @@ def test_duplicate_predictors_share_weight():
 
 def test_predict_many_matches_brute_force_past_the_first_block():
     # constant integer offsets on a grid with dyadic trapezoid weights (1/16,
-    # 1/8) summing to 1: the Gram distances are the exact |offset differences|
+    # 1/8) summing to 1: the distances are the exact |offset differences|
     grid = WavelengthGrid(np.linspace(1.0, 2.0, 9))
     rng = np.random.default_rng(16)
     offsets = [0, 0, *range(10, 210, 10)]
@@ -280,7 +280,7 @@ def test_predict_many_matches_brute_force_past_the_first_block():
     query_offsets[regression._BLOCK_ROWS + 3] = 0.0
     query_offsets[regression._BLOCK_ROWS + 7] = 15.0
     queries = np.repeat(query_offsets[:, None], 9, axis=1)
-    dmat = distance_matrix(L2, queries, model.predictor_matrix, grid.points)
+    dmat = np.stack([distances_to(L2, model.predictor_matrix, q, grid.points) for q in queries])
     assert np.array_equal(dmat, np.abs(query_offsets[:, None] - np.array(offsets, dtype=float)))
 
     got = predict_many(model, queries)
@@ -369,7 +369,7 @@ def test_loo_table_matches_brute_force_past_the_first_block():
     values[-10:] = values[:10]
     values[-15:-10] = values[:5] + 3.0
     pairs = tuple(_pair(v, rng.normal(size=40)) for v in values)
-    d1 = SemimetricSpec.sobolev(1)
+    d1 = SemimetricSpec.parse("deriv1")
     n = len(pairs)
     candidates = [1, 3, 8]
     table = dict(kappa_cv_scores(pairs, d1, KERNEL, candidates))
@@ -394,7 +394,9 @@ def test_gram_screen_alone_would_pick_wrong_neighbours():
     pairs = tuple(CurvePair(Curve(grid, v), Curve(RESP_GRID, rng.normal(size=40))) for v in values)
     model = FittedRegression(pairs, L2, KERNEL, kappa=8)
     queries = 1e4 + 1e-7 * rng.normal(size=(10, 300))
-    gram = distance_matrix(L2, queries, values, grid.points)
+    w = trapezoid_weights(grid.points)
+    q_sq, v_sq = np.sum(queries * queries * w, axis=1), np.sum(values * values * w, axis=1)
+    gram = np.sqrt(np.maximum(q_sq[:, None] + v_sq[None, :] - 2.0 * (queries @ (values * w).T), 0.0))
     direct = np.stack([distances_to(L2, values, q, grid.points) for q in queries])
     assert np.max(np.abs(gram - direct)) > 100 * np.max(direct)
     assert any(set(np.argsort(g)[:9]) != set(np.argsort(d)[:9]) for g, d in zip(gram, direct))
@@ -426,7 +428,7 @@ def test_squared_distances_that_tie_after_the_square_root_share_the_bandwidth():
     assert np.allclose(brute_force_prediction(model, x), pairs[2].response.values, atol=1e-12)
 
 
-@pytest.mark.parametrize("semimetric", [L2, SemimetricSpec.sobolev(1), SemimetricSpec.sobolev(2)])
+@pytest.mark.parametrize("semimetric", [L2, SemimetricSpec.parse("deriv1"), SemimetricSpec.parse("deriv2")])
 def test_predict_is_bitwise_predict_many_past_the_first_block(semimetric):
     rng = np.random.default_rng(26)
     pairs = tuple(_pair(rng.normal(size=101), rng.normal(size=40)) for _ in range(150))

@@ -18,7 +18,7 @@ from specband.wild_bootstrap import (
     sample_v,
 )
 
-L2 = SemimetricSpec.l2()
+L2 = SemimetricSpec.parse("l2")
 KERNEL = KernelSpec()
 PRED_GRID = WavelengthGrid(np.linspace(2.0, 3.0, 40))
 RESP_GRID = WavelengthGrid(np.linspace(1.0, 1.5, 25))
