@@ -166,15 +166,13 @@ def cmd_predict(model_path, manifest, out_dir, **flags) -> None:
         config.kappa_candidates,
         split_seed=config.seed,
     )
+    if np.isinf(calibration.half_width):  # alpha and n2 decide it for every band
+        click.echo(f"warning: alpha={config.alpha} is too small for the calibration "
+                   f"size n2={calibration.n2}; every band is degenerate", err=True)
     out_dir.mkdir(parents=True, exist_ok=True)
     for record, (predictor, ref) in zip(records, predictors):
         prediction = regression_mod.predict(model, predictor)
         band = conformal_mod.band(calibration, predictor)
-        if band.degenerate:
-            click.echo(
-                f"warning: alpha={config.alpha} is too small for the calibration "
-                f"size; band for {record.id} is degenerate", err=True,
-            )
         fileio.write_curve(out_dir / f"{record.id}_prediction.csv", prediction)
         fileio.save_conformal_band(band, out_dir / f"{record.id}_band.json", ref)
     click.echo(f"wrote predictions for {len(records)} spectra under {out_dir}")

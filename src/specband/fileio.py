@@ -46,7 +46,7 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def _dump_json(document: dict, path: Path) -> None:
-    atomic_write_text(Path(path), json.dumps(document, indent=1) + "\n")
+    atomic_write_text(Path(path), json.dumps(document) + "\n")
 
 
 def _load_json(path: Path, expected_kind: str) -> dict:

@@ -83,7 +83,7 @@ class FittedRegression:
         return np.stack([p.response.values for p in self.pairs])
 
     @cached_property
-    def reference(self) -> tuple[FloatArray, FloatArray]:  # what every search reads
+    def reference(self) -> tuple:  # what every search reads
         return reference(self.semimetric, self.predictor_matrix, self.predictor_grid.points)
 
     @cached_property

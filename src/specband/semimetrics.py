@@ -11,30 +11,46 @@ own. It is exact near zero, ``distance(a, a) == 0.0``, and swapping the
 curves gives the same bits. :func:`distances_to` evaluates it for one query.
 
 :func:`nearest` finds each query's ``count`` nearest rows by measuring only
-candidates. One Gram product screens a block of queries,
-``g = |a|^2 + |b|^2 - 2 <a, w b>`` (w the trapezoid weights, b the query),
-and the rows with ``g - B <= T`` are measured directly, bit for bit as
-:func:`distances_to` does. The expansion cancels for nearby curves (off by
-1e-6 at distance 0 on 2000 mock predictors), hence the slack
-``B = 3 (p + 4) u S`` on p grid points, u the unit roundoff and
-``S = (|a| + |b|)^2 >= |a - b|^2``. With ``gamma_k = k u / (1 - k u)``
-(Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1): the
-direct value e rounds p + 3 times along each term (the difference, twice as
-it is squared, the square, the weight, p - 1 additions in any order), so it
-is within ``gamma_(p+3) S`` of the exact squared distance; the norms and the
-Gram entry round p + 1 times along each term, within ``gamma_(p+1)`` times
-``|a|^2``, ``|b|^2`` and ``|a| |b|`` (Cauchy-Schwarz), and the last two
-additions add u S each, so g is within ``gamma_(p+4) S``. Hence
-``|g - e| < 2.01 (p + 4) u S`` while ``(p + 4) u < 0.005``; the rest of B,
-at least 5.9 u S, covers rounding the slack, ``g + B`` (formed as
-``(g - B) + 2B``) and T.
+candidates, screened by a lower bound in the rows' numerical row space
+(Faloutsos, Ranganathan & Manolopoulos 1994; Johnson, Douze & Jegou 2017).
+A curve with derivative d becomes ``z = sqrt(w) (d - mean)``, the mean over
+the rows, so the squared distance is ``e = |z_a - z_b|^2``. V (p x r) spans the
+rows' numerical range: right singular vectors of their z when n < p, else
+eigenvectors of its (p, p) Gram matrix, above numpy's matrix_rank tolerance
+(largest value times p times machine epsilon). A curve has coordinates
+``c = V^T z`` and residual norm ``rho = |z - V c|``. For any V, with
+F = V^T V - I and x = c_a - c_b, ``e = |x|^2 - x^T F x + |r_a - r_b|^2`` (r = z - V c),
+so the triangle inequality on the residuals gives
 
-The candidates are exact: T is the count-th smallest ``g + B`` times
-``1 + 8u``, and every row has ``e <= g + B``, so T bounds the count-th
-smallest e and any e whose square root ties with it (a relative gap near
-4u). Every row at or below the count-th distance has ``g - B <= e <= T``.
-The bandwidth is at most the (kappa + 1)-th distance, so the candidates hold
-every pair a weight, the bandwidth, the ties or the fallback can touch.
+    L - eta (1 + eta) S <= e <= L + 4 rho_a rho_b + eta (1 + eta) S,
+    L = |c_a - c_b|^2 + (rho_a - rho_b)^2,   S = (|z_a| + |z_b|)^2,
+
+where eta >= |F|_2 is the measured |F|_F plus ``2 (p + 1) r u`` for that
+product's rounding (u the unit roundoff). Rows of rank r have residuals at
+rounding level, so L is nearly e, one product per row with the r + 3 columns
+``(-2 c, -2 rho, |(c, rho)|^2, 1)``.
+
+Rounding moves both bounds by less than ``B = (2 eta + 20 (p + 2) sqrt(r + 1) u) S``
+while ``p r u < 1e-3``. In units of S, with gamma_k = k u / (1 - k u) for k
+roundings in any order (Higham, Accuracy and Stability of Numerical
+Algorithms, 2002, 3.1): the direct value is within gamma_(p+3) of e (the
+difference, its square, the weight, p - 1 additions) and the rounded sqrt(w)
+adds gamma_2; z rounds twice per entry, 4.1 u, as the mean goes before the
+scale; c and rho are each within ``4.1 (p + 1) sqrt(r) u |z|`` of their exact
+values (gamma_p |V|_F for c; V c, a subtraction and a norm for rho), which
+moves L by 8.4 and ``4 rho_a rho_b`` by 6.1 times ``(p + 1) sqrt(r) u``; the
+norms and the product add gamma_(2r+4). B also covers S taken from the
+(c, rho) norms (within 1 %) and its own rounding.
+
+The candidates are exact. Every row has ``L - B <= e' <= L + 4 rho_q rho_max + B``
+for its direct value e', so the count-th smallest e' is at most
+``L_k + 4 rho_q rho_max + B``, L_k the count-th smallest L. A row at or below the
+count-th distance, a tie after sqrt included (4.01 u), has
+``L <= T = (L_k + 2 B + 4 rho_q rho_max) (1 + 16 u)``; the factor also covers
+rounding T. Those rows are measured directly, bit for bit as
+:func:`distances_to` does. The bandwidth is at most the (kappa + 1)-th
+distance, so they hold every pair a weight, the bandwidth, the ties or the
+fallback can touch.
 """
 
 from __future__ import annotations
@@ -45,7 +61,8 @@ import numpy as np
 
 from .curves import Curve, FloatArray, ensure_same_grid, trapezoid_weights
 
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_EPS = np.finfo(np.float64).eps
+_UNIT_ROUNDOFF = _EPS / 2
 _TOKENS = ("l2", "deriv1", "deriv2")  # position = derivative order
 
 
@@ -99,16 +116,41 @@ def distances_to(
     return _direct(diff, trapezoid_weights(points))
 
 
-def reference(
-    spec: SemimetricSpec, values: FloatArray, points: FloatArray
-) -> tuple[FloatArray, FloatArray]:
-    """Derivative rows (for ``l2``, ``values`` itself) and their squared norms."""
+def _coords(z: FloatArray, basis: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """Each row's coordinates in ``basis`` and, last, its residual norm; their squared norms."""
+    c = z @ basis
+    rho = [np.linalg.norm(z[i : i + 256] - c[i : i + 256] @ basis.T, axis=1)
+           for i in range(0, len(z), 256)]  # no second (n, p) temporary
+    a = np.column_stack([c, np.concatenate(rho)])
+    return a, np.einsum("ij,ij->i", a, a)
+
+
+def reference(spec: SemimetricSpec, values: FloatArray, points: FloatArray) -> tuple:
+    """What :func:`nearest` reads of the rows ``values``: the derivative rows
+    (for ``l2``, ``values`` itself), w, the mean, V, the table of L, the slack's
+    coefficient, and the largest (c, rho) norm and residual (module docstring)."""
     rows = _derivatives(spec, values, points)
-    return rows, np.sum(rows * rows * trapezoid_weights(points), axis=1)
+    w = trapezoid_weights(points)
+    mean, root_w = rows.mean(axis=0), np.sqrt(w)
+    z = rows - mean
+    z *= root_w
+    n, p = z.shape
+    if n < p:  # no (p, p) eigenproblem for a few rows
+        sv, vt = np.linalg.svd(z, full_matrices=False)[1:]
+        basis = vt[sv > sv[0] * p * _EPS].T
+    else:
+        lam, vec = np.linalg.eigh(z.T @ z)
+        basis = vec[:, lam > lam[-1] * p * _EPS]
+    r = basis.shape[1]
+    eta = np.linalg.norm(basis.T @ basis - np.eye(r)) + 2 * (p + 1) * r * _UNIT_ROUNDOFF
+    coef = 2 * eta + 20 * (p + 2) * np.sqrt(r + 1) * _UNIT_ROUNDOFF
+    a, a_sq = _coords(z, basis)
+    table = np.vstack([-2.0 * a.T, a_sq, np.ones(n)])  # L = [a, 1, |a|^2] @ table
+    return rows, w, mean, root_w, basis, table, coef, np.sqrt(a_sq.max()), a[:, -1].max()
 
 
 def nearest(
-    spec: SemimetricSpec, ref: tuple[FloatArray, FloatArray], queries: FloatArray,
+    spec: SemimetricSpec, ref: tuple, queries: FloatArray,
     points: FloatArray, count: int, exclude: np.ndarray | None = None,
 ) -> tuple[np.ndarray, FloatArray]:
     """Candidates for each query's ``count`` nearest rows of ``ref``, a :func:`reference`.
@@ -118,22 +160,21 @@ def nearest(
     the screen's next rows up to ``width``. ``exclude`` names a row per query
     to leave out. The screen holds a few (q, n) arrays: pass queries in blocks.
     """
-    rows, row_sq = ref
-    w = trapezoid_weights(points)
-    q, q_sq = reference(spec, queries, points)
-    low = np.ascontiguousarray((row_sq[:, None] + q_sq[None, :] - 2.0 * (rows @ (q * w).T)).T)  # g
+    rows, w, mean, root_w, basis, table, coef, top_norm, top_rho = ref
+    q = _derivatives(spec, queries, points)
+    a, a_sq = _coords((q - mean) * root_w, basis)
+    low = np.column_stack([a, np.ones(len(a)), a_sq]) @ table  # L
     if exclude is not None:
         low[np.arange(len(q)), exclude] = np.inf
-    slack = np.add.outer(np.sqrt(q_sq), np.sqrt(row_sq)) ** 2
-    slack *= 3 * (q.shape[1] + 4) * _UNIT_ROUNDOFF
-    low -= slack
-    slack *= 2.0
-    top = np.add(low, slack, out=slack)  # g + B, from the rows' g - B
-    top.partition(count - 1, axis=1)
-    # each query's candidates are the rows lowest in g - B; take as many for
+    slack = coef * (np.sqrt(a_sq) + top_norm) ** 2
+    order = np.argpartition(low, count - 1, axis=1)
+    top = low[np.arange(len(q)), order[:, count - 1]] + 2.0 * slack + 4.0 * a[:, -1] * top_rho
+    # each query's candidates are the rows lowest in L; take as many for
     # every query as the one that needs most
-    width = (low <= top[:, count - 1 : count] * (1.0 + 8 * _UNIT_ROUNDOFF)).sum(axis=1).max()
-    idx = np.sort(np.argpartition(low, width - 1, axis=1)[:, :width], axis=1)
+    width = (low <= top[:, None] * (1.0 + 16 * _UNIT_ROUNDOFF)).sum(axis=1).max()
+    if width > count:
+        order = np.argpartition(low, width - 1, axis=1)
+    idx = np.sort(order[:, :width], axis=1)
     diff = rows[idx]
     diff -= q[:, None, :]
     return idx, _direct(diff.reshape(-1, q.shape[1]), w).reshape(idx.shape)

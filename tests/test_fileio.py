@@ -308,3 +308,31 @@ def test_writers_are_byte_identical_across_reruns(tmp_path):
     write_spectrum(tmp_path / "one.csv", spectrum)
     write_spectrum(tmp_path / "two.csv", spectrum)
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+
+
+def test_model_and_band_files_reload_bitwise_and_rewrite_identically(tmp_path):
+    rng = np.random.default_rng(5)
+    pred_grid = WavelengthGrid(np.linspace(1300.0, 1600.0, 40))
+    resp_grid = WavelengthGrid(np.linspace(1050.0, 1185.0, 30))
+    pairs = tuple(
+        CurvePair(Curve(pred_grid, rng.normal(size=40) / 3.0), Curve(resp_grid, rng.normal(size=30) * 1e-7))
+        for _ in range(6)
+    )
+    model = FittedRegression(pairs, SemimetricSpec.parse("l2"), KernelSpec(), kappa=2)
+    band = ConformalBand(Curve(resp_grid, rng.normal(size=30) / 7.0), 0.1 + 0.2, alpha=0.1)
+    for name, save, obj, extra in (("model", save_regression, model, PipelineConfig()),
+                                   ("band", save_conformal_band, band, 1 / 3)):
+        save(obj, tmp_path / f"{name}.json", extra)
+        save(obj, tmp_path / f"{name}_again.json", extra)
+        text = (tmp_path / f"{name}.json").read_bytes()
+        assert text == (tmp_path / f"{name}_again.json").read_bytes()
+        assert text.count(b"\n") == 1  # one line: the stdlib's C encoder, not its indenting Python one
+    back, _ = load_regression(tmp_path / "model.json")
+    assert back.predictor_matrix.tobytes() == model.predictor_matrix.tobytes()
+    assert back.response_matrix.tobytes() == model.response_matrix.tobytes()
+    assert back.predictor_grid.points.tobytes() == pred_grid.points.tobytes()
+    assert back.response_grid.points.tobytes() == resp_grid.points.tobytes()
+    band_back, normalization = load_conformal_band(tmp_path / "band.json")
+    assert band_back.center.values.tobytes() == band.center.values.tobytes()
+    assert (band_back.half_width, band_back.alpha, normalization) == (band.half_width, band.alpha, 1 / 3)

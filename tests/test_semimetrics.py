@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from specband.curves import Curve, WavelengthGrid
+from specband.curves import Curve, WavelengthGrid, trapezoid_weights
 from specband.semimetrics import (
     SemimetricSpec,
     distance,
@@ -160,3 +160,60 @@ def test_nearest_leaves_out_the_excluded_row():
         assert i not in rows
         assert got.tobytes() == distances_to(L2, values[rows], values[i], pts).tobytes()
     assert dist[4][list(idx[4]).index(5)] == 0.0  # the copy stays, at 0
+
+
+@pytest.mark.parametrize("p", [60, 200], ids=["more-rows-than-points", "fewer-rows-than-points"])
+@pytest.mark.parametrize("leave_out", [False, True], ids=["all-rows", "exclude"])
+@pytest.mark.parametrize("spec", [L2, D1, D2])
+def test_low_rank_screen_measures_only_the_nearest_and_their_ties(spec, leave_out, p):
+    # 150 rows of rank 4 on p points, the last 10 copies of the first 10;
+    # queries in the rows' span, copies of rows, and off it. The screen
+    # works in the rows' 4-dimensional row space, yet every row at or below
+    # a query's count-th distance is a candidate, measured bit for bit, and
+    # the width is the count plus exact ties, not a scan of every row
+    rng = np.random.default_rng(31)
+    pts = np.sort(rng.uniform(1.0, 6.0, p))
+    shapes = rng.normal(size=(4, p))
+    values = rng.normal(size=(150, 4)) @ shapes
+    values[140:] = values[:10]
+    queries = rng.normal(size=(100, 4)) @ shapes
+    queries[::10] = values[::15]
+    queries[5::10] += rng.normal(size=(10, p))
+    exclude = rng.integers(0, 150, size=100)
+    exclude[::10] = np.arange(0, 150, 15)  # a copy of a row leaves that row out, as in leave-one-out
+    count = 9
+    idx, dist = nearest(spec, reference(spec, values, pts), queries, pts, count,
+                        exclude if leave_out else None)
+    assert np.all(np.diff(idx, axis=1) > 0)
+    needed = 0
+    for q, rows, got, left in zip(queries, idx, dist, exclude):
+        assert got.tobytes() == distances_to(spec, values[rows], q, pts).tobytes()
+        full = distances_to(spec, values, q, pts)
+        if leave_out:
+            assert left not in rows
+            full[left] = np.inf
+        inside = np.flatnonzero(full <= np.sort(full)[count - 1])
+        assert set(inside) <= set(rows)
+        needed = max(needed, inside.size)
+    assert idx.shape[1] == needed
+
+
+def test_screen_bounds_the_residuals_the_basis_leaves_out():
+    # rows a + eps t and b - eps t, |a|^2 = 1, |b|^2 = 1 - 2 eps, with t of
+    # unit norm off the rows' span and eps = 1e-9 below the rank tolerance;
+    # the query t is nearest to the first (squared distance 2 - 2 eps
+    # against 2 + eps^2), yet its lower bound is the second's (2 - 4 eps):
+    # only the upper bound's residual term keeps the first a candidate
+    rng = np.random.default_rng(32)
+    pts = np.sort(rng.uniform(1.0, 6.0, 60))
+    root_w = np.sqrt(trapezoid_weights(pts))
+    span = np.linalg.qr(rng.normal(size=(60, 5)))[0] / root_w[:, None]  # weighted-orthonormal
+    a, t = span[:, 0], span[:, 4]
+    mix = rng.normal(size=(78, 4))
+    others = 3.0 * (mix / np.linalg.norm(mix, axis=1, keepdims=True)) @ span[:, :4].T  # norm 3
+    eps = 1e-9
+    values = np.vstack([a + eps * t, np.sqrt(1 - 2 * eps) * a - eps * t, others])
+    idx, dist = nearest(L2, reference(L2, values, pts), t[None, :], pts, 1)
+    assert 0 in idx[0]
+    assert dist[0].tobytes() == distances_to(L2, values[idx[0]], t, pts).tobytes()
+    assert np.argmin(distances_to(L2, values, t, pts)) == 0
