@@ -50,10 +50,8 @@ _CONFIG_FLAGS = {
     "seed": click.option("--seed", type=int, default=None, help="Root random seed."),
     "alpha": click.option("--alpha", type=float, default=None, help="Miscoverage level in (0, 1)."),
     "semimetric": click.option("--semimetric", type=click.Choice(["l2", "deriv1", "deriv2"]), default=None, help="Predictor-space distance."),
-    "kappa": click.option("--kappa", type=int, default=None, help="Fixed neighbor count (skips CV)."),
-    "kappa_candidates": click.option("--kappa-candidates", default=None, help="Comma-separated CV neighbor counts."),
-    "span": click.option("--span", type=float, default=None, help="Fixed smoothing span (skips CV)."),
-    "span_candidates": click.option("--span-candidates", default=None, help="Comma-separated CV spans."),
+    "kappa_candidates": click.option("--kappa-candidates", default=None, help="Comma-separated CV neighbor counts; one count is used without CV."),
+    "span_candidates": click.option("--span-candidates", default=None, help="Comma-separated CV spans; one span is used without CV."),
 }
 
 
@@ -69,10 +67,9 @@ def _config_options(*names):
 
 
 def _build_config(config_path, **flags) -> PipelineConfig:
-    if flags.get("span_candidates") is not None:
-        flags["span_candidates"] = [float(s) for s in flags["span_candidates"].split(",")]
-    if flags.get("kappa_candidates") is not None:
-        flags["kappa_candidates"] = [int(s) for s in flags["kappa_candidates"].split(",")]
+    for name, kind in (("kappa_candidates", int), ("span_candidates", float)):
+        if flags.get(name) is not None:
+            flags[name] = [kind(s) for s in flags[name].split(",")]
     return load_config(config_path, **flags)
 
 
@@ -117,7 +114,7 @@ def cmd_mockgen(config_path, count, out_dir, **flags) -> None:
 
 
 @main.command("fit")
-@_config_options("config", "semimetric", "kappa", "kappa_candidates", "span", "span_candidates")
+@_config_options("config", "semimetric", "kappa_candidates", "span_candidates")
 @click.option("--manifest", type=click.Path(exists=True, path_type=Path), required=True, help="Spectrum manifest to fit on.")
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True, help="Model file to write.")
 @_exit_codes

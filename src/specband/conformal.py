@@ -85,8 +85,9 @@ def calibrate(
     """Split the sample, fit on one half, score conformity on the other.
 
     The split draws floor(n/2) pairs without replacement using the given
-    seed (recorded on the result); the neighbor count is re-selected by
-    leave-one-out CV on the fitted half alone.
+    seed (recorded on the result). On the fitted half alone, kappa is selected
+    by leave-one-out CV among the candidates clamped to [1, n1 - 1], or taken
+    as given when the clamp leaves one.
     """
     n = len(sample)
     if n < 4:
@@ -101,10 +102,7 @@ def calibrate(
     score_pairs = [sample[i] for i in order[n1:]]
 
     candidates = sorted({min(max(int(k), 1), n1 - 1) for k in kappa_candidates})
-    if n1 >= 3 and len(candidates) > 1:
-        kappa = select_kappa_cv(fit_pairs, semimetric, kernel, candidates)
-    else:
-        kappa = candidates[0]
+    kappa = select_kappa_cv(fit_pairs, semimetric, kernel, candidates)
     model = FittedRegression(tuple(fit_pairs), semimetric, kernel, kappa)
 
     if not all(p.predictor.grid.matches(model.predictor_grid)

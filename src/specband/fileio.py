@@ -227,8 +227,10 @@ def save_regression(model: FittedRegression, path: Path, config: PipelineConfig)
 
 def load_regression(path: Path) -> tuple[FittedRegression, dict]:
     document = _load_json(Path(path), "knn_functional_regression")
-    if not isinstance(document.get("config"), dict) or document["config"].keys() != set(MODEL_SETTINGS):
-        raise ValueError(f"{path}: model has no 'config' recording {list(MODEL_SETTINGS)}; rerun fit")
+    record = document.get("config")
+    if not isinstance(record, dict) or record.keys() != set(MODEL_SETTINGS):
+        odd = f" (its keys differ in {sorted(set(record) ^ set(MODEL_SETTINGS))})" if isinstance(record, dict) else ""
+        raise ValueError(f"{path}: model has no 'config' recording {list(MODEL_SETTINGS)}{odd}; rerun fit")
     for key in ("predictor_grid", "response_grid", "predictors", "responses", "semimetric", "kappa"):
         if key not in document:
             raise ValueError(f"{path}: model has no {key!r}; rerun fit")
@@ -238,7 +240,7 @@ def load_regression(path: Path) -> tuple[FittedRegression, dict]:
     if not (isinstance(predictors, list) and isinstance(responses, list) and len(predictors) == len(responses)):
         raise ValueError(f"{path}: model's 'predictors' and 'responses' are not lists of equal length; rerun fit")
     try:
-        load_config(**document["config"])
+        load_config(**record)
     except ValueError as err:
         raise ValueError(f"{path}: bad value in the model's 'config' record: {err}; rerun fit") from None
     try:  # values that numpy, a grid, a curve or the regression rejects
@@ -250,7 +252,7 @@ def load_regression(path: Path) -> tuple[FittedRegression, dict]:
                                  document["kappa"])
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: bad value in the model: {_reason(err)}; rerun fit") from None
-    return model, document["config"]
+    return model, record
 
 
 # ------------------------------------------------------------ band documents

@@ -27,7 +27,7 @@ from .curves import (
     nearest_index,
     to_rest_frame,
 )
-from .regression import FittedRegression, KernelSpec, best_kappa, kappa_cv_scores
+from .regression import FittedRegression, KernelSpec, select_kappa
 from .semimetrics import SemimetricSpec
 from .smoothing import in_range, select_spans, smooth_block
 
@@ -40,9 +40,7 @@ class PipelineConfig:
     response_points: int = 200
     normalization_wavelength: float = 1300.0
     semimetric: str = "l2"
-    kappa: int | None = None
     kappa_candidates: tuple[int, ...] = (2, 4, 8, 16, 32)
-    span: float | None = None
     span_candidates: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     alpha: float = 0.1
     bootstrap_replicates: int = 500
@@ -65,12 +63,10 @@ class PipelineConfig:
                 raise ValueError(f"empty wavelength range [{low}, {high}]")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if min(self.kappa_candidates, default=0) < 1 or (self.kappa is not None and self.kappa < 1):
-            raise ValueError("kappa and every kappa candidate (at least one) must be at least 1, "
-                             f"got kappa={self.kappa}, kappa_candidates={self.kappa_candidates}")
+        if min(self.kappa_candidates, default=0) < 1:
+            raise ValueError("every kappa candidate (at least one) must be at least 1, "
+                             f"got kappa_candidates={self.kappa_candidates}")
         SemimetricSpec.parse(self.semimetric)
-        if self.span is not None and not 0.0 < self.span <= 1.0:
-            raise ValueError("span must be in (0, 1]")
         if not self.span_candidates:
             raise ValueError("span_candidates must not be empty")
         if not all(0.0 < s <= 1.0 for s in self.span_candidates):
@@ -90,7 +86,7 @@ class PipelineConfig:
 
 # recorded in the model file: how predict and bootstrap must treat a query
 MODEL_SETTINGS = ("predictor_range", "response_range", "predictor_points", "response_points",
-                  "normalization_wavelength", "kappa_candidates", "span", "span_candidates")
+                  "normalization_wavelength", "kappa_candidates", "span_candidates")
 
 _TUPLE_FIELDS = {
     "predictor_range": float,
@@ -99,7 +95,6 @@ _TUPLE_FIELDS = {
     "span_candidates": float,
 }
 _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(PipelineConfig)}
-_FIELD_TYPES.update(kappa=int, span=float)  # their default None means "choose by CV"
 
 
 def _check_type(name: str, value, kind: type) -> None:
@@ -132,7 +127,7 @@ def load_config(path: Path | None = None, **overrides) -> PipelineConfig:
             for item in value:
                 _check_type(name, item, _TUPLE_FIELDS[name])
             values[name] = tuple(_TUPLE_FIELDS[name](v) for v in value)
-        elif value is not None or name not in ("kappa", "span"):
+        else:
             _check_type(name, value, _FIELD_TYPES[name])
     return PipelineConfig(**values)
 
@@ -161,7 +156,7 @@ def smooth_spectra(
         for members in groups.values():
             lam, flux = samples[members[0]][0], np.stack([samples[i][1] for i in members])
             try:
-                spans = select_spans(lam, flux, config.span_candidates) if config.span is None else [config.span] * len(flux)
+                spans = select_spans(lam, flux, config.span_candidates)
                 for i, row in zip(members, smooth_block(lam, flux, wl_range, spans, grid)):
                     rows[i] = row
             except ValueError as err:
@@ -179,13 +174,11 @@ def smooth_spectra(
 def fit_pairs(
     pairs: list[CurvePair], config: PipelineConfig
 ) -> tuple[FittedRegression, list[tuple[int, float]]]:
-    """Select the neighbor count (unless fixed) and build the regression."""
+    """Select kappa among the candidates that fit n (``select_kappa``) and build the regression."""
     if len(pairs) < 3:
         raise ValueError(f"need at least 3 usable spectra to fit, got {len(pairs)}")
     kernel = KernelSpec()
     spec = SemimetricSpec.parse(config.semimetric)
-    if config.kappa is not None:
-        return FittedRegression(tuple(pairs), spec, kernel, config.kappa), []
     candidates = sorted(
         {k for k in config.kappa_candidates if 1 <= k <= len(pairs) - 1}
     )
@@ -193,5 +186,5 @@ def fit_pairs(
         raise ValueError(
             f"no kappa candidate fits the sample size n={len(pairs)}"
         )
-    table = kappa_cv_scores(pairs, spec, kernel, candidates)
-    return FittedRegression(tuple(pairs), spec, kernel, best_kappa(table)), table
+    kappa, table = select_kappa(pairs, spec, kernel, candidates)
+    return FittedRegression(tuple(pairs), spec, kernel, kappa), table

@@ -7,8 +7,8 @@ training response curves,
 
 with a quadratic kernel K(u) = 1 - u^2 supported on [0, 1] and a bandwidth h
 chosen per query so that exactly ``kappa`` training predictors fall inside
-it. The neighbor count ``kappa`` is selected by leave-one-out
-cross-validation on the squared-L2 prediction error.
+it. The neighbor count ``kappa`` is selected by leave-one-out CV on the
+squared-L2 prediction error, or used as given when it is the one candidate.
 """
 
 from __future__ import annotations
@@ -50,12 +50,10 @@ class FittedRegression:
         n = len(self.pairs)
         if n < 2:
             raise ValueError("a fitted regression needs at least 2 training pairs")
-        pred_grid = self.pairs[0].predictor.grid
-        resp_grid = self.pairs[0].response.grid
         for pair in self.pairs[1:]:
-            if not pair.predictor.grid.matches(pred_grid):
+            if not pair.predictor.grid.matches(self.predictor_grid):
                 raise ValueError("all training predictors must share one grid")
-            if not pair.response.grid.matches(resp_grid):
+            if not pair.response.grid.matches(self.response_grid):
                 raise ValueError("all training responses must share one grid")
         if not 1 <= self.kappa <= n - 1:
             raise ValueError(
@@ -192,15 +190,15 @@ def kappa_cv_scores(
         if not 1 <= kappa <= n - 1:
             raise ValueError(f"candidate kappa={kappa} outside [1, {n - 1}]")
 
-    x_mat = np.stack([p.predictor.values for p in pairs])
-    y_mat = np.stack([p.response.values for p in pairs])
-    grid = pairs[0].predictor.grid.points
-    quad = trapezoid_weights(pairs[0].response.grid.points)
+    # the pairs face a model's checks (kappa 1 fits any n); it holds their rows and search reference
+    model = FittedRegression(tuple(pairs), semimetric, kernel, 1)
+    x_mat, y_mat, ref = model.predictor_matrix, model.response_matrix, model.reference
+    grid = model.predictor_grid.points
+    quad = trapezoid_weights(model.response_grid.points)
     kappas = [min(int(kappa), n - 2) for kappa in kappa_candidates]
     # leaving pair i out: the search skips row i, so the full response
     # matrix serves every fit, and one search serves every candidate
     errors = np.empty((len(kappas), n))
-    ref = reference(semimetric, x_mat, grid)
     for start in range(0, n, _BLOCK_ROWS):
         block = np.arange(start, min(start + _BLOCK_ROWS, n))
         idx, dist = nearest(semimetric, ref, x_mat[block], grid, max(kappas) + 1, block)
@@ -212,16 +210,17 @@ def kappa_cv_scores(
     ]
 
 
-def best_kappa(table: Sequence[tuple[int, float]]) -> int:
-    """Candidate with the smallest score; ties go to the smaller kappa."""
-    return min(table, key=lambda entry: (entry[1], entry[0]))[0]
+def select_kappa(pairs: Sequence[CurvePair], semimetric: SemimetricSpec, kernel: KernelSpec,
+                 kappa_candidates: Sequence[int]) -> tuple[int, list[tuple[int, float]]]:
+    """The neighbor count of least leave-one-out score, ties to the smaller kappa, and
+    the table; one candidate in [1, n-1] is used as given, without CV (empty table)."""
+    if len(kappa_candidates) == 1 and 1 <= kappa_candidates[0] <= len(pairs) - 1:
+        return int(kappa_candidates[0]), []
+    table = kappa_cv_scores(pairs, semimetric, kernel, kappa_candidates)  # checks the list
+    return min(table, key=lambda entry: (entry[1], entry[0]))[0], table
 
 
-def select_kappa_cv(
-    pairs: Sequence[CurvePair],
-    semimetric: SemimetricSpec,
-    kernel: KernelSpec,
-    kappa_candidates: Sequence[int],
-) -> int:
-    """Candidate with the smallest leave-one-out error; ties go to smaller kappa."""
-    return best_kappa(kappa_cv_scores(pairs, semimetric, kernel, kappa_candidates))
+def select_kappa_cv(pairs: Sequence[CurvePair], semimetric: SemimetricSpec, kernel: KernelSpec,
+                    kappa_candidates: Sequence[int]) -> int:
+    """The neighbor count :func:`select_kappa` picks; ties go to the smaller kappa."""
+    return select_kappa(pairs, semimetric, kernel, kappa_candidates)[0]

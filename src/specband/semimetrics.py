@@ -15,12 +15,18 @@ candidates, screened by a lower bound in the rows' numerical row space
 (Faloutsos, Ranganathan & Manolopoulos 1994; Johnson, Douze & Jegou 2017).
 A curve with derivative d becomes ``z = sqrt(w) (d - mean)``, the mean over
 the rows, so the squared distance is ``e = |z_a - z_b|^2``. V (p x r) spans the
-rows' numerical range: right singular vectors of their z when n < p, else
-eigenvectors of its (p, p) Gram matrix, above numpy's matrix_rank tolerance
-(largest value times p times machine epsilon). A curve has coordinates
-``c = V^T z`` and residual norm ``rho = |z - V c|``. For any V, with
-F = V^T V - I and x = c_a - c_b, ``e = |x|^2 - x^T F x + |r_a - r_b|^2`` (r = z - V c),
-so the triangle inequality on the residuals gives
+rows' numerical range: for n < p the right singular vectors of z with
+``s > s_max p eps`` (numpy's matrix_rank cut), else the eigenvectors of the
+Gram matrix ``z^T z`` with ``lam > lam_max p eps``, i.e. ``s > s_max sqrt(p eps)``
+(2.6e-7 s_max at p = 300): forming ``z^T z`` squares s, and its eigenvalues
+below that cut are rounding noise (on the benchmark's regression_2k
+predictors, seed 7, it keeps 10 directions; matrix_rank's s rule on sqrt(lam)
+would keep 148). Exactness does not depend on r: the bounds below hold for any
+V and every candidate is measured directly, so r only sets how many rows pass
+the screen. A curve has coordinates ``c = V^T z`` and residual norm
+``rho = |z - V c|``. For any V, with F = V^T V - I and x = c_a - c_b,
+``e = |x|^2 - x^T F x + |r_a - r_b|^2`` (r = z - V c), so the triangle
+inequality on the residuals gives
 
     L - eta (1 + eta) S <= e <= L + 4 rho_a rho_b + eta (1 + eta) S,
     L = |c_a - c_b|^2 + (rho_a - rho_b)^2,   S = (|z_a| + |z_b|)^2,

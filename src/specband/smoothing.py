@@ -3,8 +3,8 @@
 At each output wavelength a quadratic is fitted by weighted least squares to
 the span-nearest samples, with tricube weights on the distance normalized by
 the window radius; the fitted intercept is the smoothed value. The span (the
-fraction of in-range samples per window) is selected by 2-fold
-cross-validation on interleaved even/odd folds.
+fraction of in-range samples per window) is selected by 2-fold CV on
+interleaved even/odd folds, or used as given when it is the one candidate.
 
 Wavelengths increase strictly, so a point's q nearest samples are
 consecutive and the window radius is the least, over runs of q samples, of
@@ -149,9 +149,11 @@ def span_cv_table(lam: FloatArray, flux: FloatArray, spans: Sequence[float]) -> 
 
 
 def select_spans(lam: FloatArray, flux: FloatArray, spans: Sequence[float]) -> list[float]:
-    """The span minimizing each flux row's 2-fold CV error. Scores within a
-    small relative slack of the row's minimum count as tied, and ties go to
-    the largest span, whatever the order of ``spans``."""
+    """The span minimizing each flux row's 2-fold CV error, or the one span
+    given, used without CV. Scores within a small relative slack of the row's
+    minimum count as tied; ties go to the largest span, whatever the order."""
+    if len(spans) == 1:
+        return [float(spans[0])] * len(flux)
     table = span_cv_table(lam, flux, spans)
     best = table.min(axis=1, keepdims=True)
     if not np.isfinite(best).all():

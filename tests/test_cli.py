@@ -1,5 +1,8 @@
 import json
+import re
+from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -150,9 +153,38 @@ def test_fit_reports_cv_table_and_kappa(runner, config_path, mock_dir, tmp_path)
     assert len(document["predictors"]) == 12
 
 
+def test_one_candidate_fixes_kappa_and_span_without_cv(runner, config_path, mock_dir, tmp_path, monkeypatch):
+    """A one-element candidate list is used as given: no span CV and no kappa
+    CV run, fit prints no CV table, and predict's split-conformal model
+    takes the same kappa."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a single candidate must not be cross-validated")
+
+    monkeypatch.setattr("specband.smoothing.span_cv_table", forbidden)
+    monkeypatch.setattr("specband.regression.kappa_cv_scores", forbidden)
+    manifest, model = str(mock_dir / "manifest.json"), tmp_path / "model.json"
+    result = runner.invoke(main, ["fit", "--config", str(config_path), "--kappa-candidates", "3",
+                                  "--span-candidates", "0.5", "--manifest", manifest, "--out", str(model)])
+    assert result.exit_code == 0, result.output
+    assert result.output == f"selected kappa=3 on n=12 pairs -> {model}\n"
+    assert load_regression(model)[1]["kappa_candidates"] == [3]
+
+    calibrations = []
+
+    def recording(*args, **kwargs):
+        calibrations.append(calibrate(*args, **kwargs))
+        return calibrations[-1]
+
+    monkeypatch.setattr("specband.conformal.calibrate", recording)
+    result = runner.invoke(main, ["predict", "--model", str(model), "--manifest", manifest,
+                                  *QUERY_FLAGS, "--out", str(tmp_path / "pred")])
+    assert result.exit_code == 0, result.output
+    assert [c.trained_model.kappa for c in calibrations] == [3]
+
+
 def _unusable_spectra(mock_dir, tmp_path):
     """Training records plus two spectra fit must not smooth: one with no
-    response-range samples, one with 12 (enough for a fixed span, too few
+    response-range samples, one with 12 (enough for a one-span list, too few
     for span cross-validation)."""
     records = read_manifest(mock_dir / "manifest.json")
     spectrum = read_spectrum(records[0].path)
@@ -439,11 +471,13 @@ def _query_args(command, mock_dir):
     "edit, message",
     [
         (lambda record: record.clear(), "model has no 'config'"),
-        (lambda record: record.pop("span"), "model has no 'config'"),
+        (lambda record: record.pop("span_candidates"), "model has no 'config'"),
         (lambda record: record.update(span_candidates=[0.5, 1.5]), "candidate span"),
         (lambda record: record.update(predictor_points="40"), "'predictor_points'"),
+        # the `span` key that older models carry
+        (lambda record: record.update(span=None), "(its keys differ in ['span'])"),
     ],
-    ids=["no-record", "partial-record", "bad-span", "bad-type"],
+    ids=["no-record", "partial-record", "bad-span", "bad-type", "old-span-record"],
 )
 def test_model_without_a_valid_config_record_is_rejected(
     runner, mock_dir, model_path, tmp_path, command, edit, message
@@ -457,7 +491,7 @@ def test_model_without_a_valid_config_record_is_rejected(
     assert message in result.output
     assert f"error: {model_path}: " in result.output
     assert result.output.rstrip().endswith("rerun fit")
-    if "model has no" not in message:
+    if "model has no" not in result.output:
         assert "in the model's 'config' record" in result.output
 
 
@@ -599,6 +633,7 @@ def test_eval_rejects_malformed_band_naming_the_file(runner, mock_dir, pred_dir,
     assert result.output.strip() == f"error: {path}: band has no 'degenerate'; rerun predict"
 
 
+# --kappa and --span, which no command takes, are listed so that every command rejects them
 CONFIG_FLAGS = (
     "--config", "--seed", "--alpha", "--semimetric", "--kappa",
     "--kappa-candidates", "--span", "--span-candidates",
@@ -606,7 +641,7 @@ CONFIG_FLAGS = (
 # the config flags each command takes: the settings it reads
 KEPT_FLAGS = {
     "mockgen": {"--config", "--seed"},
-    "fit": {"--config", "--semimetric", "--kappa", "--kappa-candidates", "--span", "--span-candidates"},
+    "fit": {"--config", "--semimetric", "--kappa-candidates", "--span-candidates"},
     "predict": {"--seed", "--alpha"},
     "bootstrap": {"--seed", "--alpha"},
     "eval": set(),
@@ -617,6 +652,24 @@ def test_commands_take_only_the_config_flags_they_read():
     for command, kept in KEPT_FLAGS.items():
         options = {opt for param in main.commands[command].params for opt in param.opts}
         assert options & set(CONFIG_FLAGS) == kept, command
+
+
+def _readme_flag_table() -> dict[str, set[str]]:
+    """Each command's flags, both columns, as the README's command table lists them."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = {}
+    for row in re.findall(r"^\| `(\w+)` \|(.*)\|$", text, flags=re.MULTILINE):
+        code = " ".join(re.findall(r"`([^`]*)`", row[1]))
+        table[row[0]] = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", code))
+    return table
+
+
+def test_readme_flag_table_lists_each_commands_options():
+    table = _readme_flag_table()
+    assert sorted(table) == sorted(main.commands)
+    for name, command in main.commands.items():
+        options = {opt for param in command.params if isinstance(param, click.Option) for opt in param.opts}
+        assert table[name] == options, name
 
 
 @pytest.mark.parametrize(
@@ -633,7 +686,7 @@ def test_removed_config_flags_are_rejected(runner, command, flag):
     "document, message",
     [
         ({"kappa_candidates": 5}, "'kappa_candidates'"),
-        ({"span": "0.3"}, "'span'"),
+        ({"span_candidates": ["0.3"]}, "'span_candidates'"),
         ([1, 2], "config must be a JSON object"),
     ],
 )
@@ -648,13 +701,27 @@ def test_malformed_config_exits_with_code_two(runner, mock_dir, tmp_path, docume
     assert message in result.output
 
 
+@pytest.mark.parametrize("key, value", [("kappa", 3), ("span", 0.5)])
+def test_config_with_a_fixed_value_key_is_rejected_naming_the_key(runner, mock_dir, tmp_path, key, value):
+    """A fixed kappa or span is a one-element candidate list; the keys that
+    once fixed them are unknown."""
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({key: value}))
+    result = runner.invoke(
+        main,
+        ["fit", "--config", str(path), "--manifest", str(mock_dir / "manifest.json"), "--out", str(tmp_path / "m.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == f"error: unknown config keys: [{key!r}]"
+
+
 @pytest.mark.parametrize(
     "document, message",
     [
-        ({"kappa": 0}, "got kappa=0"),
+        ({"kappa_candidates": [0]}, "got kappa_candidates=(0,)"),
         ({"kappa_candidates": []}, "kappa_candidates=()"),
         ({"kappa_candidates": [0, 2]}, "kappa_candidates=(0, 2)"),
-        ({"span": 1.5}, "span must be in (0, 1]"),
+        ({"span_candidates": [1.5]}, "span must be in (0, 1]"),
         ({"span_candidates": []}, "span_candidates must not be empty"),
     ],
 )

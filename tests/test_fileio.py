@@ -188,7 +188,7 @@ def test_regression_round_trip_reproduces_predictions_bitwise(tmp_path):
     model = FittedRegression(pairs, SemimetricSpec.parse("deriv1"), KernelSpec(), kappa=3)
     config = PipelineConfig(
         predictor_points=40, response_points=30, normalization_wavelength=1400.1,
-        kappa_candidates=(3, 5), span=0.35, span_candidates=(0.2, 0.7),
+        kappa_candidates=(3, 5), span_candidates=(0.35,),
     )
     path = tmp_path / "model.json"
     save_regression(model, path, config)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from specband import pipeline
+from specband import pipeline, regression, smoothing
 from specband.curves import RawSpectrum, nearest_index, to_rest_frame
 from specband.mockgen import generate, synthetic_model
 from specband.pipeline import PipelineConfig, fit_pairs, load_config, smooth_spectra
@@ -53,6 +53,10 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"bandwidth": 2}))
     with pytest.raises(ValueError, match="unknown config keys"):
         load_config(path)
+    # a fixed kappa or span is a one-element candidate list, not a key
+    for key, value in (("kappa", 3), ("span", 0.5)):
+        with pytest.raises(ValueError, match=re.escape(f"unknown config keys: [{key!r}]")):
+            load_config(**{key: value})
 
 
 def test_pair_is_normalized_at_the_reference_wavelength():
@@ -65,11 +69,15 @@ def test_pair_is_normalized_at_the_reference_wavelength():
     assert len(pair.response.grid) == config.response_points
 
 
-def test_fixed_span_skips_cv():
+def test_fixed_span_skips_cv(monkeypatch):
+    """A one-span list is the fixed span: smoothed with it, without CV."""
     spectrum, config = _mock_spectrum(seed=4)
-    fixed = PipelineConfig(mock_grid_points=160, span=0.5)
-    ((pair_fixed, _),) = smooth_spectra([spectrum], fixed, pairs=True)
-    assert np.all(np.isfinite(pair_fixed.predictor.values))
+    fixed = PipelineConfig(mock_grid_points=160, span_candidates=(0.5,))
+    monkeypatch.setattr(smoothing, "span_cv_table", None)  # any CV call fails
+    ((pair_fixed, ref),) = smooth_spectra([spectrum], fixed, pairs=True)
+    lam, flux = in_range(to_rest_frame(spectrum), fixed.predictor_range)
+    alone = smooth_block(lam, flux[None], fixed.predictor_range, [0.5], fixed.predictor_grid())[0]
+    assert np.array_equal(pair_fixed.predictor.values, alone / ref)
 
 
 def test_rest_frame_is_applied_before_smoothing():
@@ -140,26 +148,31 @@ def test_smooth_spectra_needs_enough_samples_in_each_range():
     fails(kept(wl >= 1300.0), "[1050.0, 1185.0]", 0)
     smooth_spectra([kept(wl >= 1300.0)], config, pairs=False)
     fails(kept(wl <= 1250.0), "[1300.0, 1600.0]", 0)
-    # 12 response samples smooth with a fixed span but not under span CV
+    # 12 response samples smooth with a one-span list but not under span CV
     short = kept(wl >= wl[wl <= 1185.0][-12])
     fails(short, "[1050.0, 1185.0]", 12)
-    smooth_spectra([short], dataclasses.replace(config, span=0.5), pairs=True)
+    fixed = dataclasses.replace(config, span_candidates=(0.5,))
+    smooth_spectra([short], fixed, pairs=True)
     with pytest.raises(ValueError, match=r"\[1050.0, 1185.0\]: smoothing needs at least 9 samples, found 8$"):
-        smooth_spectra([kept(wl >= wl[wl <= 1185.0][-8])], dataclasses.replace(config, span=0.5), pairs=True)
+        smooth_spectra([kept(wl >= wl[wl <= 1185.0][-8])], fixed, pairs=True)
 
 
-def test_fit_pairs_with_fixed_kappa_skips_cv():
-    config = PipelineConfig(mock_grid_points=160, span=0.5, kappa=2)
+def test_fit_pairs_with_fixed_kappa_skips_cv(monkeypatch):
+    """A one-element candidate list is the fixed kappa, and so is a list of
+    which one candidate fits n - 1."""
+    config = PipelineConfig(mock_grid_points=160, span_candidates=(0.5,), kappa_candidates=(2,))
     model = synthetic_model(config.mock_grid(), seed=7)
     pairs = [pair for pair, _ in smooth_spectra([r.noisy for r in generate(model, 5, seed=8)], config, pairs=True)]
-    fitted, table = fit_pairs(pairs, config)
-    assert fitted.kappa == 2
-    assert table == []
+    monkeypatch.setattr(regression, "kappa_cv_scores", None)  # any CV call fails
+    for candidates in ((2,), (2, 5, 8)):
+        fitted, table = fit_pairs(pairs, dataclasses.replace(config, kappa_candidates=candidates))
+        assert fitted.kappa == 2
+        assert table == []
 
 
 def test_fit_pairs_selects_kappa_from_candidates():
     config = PipelineConfig(
-        mock_grid_points=160, span=0.5, kappa_candidates=(1, 2, 3)
+        mock_grid_points=160, span_candidates=(0.5,), kappa_candidates=(1, 2, 3)
     )
     model = synthetic_model(config.mock_grid(), seed=9)
     pairs = [pair for pair, _ in smooth_spectra([r.noisy for r in generate(model, 6, seed=10)], config, pairs=True)]

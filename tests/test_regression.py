@@ -6,7 +6,6 @@ from specband import regression
 from specband.regression import (
     FittedRegression,
     KernelSpec,
-    best_kappa,
     kappa_cv_scores,
     predict,
     predict_many,
@@ -517,10 +516,35 @@ def test_loo_prefers_averaging_for_pure_noise():
     assert wins > 10
 
 
-def test_loo_single_candidate():
+def test_loo_single_candidate(monkeypatch):
+    """A single candidate in [1, n-1] is used as given, without CV, even on
+    the two pairs too few for leave-one-out selection."""
     rng = np.random.default_rng(3)
     pairs = tuple(_pair(rng.normal(size=101), rng.normal(size=40)) for _ in range(6))
+    monkeypatch.setattr(regression, "kappa_cv_scores", None)  # any CV call fails
     assert select_kappa_cv(pairs, L2, KERNEL, [3]) == 3
+    assert regression.select_kappa(pairs, L2, KERNEL, [3]) == (3, [])
+    assert regression.select_kappa(pairs[:2], L2, KERNEL, [1]) == (1, [])
+
+
+def test_loo_rejects_pairs_the_model_rejects():
+    """Leave-one-out CV applies the model's one-grid rule: pairs alternating
+    between two predictor grids are rejected, as FittedRegression rejects them."""
+    rng = np.random.default_rng(5)
+    grids = [WavelengthGrid(np.linspace(low, low + 300.0, 30)) for low in (1300.0, 1310.0)]
+    pairs = tuple(CurvePair(Curve(grids[i % 2], rng.normal(size=30)), Curve(RESP_GRID, rng.normal(size=40)))
+                  for i in range(12))
+    candidates = [2, 4, 8]
+    for call in (kappa_cv_scores, select_kappa_cv):
+        with pytest.raises(ValueError, match="all training predictors must share one grid"):
+            call(pairs, L2, KERNEL, candidates)
+    with pytest.raises(ValueError, match="all training predictors must share one grid"):
+        FittedRegression(pairs, L2, KERNEL, 4)
+    moved = WavelengthGrid(RESP_GRID.points - 0.1)
+    pairs = tuple(CurvePair(Curve(PRED_GRID, rng.normal(size=101)), Curve(moved if i == 5 else RESP_GRID, rng.normal(size=40)))
+                  for i in range(12))
+    with pytest.raises(ValueError, match="all training responses must share one grid"):
+        kappa_cv_scores(pairs, L2, KERNEL, candidates)
 
 
 def test_loo_rejects_empty_or_out_of_range_candidates():
@@ -547,6 +571,8 @@ def test_loo_handles_duplicates_and_ties_at_the_bandwidth():
     assert select_kappa_cv(pairs, L2, KERNEL, candidates) == min(want, key=want.get)
 
 
-def test_best_kappa_ties_go_to_the_smaller_kappa():
-    assert best_kappa([(8, 1.0), (2, 1.0), (4, 3.0)]) == 2
-    assert best_kappa([(2, 2.0), (16, 0.5), (4, 0.5)]) == 4
+def test_best_kappa_ties_go_to_the_smaller_kappa(monkeypatch):
+    pairs = tuple(_pair(np.full(101, off), np.zeros(40)) for off in range(20))
+    for table, best in (([(8, 1.0), (2, 1.0), (4, 3.0)], 2), ([(2, 2.0), (16, 0.5), (4, 0.5)], 4)):
+        monkeypatch.setattr(regression, "kappa_cv_scores", lambda *args, table=table: table)
+        assert regression.select_kappa(pairs, L2, KERNEL, [k for k, _ in table]) == (best, table)

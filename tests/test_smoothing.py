@@ -187,9 +187,9 @@ def test_output_grid_must_stay_in_range():
 
 def test_config_validation():
     for span in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError, match=r"span must be in \(0, 1\]"):
-            PipelineConfig(span=span)
-    assert PipelineConfig(span=1.0).span == 1.0
+        with pytest.raises(ValueError, match=r"every candidate span must be in \(0, 1\]"):
+            PipelineConfig(span_candidates=(span,))
+    assert PipelineConfig(span_candidates=(1.0,)).span_candidates == (1.0,)
     with pytest.raises(ValueError, match="span_candidates must not be empty"):
         PipelineConfig(span_candidates=())
     with pytest.raises(ValueError, match=r"every candidate span must be in \(0, 1\]"):
@@ -239,8 +239,13 @@ def test_cv_picks_smallest_span_for_wiggly_signal():
 
 
 def test_cv_single_candidate_is_returned():
+    """A single span is used as given for every row, without CV, so the
+    20-sample minimum of span CV does not apply to it."""
     lam = np.linspace(1.0, 10.0, 40)
     assert select_spans(lam, np.ones((1, 40)), (0.5,)) == [0.5]
+    assert select_spans(lam[:12], np.ones((3, 12)), [1]) == [1.0, 1.0, 1.0]
+    with pytest.raises(ValueError, match="at least 20"):
+        select_spans(lam[:12], np.ones((3, 12)), (0.5, 1.0))
 
 
 def test_cv_selection_is_permutation_stable():
