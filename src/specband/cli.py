@@ -67,9 +67,10 @@ def _config_options(*names):
 
 
 def _build_config(config_path, **flags) -> PipelineConfig:
-    for name, kind in (("kappa_candidates", int), ("span_candidates", float)):
-        if flags.get(name) is not None:
-            flags[name] = [kind(s) for s in flags[name].split(",")]
+    if flags.get("span_candidates") is not None:
+        flags["span_candidates"] = [float(s) for s in flags["span_candidates"].split(",")]
+    if flags.get("kappa_candidates") is not None:
+        flags["kappa_candidates"] = [int(s) for s in flags["kappa_candidates"].split(",")]
     return load_config(config_path, **flags)
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import Curve, CurvePair, FloatArray, sup_distance
-from .regression import FittedRegression, KernelSpec, predict, predict_many, select_kappa_cv
+from .regression import FittedRegression, KernelSpec, fit_kappa, predict, predict_many
 from .semimetrics import SemimetricSpec
 
 
@@ -102,8 +102,7 @@ def calibrate(
     score_pairs = [sample[i] for i in order[n1:]]
 
     candidates = sorted({min(max(int(k), 1), n1 - 1) for k in kappa_candidates})
-    kappa = select_kappa_cv(fit_pairs, semimetric, kernel, candidates)
-    model = FittedRegression(tuple(fit_pairs), semimetric, kernel, kappa)
+    model = fit_kappa(fit_pairs, semimetric, kernel, candidates)[0]
 
     if not all(p.predictor.grid.matches(model.predictor_grid)
                and p.response.grid.matches(model.response_grid) for p in score_pairs):

@@ -27,7 +27,7 @@ from .curves import (
     nearest_index,
     to_rest_frame,
 )
-from .regression import FittedRegression, KernelSpec, select_kappa
+from .regression import FittedRegression, KernelSpec, fit_kappa
 from .semimetrics import SemimetricSpec
 from .smoothing import in_range, select_spans, smooth_block
 
@@ -174,7 +174,7 @@ def smooth_spectra(
 def fit_pairs(
     pairs: list[CurvePair], config: PipelineConfig
 ) -> tuple[FittedRegression, list[tuple[int, float]]]:
-    """Select kappa among the candidates that fit n (``select_kappa``) and build the regression."""
+    """Build the regression, kappa chosen among the candidates that fit n (``fit_kappa``)."""
     if len(pairs) < 3:
         raise ValueError(f"need at least 3 usable spectra to fit, got {len(pairs)}")
     kernel = KernelSpec()
@@ -186,5 +186,4 @@ def fit_pairs(
         raise ValueError(
             f"no kappa candidate fits the sample size n={len(pairs)}"
         )
-    kappa, table = select_kappa(pairs, spec, kernel, candidates)
-    return FittedRegression(tuple(pairs), spec, kernel, kappa), table
+    return fit_kappa(pairs, spec, kernel, candidates)

@@ -50,10 +50,12 @@ class FittedRegression:
         n = len(self.pairs)
         if n < 2:
             raise ValueError("a fitted regression needs at least 2 training pairs")
+        pred_grid = self.pairs[0].predictor.grid
+        resp_grid = self.pairs[0].response.grid
         for pair in self.pairs[1:]:
-            if not pair.predictor.grid.matches(self.predictor_grid):
+            if not pair.predictor.grid.matches(pred_grid):
                 raise ValueError("all training predictors must share one grid")
-            if not pair.response.grid.matches(self.response_grid):
+            if not pair.response.grid.matches(resp_grid):
                 raise ValueError("all training responses must share one grid")
         if not 1 <= self.kappa <= n - 1:
             raise ValueError(
@@ -210,17 +212,18 @@ def kappa_cv_scores(
     ]
 
 
-def select_kappa(pairs: Sequence[CurvePair], semimetric: SemimetricSpec, kernel: KernelSpec,
-                 kappa_candidates: Sequence[int]) -> tuple[int, list[tuple[int, float]]]:
-    """The neighbor count of least leave-one-out score, ties to the smaller kappa, and
-    the table; one candidate in [1, n-1] is used as given, without CV (empty table)."""
+def fit_kappa(pairs: Sequence[CurvePair], semimetric: SemimetricSpec, kernel: KernelSpec,
+              kappa_candidates: Sequence[int]) -> tuple[FittedRegression, list[tuple[int, float]]]:
+    """The regression whose kappa has least LOO score (ties to the smaller) and the
+    table; one candidate in [1, n-1] is used as given, without CV (empty table)."""
     if len(kappa_candidates) == 1 and 1 <= kappa_candidates[0] <= len(pairs) - 1:
-        return int(kappa_candidates[0]), []
+        return FittedRegression(tuple(pairs), semimetric, kernel, int(kappa_candidates[0])), []
     table = kappa_cv_scores(pairs, semimetric, kernel, kappa_candidates)  # checks the list
-    return min(table, key=lambda entry: (entry[1], entry[0]))[0], table
+    kappa = min(table, key=lambda entry: (entry[1], entry[0]))[0]
+    return FittedRegression(tuple(pairs), semimetric, kernel, kappa), table
 
 
 def select_kappa_cv(pairs: Sequence[CurvePair], semimetric: SemimetricSpec, kernel: KernelSpec,
                     kappa_candidates: Sequence[int]) -> int:
-    """The neighbor count :func:`select_kappa` picks; ties go to the smaller kappa."""
-    return select_kappa(pairs, semimetric, kernel, kappa_candidates)[0]
+    """The neighbor count :func:`fit_kappa` picks; ties go to the smaller kappa."""
+    return fit_kappa(pairs, semimetric, kernel, kappa_candidates)[0].kappa

@@ -26,7 +26,7 @@ from specband.fileio import (
     write_spectrum,
 )
 from specband.fpca import fit_fpca
-from specband.pipeline import load_config, smooth_spectra
+from specband.pipeline import MODEL_SETTINGS, load_config, smooth_spectra
 from specband.regression import predict
 from specband.wild_bootstrap import WildBootstrapConfig, bootstrap_bands
 
@@ -475,7 +475,8 @@ def _query_args(command, mock_dir):
         (lambda record: record.update(span_candidates=[0.5, 1.5]), "candidate span"),
         (lambda record: record.update(predictor_points="40"), "'predictor_points'"),
         # the `span` key that older models carry
-        (lambda record: record.update(span=None), "(its keys differ in ['span'])"),
+        (lambda record: record.update(span=None),
+         f"model has no 'config' recording {list(MODEL_SETTINGS)} (its keys differ in ['span'])"),
     ],
     ids=["no-record", "partial-record", "bad-span", "bad-type", "old-span-record"],
 )
@@ -491,7 +492,7 @@ def test_model_without_a_valid_config_record_is_rejected(
     assert message in result.output
     assert f"error: {model_path}: " in result.output
     assert result.output.rstrip().endswith("rerun fit")
-    if "model has no" not in result.output:
+    if "model has no" not in message:
         assert "in the model's 'config' record" in result.output
 
 

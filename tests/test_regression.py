@@ -523,8 +523,9 @@ def test_loo_single_candidate(monkeypatch):
     pairs = tuple(_pair(rng.normal(size=101), rng.normal(size=40)) for _ in range(6))
     monkeypatch.setattr(regression, "kappa_cv_scores", None)  # any CV call fails
     assert select_kappa_cv(pairs, L2, KERNEL, [3]) == 3
-    assert regression.select_kappa(pairs, L2, KERNEL, [3]) == (3, [])
-    assert regression.select_kappa(pairs[:2], L2, KERNEL, [1]) == (1, [])
+    for fit_pairs, kappa in ((pairs, 3), (pairs[:2], 1)):
+        model, table = regression.fit_kappa(fit_pairs, L2, KERNEL, [kappa])
+        assert (model.pairs, model.kappa, table) == (fit_pairs, kappa, [])
 
 
 def test_loo_rejects_pairs_the_model_rejects():
@@ -538,6 +539,9 @@ def test_loo_rejects_pairs_the_model_rejects():
     for call in (kappa_cv_scores, select_kappa_cv):
         with pytest.raises(ValueError, match="all training predictors must share one grid"):
             call(pairs, L2, KERNEL, candidates)
+    # one candidate skips CV but not the model's checks
+    with pytest.raises(ValueError, match="all training predictors must share one grid"):
+        select_kappa_cv(pairs, L2, KERNEL, [3])
     with pytest.raises(ValueError, match="all training predictors must share one grid"):
         FittedRegression(pairs, L2, KERNEL, 4)
     moved = WavelengthGrid(RESP_GRID.points - 0.1)
@@ -575,4 +579,5 @@ def test_best_kappa_ties_go_to_the_smaller_kappa(monkeypatch):
     pairs = tuple(_pair(np.full(101, off), np.zeros(40)) for off in range(20))
     for table, best in (([(8, 1.0), (2, 1.0), (4, 3.0)], 2), ([(2, 2.0), (16, 0.5), (4, 0.5)], 4)):
         monkeypatch.setattr(regression, "kappa_cv_scores", lambda *args, table=table: table)
-        assert regression.select_kappa(pairs, L2, KERNEL, [k for k, _ in table]) == (best, table)
+        model, got = regression.fit_kappa(pairs, L2, KERNEL, [k for k, _ in table])
+        assert (model.kappa, got) == (best, table)
