@@ -135,7 +135,7 @@ def cmd_fit(config_path, manifest, out_path, **flags) -> None:
         click.echo("kappa  loo_error")
         for kappa, score in cv_table:
             click.echo(f"{kappa:5d}  {score:.6g}")
-    click.echo(f"selected kappa={model.kappa} on n={model.n} pairs -> {out_path}")
+    click.echo(f"selected kappa={model.kappa} on n={len(model)} pairs -> {out_path}")
 
 
 @main.command("predict")

@@ -62,8 +62,7 @@ class FittedRegression:
                 f"kappa must satisfy 1 <= kappa <= n-1 = {n - 1}, got {self.kappa}"
             )
 
-    @property
-    def n(self) -> int:
+    def __len__(self) -> int:  # the number of training pairs
         return len(self.pairs)
 
     @property
@@ -149,7 +148,7 @@ def prediction_weights(model: FittedRegression, x: Curve) -> FloatArray:
     idx, dist = nearest(model.semimetric, model.reference, _query(model, x),
                         model.predictor_grid.points, model.kappa + 1)
     near, w, fallback = _neighbours(idx, dist, model.kappa, model.kernel)
-    weights = np.zeros(model.n)
+    weights = np.zeros(len(model))
     weights[near[0]] = w[0]
     for inside in fallback.values():  # the kappa nearest are inside
         weights[inside] = 1.0 / inside.size
@@ -172,28 +171,22 @@ def predict_many(model: FittedRegression, queries: FloatArray) -> FloatArray:
     return out
 
 
-def kappa_cv_scores(
-    pairs: Sequence[CurvePair],
-    semimetric: SemimetricSpec,
-    kernel: KernelSpec,
-    kappa_candidates: Sequence[int],
-) -> list[tuple[int, float]]:
-    """Leave-one-out CV table: mean squared-L2 prediction error per candidate.
+def kappa_cv_scores(model: FittedRegression, kappa_candidates: Sequence[int]) -> list[tuple[int, float]]:
+    """Leave-one-out CV table on the model's pairs: mean squared-L2 prediction
+    error per candidate (the model's own kappa is not used).
 
     Each held-out pair is predicted from the remaining n-1; candidates are
     clamped to the n-2 neighbors available inside the leave-one-out fit.
     """
     if len(kappa_candidates) == 0:
         raise ValueError("kappa_candidates must not be empty")
-    n = len(pairs)
+    n = len(model)
     if n < 3:
         raise ValueError("leave-one-out selection needs at least 3 pairs")
     for kappa in kappa_candidates:
         if not 1 <= kappa <= n - 1:
             raise ValueError(f"candidate kappa={kappa} outside [1, {n - 1}]")
 
-    # the pairs face a model's checks (kappa 1 fits any n); it holds their rows and search reference
-    model = FittedRegression(tuple(pairs), semimetric, kernel, 1)
     x_mat, y_mat, ref = model.predictor_matrix, model.response_matrix, model.reference
     grid = model.predictor_grid.points
     quad = trapezoid_weights(model.response_grid.points)
@@ -203,9 +196,9 @@ def kappa_cv_scores(
     errors = np.empty((len(kappas), n))
     for start in range(0, n, _BLOCK_ROWS):
         block = np.arange(start, min(start + _BLOCK_ROWS, n))
-        idx, dist = nearest(semimetric, ref, x_mat[block], grid, max(kappas) + 1, block)
+        idx, dist = nearest(model.semimetric, ref, x_mat[block], grid, max(kappas) + 1, block)
         for j, kappa in enumerate(kappas):
-            diff = _weighted_responses(idx, dist, kappa, kernel, y_mat) - y_mat[block]
+            diff = _weighted_responses(idx, dist, kappa, model.kernel, y_mat) - y_mat[block]
             errors[j, block] = np.sum(quad * diff * diff, axis=1)
     return [
         (int(kappa), float(np.sum(row)) / n) for kappa, row in zip(kappa_candidates, errors)
@@ -218,9 +211,15 @@ def fit_kappa(pairs: Sequence[CurvePair], semimetric: SemimetricSpec, kernel: Ke
     table; one candidate in [1, n-1] is used as given, without CV (empty table)."""
     if len(kappa_candidates) == 1 and 1 <= kappa_candidates[0] <= len(pairs) - 1:
         return FittedRegression(tuple(pairs), semimetric, kernel, int(kappa_candidates[0])), []
-    table = kappa_cv_scores(pairs, semimetric, kernel, kappa_candidates)  # checks the list
+    # the pairs face a model's checks (kappa 1 fits any n); CV searches its rows
+    model = FittedRegression(tuple(pairs), semimetric, kernel, 1)
+    # by keyword, as perfbench/tracing.py reads the candidates (and len(model))
+    table = kappa_cv_scores(model, kappa_candidates=kappa_candidates)  # checks the list
     kappa = min(table, key=lambda entry: (entry[1], entry[0]))[0]
-    return FittedRegression(tuple(pairs), semimetric, kernel, kappa), table
+    chosen = FittedRegression(model.pairs, semimetric, kernel, kappa)
+    for name in ("predictor_matrix", "response_matrix", "reference"):  # caches free of kappa
+        chosen.__dict__[name] = getattr(model, name)
+    return chosen, table
 
 
 def select_kappa_cv(pairs: Sequence[CurvePair], semimetric: SemimetricSpec, kernel: KernelSpec,

@@ -1,17 +1,21 @@
 """Wild bootstrap confidence bands for the projected regression operator.
 
-Residual curves are resampled with replacement and multiplied by independent
-two-point perturbations whose first three moments are 0, 1, 1, preserving
-residual variance and skewness under the resampling measure. Each replicate
-re-evaluates the kernel estimator at the query point with the original
-weights (they depend only on the training predictors) and is projected onto
-the leading principal components of the responses; per-coordinate empirical
-quantiles at Bonferroni-split levels alpha/(2m) and 1 - alpha/(2m) form a
-coefficient box, mapped through the basis into a pointwise envelope.
+Each training pair keeps its own residual curve, multiplied by an
+independent two-point perturbation whose first three moments are 0, 1, 1
+(Mammen 1993), so a replicate keeps the residuals' local variance and
+skewness. Each replicate re-evaluates the kernel estimator at the query
+point with the original weights (they depend only on the training
+predictors): with S = (s_1 < ... < s_k) the pairs of non-zero weight,
+replicate b is sum_j w_{s_j} (fitted_{s_j} + residual_{s_j} V[b, j]), and it
+is projected onto the leading principal components of the responses. As the
+projection is linear, all replicates' coordinates come from one product of
+the perturbations with the support's projected residuals. Per-coordinate
+empirical quantiles at Bonferroni-split levels alpha/(2m) and
+1 - alpha/(2m) form a coefficient box, mapped through the basis into a
+pointwise envelope.
 
-Determinism contract: replicate b draws from the b-th child of the root seed
-sequence, first the n resampling indices and then the n perturbation draws,
-so results are reproducible regardless of evaluation order.
+Determinism contract: V[b, j] is the j-th draw of row b of one row-major
+(B, |S|) matrix drawn from ``default_rng(seed)``.
 """
 
 from __future__ import annotations
@@ -84,8 +88,8 @@ def sample_v(count: int, seed: int) -> FloatArray:
     return _draw_v(rng, count)
 
 
-def _draw_v(rng: np.random.Generator, count: int) -> FloatArray:
-    return np.where(rng.random(count) < V_LOW_PROB, V_LOW, V_HIGH)
+def _draw_v(rng: np.random.Generator, shape: int | tuple[int, ...]) -> FloatArray:
+    return np.where(rng.random(shape) < V_LOW_PROB, V_LOW, V_HIGH)
 
 
 def quantile_levels(alpha: float, m: int) -> tuple[float, float]:
@@ -93,11 +97,10 @@ def quantile_levels(alpha: float, m: int) -> tuple[float, float]:
     return alpha / (2 * m), 1.0 - alpha / (2 * m)
 
 
-def _nearest_rank(sorted_values: FloatArray, level: float) -> float:
-    """Empirical quantile by the nearest-rank (ceiling) convention."""
-    b = sorted_values.size
-    rank = min(max(int(math.ceil(level * b)), 1), b)
-    return float(sorted_values[rank - 1])
+def _nearest_rank(level: float, b: int) -> int:
+    """Index of the empirical quantile among b sorted values, by the
+    nearest-rank (ceiling) convention."""
+    return min(max(int(math.ceil(level * b)), 1), b) - 1
 
 
 def bootstrap_bands(
@@ -126,7 +129,6 @@ def bootstrap_bands(
             f"{int(math.ceil(1.0 / low_level))}"
         )
 
-    n = len(sample)
     if not (
         np.array_equal(np.stack([p.predictor.values for p in sample]), model.predictor_matrix)
         and np.array_equal(np.stack([p.response.values for p in sample]), model.response_matrix)
@@ -134,30 +136,19 @@ def bootstrap_bands(
         raise ValueError("the model must be fitted on the given sample")
     if not fpca_model.grid.matches(model.response_grid):
         raise ValueError("the FPCA model is not on the regression's response grid")
-    residuals = model.response_matrix - model.fitted_values
 
     weights = prediction_weights(model, x)
     support = np.flatnonzero(weights)  # only these pairs enter a replicate
     weights = weights[support]
-    point_part = weights @ model.fitted_values[support]  # fixed across replicates
-
-    children = np.random.SeedSequence(config.seed).spawn(config.replicates)
-    coords = np.empty((config.replicates, m))
-    grid_w = trapezoid_weights(fpca_model.grid.points)
+    fitted = model.fitted_values[support]
     comp_mat = np.stack([c.values for c in fpca_model.components[:m]])
-    mean_vals = fpca_model.mean.values
-    for b, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        draw = rng.integers(0, n, size=n)
-        v = _draw_v(rng, n)
-        replicate = point_part + (weights * v[support]) @ residuals[draw[support]]
-        coords[b] = (grid_w * (replicate - mean_vals)) @ comp_mat.T
-
-    intervals = np.empty((m, 2))
-    for j in range(m):
-        ordered = np.sort(coords[:, j])
-        intervals[j, 0] = _nearest_rank(ordered, low_level)
-        intervals[j, 1] = _nearest_rank(ordered, high_level)
+    projector = trapezoid_weights(fpca_model.grid.points) * comp_mat  # (m, p)
+    point = projector @ (weights @ fitted - fpca_model.mean.values)
+    own = (model.response_matrix[support] - fitted) @ projector.T  # (|S|, m)
+    b = config.replicates
+    v = _draw_v(np.random.default_rng(config.seed), (b, support.size))
+    coords = np.sort(point + (v * weights) @ own, axis=0)  # (B, m), each column sorted
+    intervals = coords[[_nearest_rank(low_level, b), _nearest_rank(high_level, b)]].T
 
     # exact pointwise extremes of sum_j a_j * phi_j over the coefficient box:
     # where a component is negative its interval endpoints swap roles
@@ -167,8 +158,8 @@ def bootstrap_bands(
     hi_part = np.maximum(
         intervals[:, 0][:, None] * comp_mat, intervals[:, 1][:, None] * comp_mat
     ).sum(axis=0)
-    lower = Curve(fpca_model.grid, mean_vals + lo_part)
-    upper = Curve(fpca_model.grid, mean_vals + hi_part)
+    lower = Curve(fpca_model.grid, fpca_model.mean.values + lo_part)
+    upper = Curve(fpca_model.grid, fpca_model.mean.values + hi_part)
     return BootstrapBand(
         intervals, fpca_model, lower, upper, config.alpha, config.replicates
     )

@@ -85,9 +85,9 @@ def test_score_matches_sup_distance_composition():
 def test_split_sizes_ten_and_seven():
     rng = np.random.default_rng(4)
     cal10 = calibrate(_random_pairs(rng, 10), 0.1, L2, KERNEL, [1, 2], split_seed=5)
-    assert cal10.trained_model.n == 5 and cal10.n2 == 5
+    assert len(cal10.trained_model) == 5 and cal10.n2 == 5
     cal7 = calibrate(_random_pairs(rng, 7), 0.1, L2, KERNEL, [1, 2], split_seed=5)
-    assert cal7.trained_model.n == 3 and cal7.n2 == 4
+    assert len(cal7.trained_model) == 3 and cal7.n2 == 4
 
 
 def test_calibration_is_deterministic_in_the_seed():

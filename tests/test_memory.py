@@ -42,8 +42,8 @@ def _pairs(seed):
 
 
 def test_kappa_cv_peak_stays_under_one_square_buffer():
-    pairs = _pairs(1)
-    peak = _traced_peak(lambda: kappa_cv_scores(pairs, SemimetricSpec.parse("l2"), KernelSpec(), [2, 4, 8, 16, 32]))
+    model = FittedRegression(tuple(_pairs(1)), SemimetricSpec.parse("l2"), KernelSpec(), 1)
+    peak = _traced_peak(lambda: kappa_cv_scores(model, [2, 4, 8, 16, 32]))  # builds the caches
     assert BLOCK <= peak < SQUARE, f"{peak / 1e6:.2f} MB traced"
 
 

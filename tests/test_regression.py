@@ -12,7 +12,7 @@ from specband.regression import (
     prediction_weights,
     select_kappa_cv,
 )
-from specband.semimetrics import SemimetricSpec, distance, distances_to
+from specband.semimetrics import SemimetricSpec, distance, distances_to, reference
 
 L2 = SemimetricSpec.parse("l2")
 KERNEL = KernelSpec()
@@ -45,7 +45,7 @@ def _zero_query():
 
 def brute_force_prediction(model, x):
     """Direct evaluation of the kernel-average formula, scalar loops only."""
-    n = model.n
+    n = len(model)
     dists = [distance(model.semimetric, p.predictor, x) for p in model.pairs]
     ordered = sorted(dists)
     lo, hi = ordered[model.kappa - 1], ordered[model.kappa]
@@ -349,7 +349,7 @@ def test_sparse_loo_table_matches_brute_force_on_duplicates_and_ties():
     pairs = _tied_pairs(TIED_OFFSETS, 20)
     n = len(pairs)
     candidates = [1, 2, 3, 4, 6, n - 1]
-    table = dict(kappa_cv_scores(pairs, L2, KERNEL, candidates))
+    table = dict(kappa_cv_scores(FittedRegression(pairs, L2, KERNEL, 1), candidates))
     quad = trapezoid_weights(RESP_GRID.points)
     for kappa in candidates:
         total = 0.0
@@ -371,7 +371,7 @@ def test_loo_table_matches_brute_force_past_the_first_block():
     d1 = SemimetricSpec.parse("deriv1")
     n = len(pairs)
     candidates = [1, 3, 8]
-    table = dict(kappa_cv_scores(pairs, d1, KERNEL, candidates))
+    table = dict(kappa_cv_scores(FittedRegression(pairs, d1, KERNEL, 1), candidates))
     quad = trapezoid_weights(RESP_GRID.points)
     for kappa in candidates:
         total = 0.0
@@ -493,7 +493,7 @@ def test_loo_prefers_one_neighbor_for_smooth_structure():
     )
     candidates = [1, len(pairs) - 1]
     assert select_kappa_cv(pairs, L2, KERNEL, candidates) == 1
-    table = dict(kappa_cv_scores(pairs, L2, KERNEL, candidates))
+    table = dict(kappa_cv_scores(FittedRegression(pairs, L2, KERNEL, 1), candidates))
     want = oracle_loo_table(pairs, candidates)
     for kappa in candidates:
         assert table[kappa] == pytest.approx(want[kappa], rel=1e-9)
@@ -528,6 +528,27 @@ def test_loo_single_candidate(monkeypatch):
         assert (model.pairs, model.kappa, table) == (fit_pairs, kappa, [])
 
 
+def test_fit_kappa_embeds_the_pairs_once(monkeypatch):
+    """CV searches the model fit_kappa builds, and the model it returns at the
+    chosen kappa reuses that search reference: one embedding per fit."""
+    rng = np.random.default_rng(6)
+    pairs = tuple(_pair(rng.normal(size=101), rng.normal(size=40)) for _ in range(30))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return reference(*args)
+
+    monkeypatch.setattr(regression, "reference", counting)
+    model, table = regression.fit_kappa(pairs, L2, KERNEL, [1, 3, 7])
+    query = rng.normal(size=(4, 101))
+    got = predict_many(model, query), model.fitted_values
+    assert len(table) == 3 and len(calls) == 1
+    fresh = FittedRegression(pairs, L2, KERNEL, model.kappa)
+    want = predict_many(fresh, query), fresh.fitted_values
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_loo_rejects_pairs_the_model_rejects():
     """Leave-one-out CV applies the model's one-grid rule: pairs alternating
     between two predictor grids are rejected, as FittedRegression rejects them."""
@@ -536,7 +557,7 @@ def test_loo_rejects_pairs_the_model_rejects():
     pairs = tuple(CurvePair(Curve(grids[i % 2], rng.normal(size=30)), Curve(RESP_GRID, rng.normal(size=40)))
                   for i in range(12))
     candidates = [2, 4, 8]
-    for call in (kappa_cv_scores, select_kappa_cv):
+    for call in (regression.fit_kappa, select_kappa_cv):
         with pytest.raises(ValueError, match="all training predictors must share one grid"):
             call(pairs, L2, KERNEL, candidates)
     # one candidate skips CV but not the model's checks
@@ -548,7 +569,7 @@ def test_loo_rejects_pairs_the_model_rejects():
     pairs = tuple(CurvePair(Curve(PRED_GRID, rng.normal(size=101)), Curve(moved if i == 5 else RESP_GRID, rng.normal(size=40)))
                   for i in range(12))
     with pytest.raises(ValueError, match="all training responses must share one grid"):
-        kappa_cv_scores(pairs, L2, KERNEL, candidates)
+        regression.fit_kappa(pairs, L2, KERNEL, candidates)
 
 
 def test_loo_rejects_empty_or_out_of_range_candidates():
@@ -568,7 +589,7 @@ def test_loo_handles_duplicates_and_ties_at_the_bandwidth():
     offsets = [0.0, 0.0, 0.0, 1.0, -1.0, 3.0]
     pairs = tuple(_pair(np.full(101, off), rng.normal(size=40)) for off in offsets)
     candidates = [1, 2, 3, 4]
-    table = dict(kappa_cv_scores(pairs, L2, KERNEL, candidates))
+    table = dict(kappa_cv_scores(FittedRegression(pairs, L2, KERNEL, 1), candidates))
     want = oracle_loo_table(pairs, candidates)
     for kappa in candidates:
         assert table[kappa] == pytest.approx(want[kappa], rel=1e-12)
@@ -578,6 +599,6 @@ def test_loo_handles_duplicates_and_ties_at_the_bandwidth():
 def test_best_kappa_ties_go_to_the_smaller_kappa(monkeypatch):
     pairs = tuple(_pair(np.full(101, off), np.zeros(40)) for off in range(20))
     for table, best in (([(8, 1.0), (2, 1.0), (4, 3.0)], 2), ([(2, 2.0), (16, 0.5), (4, 0.5)], 4)):
-        monkeypatch.setattr(regression, "kappa_cv_scores", lambda *args, table=table: table)
+        monkeypatch.setattr(regression, "kappa_cv_scores", lambda *args, table=table, **kwargs: table)
         model, got = regression.fit_kappa(pairs, L2, KERNEL, [k for k, _ in table])
         assert (model.kappa, got) == (best, table)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -102,33 +103,35 @@ def test_zero_residuals_collapse_the_band():
 def test_four_replicates_match_enumerated_oracle():
     """B=4, m=1, alpha=0.5: the quantile levels 0.25/0.75 select the smallest
     and the third-smallest replicate coordinate; replicate draws are
-    re-enacted independently from the same seed schedule."""
+    re-enacted independently, one scalar at a time, from the same seed."""
     rng = np.random.default_rng(42)
     pairs = _pairs(rng, 3)
-    model = FittedRegression(pairs, L2, KERNEL, kappa=1)
+    model = FittedRegression(pairs, L2, KERNEL, kappa=2)
     fpca_model = fit_fpca([p.response for p in pairs], m=1)
     x = Curve(PRED_GRID, rng.normal(size=40))
     config = WildBootstrapConfig(replicates=4, components=1, alpha=0.5, seed=123)
     band = bootstrap_bands(pairs, model, x, fpca_model, config)
 
-    # independent scalar re-enactment
+    # independent scalar re-enactment: row b of the (B, |S|) draw perturbs
+    # the support's own residuals in index order
     n = 3
     x_mat = np.stack([p.predictor.values for p in pairs])
     y_mat = np.stack([p.response.values for p in pairs])
     fitted = predict_many(model, x_mat)
     residuals = y_mat - fitted
     w = prediction_weights(model, x)
+    support = [i for i in range(n) if w[i] != 0.0]
+    assert len(support) == 2
     quad = trapezoid_weights(RESP_GRID.points)
     comp = fpca_model.components[0].values
     mean_vals = fpca_model.mean.values
+    gen = np.random.default_rng(123)
     coords = []
-    for child in np.random.SeedSequence(123).spawn(4):
-        gen = np.random.default_rng(child)
-        idx = gen.integers(0, n, size=n)
-        v = np.where(gen.random(n) < V_LOW_PROB, V_LOW, V_HIGH)
+    for _ in range(4):
         replicate = np.zeros(25)
-        for i in range(n):
-            replicate += w[i] * (fitted[i] + residuals[idx[i]] * v[i])
+        for i in support:
+            v = V_LOW if gen.random() < V_LOW_PROB else V_HIGH
+            replicate += w[i] * (fitted[i] + residuals[i] * v)
         coords.append(float(np.sum(quad * (replicate - mean_vals) * comp)))
     ordered = sorted(coords)
     assert band.component_intervals[0, 0] == pytest.approx(ordered[0], abs=1e-12)
@@ -137,7 +140,8 @@ def test_four_replicates_match_enumerated_oracle():
 
 def test_sparse_replicates_match_the_dense_formula():
     """Every replicate sums over the weights' support only; re-enacting the
-    dense sum over all n pairs with the same draws gives the same band."""
+    dense sum of whole replicate curves over all n pairs, with the same
+    draws on the support and arbitrary ones elsewhere, gives the same band."""
     rng = np.random.default_rng(43)
     pairs = _pairs(rng, 40)
     model = FittedRegression(pairs, L2, KERNEL, kappa=5)
@@ -146,25 +150,76 @@ def test_sparse_replicates_match_the_dense_formula():
     config = WildBootstrapConfig(replicates=200, components=3, alpha=0.3, seed=17)
     band = bootstrap_bands(pairs, model, x, fpca_model, config)
 
-    n = len(pairs)
     y_mat = np.stack([p.response.values for p in pairs])
     fitted = predict_many(model, np.stack([p.predictor.values for p in pairs]))
     residuals = y_mat - fitted
     weights = prediction_weights(model, x)
-    assert 0 < np.count_nonzero(weights) <= 5  # the sparse path skips pairs
+    support = np.flatnonzero(weights)
+    assert 0 < support.size <= 5  # the sparse path skips pairs
+    v = sample_v(40 * 200, seed=99).reshape(200, 40)  # off the support: any draw
+    v[:, support] = sample_v(200 * support.size, seed=17).reshape(200, support.size)
+    replicates = weights @ fitted + (weights * v) @ residuals  # (B, p) curves
     quad = trapezoid_weights(RESP_GRID.points)
     comp = np.stack([c.values for c in fpca_model.components])
-    coords = []
-    for child in np.random.SeedSequence(17).spawn(200):
-        gen = np.random.default_rng(child)
-        draw = gen.integers(0, n, size=n)
-        v = np.where(gen.random(n) < V_LOW_PROB, V_LOW, V_HIGH)
-        replicate = weights @ fitted + (weights * v) @ residuals[draw]
-        coords.append((quad * (replicate - fpca_model.mean.values)) @ comp.T)
-    ordered = np.sort(np.array(coords), axis=0)
+    coords = (quad * (replicates - fpca_model.mean.values)) @ comp.T
+    ordered = np.sort(coords, axis=0)
     lo, hi = quantile_levels(0.3, 3)
     want = np.stack([ordered[math.ceil(lo * 200) - 1], ordered[math.ceil(hi * 200) - 1]], axis=1)
     assert np.max(np.abs(band.component_intervals - want)) < 1e-12
+
+
+def test_each_pair_keeps_its_own_residual():
+    """On a support of 3 pairs whose residuals differ in size, a coordinate's
+    bootstrap law is the 2^3-point law of point + sum_i w_i c_i v_i, with c_i
+    pair i's own projected residual: every interval endpoint is one of its
+    values, the one its cumulative probabilities pick at the quantile level,
+    and its variance is sum_i w_i^2 c_i^2, not the pooled residuals' value."""
+    rng = np.random.default_rng(12)
+    scales = [0.2, 3.0, 0.5, 1.0, 6.0, 0.3, 2.0, 0.1]
+    pairs = tuple(
+        CurvePair(Curve(PRED_GRID, rng.normal(size=40)), Curve(RESP_GRID, s * rng.normal(size=25)))
+        for s in scales
+    )
+    model = FittedRegression(pairs, L2, KERNEL, kappa=3)
+    fpca_model = fit_fpca([p.response for p in pairs], m=2)
+    x = Curve(PRED_GRID, rng.normal(size=40))
+    config = WildBootstrapConfig(replicates=20_000, components=2, alpha=0.4, seed=5)
+    band = bootstrap_bands(pairs, model, x, fpca_model, config)
+
+    y_mat = np.stack([p.response.values for p in pairs])
+    fitted = predict_many(model, np.stack([p.predictor.values for p in pairs]))
+    residuals = y_mat - fitted
+    w = prediction_weights(model, x)
+    support = np.flatnonzero(w)
+    assert support.size == 3
+    quad = trapezoid_weights(RESP_GRID.points)
+    levels = quantile_levels(0.4, 2)
+    q_high = 1.0 - V_LOW_PROB
+    for j, comp in enumerate(fpca_model.components):
+        proj = quad * comp.values
+        point = float(np.sum(proj * (w @ fitted - fpca_model.mean.values)))
+        c = residuals @ proj  # every pair's own projected residual
+        law = {}
+        for pattern in itertools.product((V_LOW, V_HIGH), repeat=3):
+            value = point + sum(w[i] * c[i] * v for i, v in zip(support, pattern))
+            prob = math.prod(V_LOW_PROB if v == V_LOW else q_high for v in pattern)
+            law[value] = law.get(value, 0.0) + prob
+        values = np.array(sorted(law))
+        cumulative = np.cumsum([law[v] for v in values])
+        mean = float(np.dot(values, [law[v] for v in values]))
+        variance = sum(law[v] * (v - mean) ** 2 for v in values)
+        own = sum(w[i] ** 2 * c[i] ** 2 for i in support)
+        pooled = sum(w[i] ** 2 for i in support) * np.mean(c**2)
+        assert mean == pytest.approx(point, abs=1e-12)
+        assert variance == pytest.approx(own, rel=1e-12)
+        assert abs(variance - pooled) > 0.1 * pooled  # the sample is heteroscedastic
+        for end, level in enumerate(levels):
+            got = band.component_intervals[j, end]
+            assert np.min(np.abs(values - got)) <= 1e-12 * (1.0 + abs(got))
+            # B = 20000 resolves the level: the empirical CDF's sd is at most
+            # 0.0035, and no cumulative probability is within 0.01 of it
+            assert np.min(np.abs(cumulative - level)) > 0.01
+            assert got == pytest.approx(values[np.searchsorted(cumulative, level)], abs=1e-12)
 
 
 def test_bands_reject_a_sample_that_is_not_the_models():
@@ -226,30 +281,6 @@ def test_bootstrap_responses_center_on_the_fit():
     # every coordinate interval should surround the point projection
     assert np.all(band.component_intervals[:, 0] <= point + 1e-9)
     assert np.all(band.component_intervals[:, 1] >= point - 1e-9)
-
-
-def test_resampled_responses_are_unbiased_around_the_fit():
-    """Resampled-and-perturbed residuals average to zero, so the replicate
-    responses center on the fitted curves (3-sigma Monte Carlo check)."""
-    rng = np.random.default_rng(5)
-    pairs = _pairs(rng, 5)
-    model = FittedRegression(pairs, L2, KERNEL, kappa=2)
-    y_mat = np.stack([p.response.values for p in pairs])
-    fitted = predict_many(model, np.stack([p.predictor.values for p in pairs]))
-    residuals = y_mat - fitted
-
-    reps = 20_000
-    n = 5
-    total = np.zeros_like(residuals)
-    for child in np.random.SeedSequence(77).spawn(reps):
-        gen = np.random.default_rng(child)
-        idx = gen.integers(0, n, size=n)
-        v = np.where(gen.random(n) < V_LOW_PROB, V_LOW, V_HIGH)
-        total += fitted + residuals[idx] * v[:, None]
-    mean_star = total / reps
-    # var of one replicate entry is the mean squared residual at that point
-    sd = np.sqrt(np.mean(residuals**2, axis=0) / reps)
-    assert np.all(np.abs(mean_star - fitted) <= 3.0 * sd[None, :] + 1e-12)
 
 
 def test_envelope_is_the_exact_box_image():
