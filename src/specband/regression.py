@@ -85,10 +85,6 @@ class FittedRegression:
     def reference(self) -> tuple:  # what every search reads
         return reference(self.semimetric, self.predictor_matrix, self.predictor_grid.points)
 
-    @cached_property
-    def fitted_values(self) -> FloatArray:  # at the training predictors
-        return predict_many(self, self.predictor_matrix)
-
 
 # query rows searched and weighted at once: the screen holds a few
 # (_BLOCK_ROWS, n) arrays and gathers about kappa rows per query

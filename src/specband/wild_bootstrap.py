@@ -5,13 +5,14 @@ independent two-point perturbation whose first three moments are 0, 1, 1
 (Mammen 1993), so a replicate keeps the residuals' local variance and
 skewness. Each replicate re-evaluates the kernel estimator at the query
 point with the original weights (they depend only on the training
-predictors): with S = (s_1 < ... < s_k) the pairs of non-zero weight,
-replicate b is sum_j w_{s_j} (fitted_{s_j} + residual_{s_j} V[b, j]), and it
-is projected onto the leading principal components of the responses. As the
-projection is linear, all replicates' coordinates come from one product of
-the perturbations with the support's projected residuals. Per-coordinate
-empirical quantiles at Bonferroni-split levels alpha/(2m) and
-1 - alpha/(2m) form a coefficient box, mapped through the basis into a
+predictors): with S = (s_1 < ... < s_k) the pairs of non-zero weight and
+fitted_{s_j} the model's prediction at s_j's own predictor (only S is
+evaluated), replicate b is sum_j w_{s_j} (fitted_{s_j} + residual_{s_j}
+V[b, j]), projected onto the leading principal components of the responses.
+As the projection is linear, all replicates' coordinates come from one
+product of the perturbations with the support's projected residuals.
+Per-coordinate empirical quantiles at Bonferroni-split levels alpha/(2m)
+and 1 - alpha/(2m) form a coefficient box, mapped through the basis into a
 pointwise envelope.
 
 Determinism contract: V[b, j] is the j-th draw of row b of one row-major
@@ -28,7 +29,7 @@ import numpy as np
 
 from .curves import Curve, CurvePair, FloatArray
 from .fpca import FpcaModel, trapezoid_weights
-from .regression import FittedRegression, prediction_weights
+from .regression import FittedRegression, predict_many, prediction_weights
 
 V_LOW = (1.0 - math.sqrt(5.0)) / 2.0
 V_HIGH = (1.0 + math.sqrt(5.0)) / 2.0
@@ -113,8 +114,9 @@ def bootstrap_bands(
     """Confidence band for the projected regression operator at ``x``.
 
     ``model`` must be fitted on ``sample`` (its neighbor count already
-    selected) and ``fpca_model`` on the sample's responses. Residuals are
-    those of the fitted model on its own training pairs.
+    selected) and ``fpca_model`` on the sample's responses. Only the pairs of
+    non-zero weight at ``x`` enter: each one's fitted curve is the model's
+    prediction at its own predictor, its residual the response minus that.
     """
     m = config.components
     if m > fpca_model.m:
@@ -140,7 +142,7 @@ def bootstrap_bands(
     weights = prediction_weights(model, x)
     support = np.flatnonzero(weights)  # only these pairs enter a replicate
     weights = weights[support]
-    fitted = model.fitted_values[support]
+    fitted = predict_many(model, model.predictor_matrix[support])
     comp_mat = np.stack([c.values for c in fpca_model.components[:m]])
     projector = trapezoid_weights(fpca_model.grid.points) * comp_mat  # (m, p)
     point = projector @ (weights @ fitted - fpca_model.mean.values)

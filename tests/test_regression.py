@@ -542,10 +542,10 @@ def test_fit_kappa_embeds_the_pairs_once(monkeypatch):
     monkeypatch.setattr(regression, "reference", counting)
     model, table = regression.fit_kappa(pairs, L2, KERNEL, [1, 3, 7])
     query = rng.normal(size=(4, 101))
-    got = predict_many(model, query), model.fitted_values
+    got = predict_many(model, query), predict_many(model, model.predictor_matrix)
     assert len(table) == 3 and len(calls) == 1
     fresh = FittedRegression(pairs, L2, KERNEL, model.kappa)
-    want = predict_many(fresh, query), fresh.fitted_values
+    want = predict_many(fresh, query), predict_many(fresh, fresh.predictor_matrix)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 

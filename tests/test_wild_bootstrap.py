@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from specband import regression, wild_bootstrap
 from specband.curves import Curve, CurvePair, WavelengthGrid, trapezoid_weights
 from specband.fpca import fit_fpca, project
 from specband.regression import FittedRegression, KernelSpec, predict, predict_many, prediction_weights
@@ -166,6 +167,28 @@ def test_sparse_replicates_match_the_dense_formula():
     lo, hi = quantile_levels(0.3, 3)
     want = np.stack([ordered[math.ceil(lo * 200) - 1], ordered[math.ceil(hi * 200) - 1]], axis=1)
     assert np.max(np.abs(band.component_intervals - want)) < 1e-12
+
+
+def test_bands_predict_only_the_support(monkeypatch):
+    """A replicate needs the fitted curves of the |S| pairs of non-zero weight
+    alone, so one call predicts at most |S| training rows, not all n."""
+    rng = np.random.default_rng(45)
+    pairs = _pairs(rng, 40)
+    model = FittedRegression(pairs, L2, KERNEL, kappa=5)  # fresh: nothing cached
+    fpca_model = fit_fpca([p.response for p in pairs], m=2)
+    x = Curve(PRED_GRID, rng.normal(size=40))
+    support = np.flatnonzero(prediction_weights(model, x))
+    rows = []
+
+    def counting(model, queries):
+        rows.append(len(queries))
+        return predict_many(model, queries)
+
+    monkeypatch.setattr(wild_bootstrap, "predict_many", counting, raising=False)
+    monkeypatch.setattr(regression, "predict_many", counting)
+    bootstrap_bands(pairs, model, x, fpca_model,
+                    WildBootstrapConfig(replicates=64, components=2, alpha=0.5, seed=2))
+    assert 0 < support.size <= 5 and sum(rows) <= support.size
 
 
 def test_each_pair_keeps_its_own_residual():
