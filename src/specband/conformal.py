@@ -68,6 +68,8 @@ class ConformalBand:
     def __post_init__(self) -> None:
         if not self.half_width >= 0.0:
             raise ValueError("half width must be non-negative")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must be in (0, 1)")
 
     @property
     def degenerate(self) -> bool:
@@ -85,9 +87,9 @@ def calibrate(
     """Split the sample, fit on one half, score conformity on the other.
 
     The split draws floor(n/2) pairs without replacement using the given
-    seed (recorded on the result). On the fitted half alone, kappa is selected
-    by leave-one-out CV among the candidates clamped to [1, n1 - 1], or taken
-    as given when the clamp leaves one.
+    seed (recorded on the result). On the fitted half alone, ``fit_kappa``
+    selects kappa by leave-one-out CV, each candidate above n1 - 1 counting
+    as n1 - 1, or takes it as given when that leaves one value.
     """
     n = len(sample)
     if n < 4:
@@ -101,8 +103,7 @@ def calibrate(
     fit_pairs = [sample[i] for i in order[:n1]]
     score_pairs = [sample[i] for i in order[n1:]]
 
-    candidates = sorted({min(max(int(k), 1), n1 - 1) for k in kappa_candidates})
-    model = fit_kappa(fit_pairs, semimetric, kernel, candidates)[0]
+    model = fit_kappa(fit_pairs, semimetric, kernel, kappa_candidates)[0]
 
     if not all(p.predictor.grid.matches(model.predictor_grid)
                and p.response.grid.matches(model.response_grid) for p in score_pairs):

@@ -161,6 +161,8 @@ def write_manifest(path: Path, records: Sequence[SpectrumRecord]) -> None:
 
 # what a manifest entry's keys must hold, and the test for each
 _ENTRY_VALUES = (
+    ("id", "a file name (not empty, '.' or '..', no path separator)",  # outputs are named after it
+     lambda v: str(v) not in ("", ".", "..") and not any(sep in str(v) for sep in (os.sep, os.altsep) if sep)),
     ("z", "a finite, non-negative number",
      lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v < math.inf),
     ("path", "a string", lambda v: isinstance(v, str)),
@@ -283,7 +285,10 @@ def load_conformal_band(path: Path) -> tuple[ConformalBand, float]:
         grid = WavelengthGrid(np.asarray(document["grid"]))
         half_width = math.inf if document["degenerate"] else float(document["half_width"])
         band = ConformalBand(Curve(grid, np.asarray(document["center"])), half_width, float(document["alpha"]))
-        return band, float(document["normalization"])
+        normalization = float(document["normalization"])
+        if not 0.0 < normalization < math.inf:  # eval divides each truth by it
+            raise ValueError(f"normalization must be finite and positive, found {document['normalization']!r}")
+        return band, normalization
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: bad value in the band: {_reason(err)}; rerun predict") from None
 
@@ -318,7 +323,4 @@ def write_error_summary(path: Path, summary) -> None:
 
 def write_scree(path: Path, rows: Sequence[tuple[int, float, float]]) -> None:
     """Rows of (component index, eigenvalue, cumulative variance fraction)."""
-    lines = ["component,eigenvalue,cumulative_fraction"]
-    for index, eigenvalue, fraction in rows:
-        lines.append(f"{index},{eigenvalue!r},{fraction!r}")
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    _write_table(path, "component,eigenvalue,cumulative_fraction", [np.array(c) for c in zip(*rows)])

@@ -174,16 +174,7 @@ def smooth_spectra(
 def fit_pairs(
     pairs: list[CurvePair], config: PipelineConfig
 ) -> tuple[FittedRegression, list[tuple[int, float]]]:
-    """Build the regression, kappa chosen among the candidates that fit n (``fit_kappa``)."""
+    """Build the regression through ``fit_kappa`` (a candidate above n-1 counts as n-1)."""
     if len(pairs) < 3:
         raise ValueError(f"need at least 3 usable spectra to fit, got {len(pairs)}")
-    kernel = KernelSpec()
-    spec = SemimetricSpec.parse(config.semimetric)
-    candidates = sorted(
-        {k for k in config.kappa_candidates if 1 <= k <= len(pairs) - 1}
-    )
-    if not candidates:
-        raise ValueError(
-            f"no kappa candidate fits the sample size n={len(pairs)}"
-        )
-    return fit_kappa(pairs, spec, kernel, candidates)
+    return fit_kappa(pairs, SemimetricSpec.parse(config.semimetric), KernelSpec(), config.kappa_candidates)

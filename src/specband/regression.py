@@ -204,9 +204,11 @@ def kappa_cv_scores(model: FittedRegression, kappa_candidates: Sequence[int]) ->
 def fit_kappa(pairs: Sequence[CurvePair], semimetric: SemimetricSpec, kernel: KernelSpec,
               kappa_candidates: Sequence[int]) -> tuple[FittedRegression, list[tuple[int, float]]]:
     """The regression whose kappa has least LOO score (ties to the smaller) and the
-    table; one candidate in [1, n-1] is used as given, without CV (empty table)."""
-    if len(kappa_candidates) == 1 and 1 <= kappa_candidates[0] <= len(pairs) - 1:
-        return FittedRegression(tuple(pairs), semimetric, kernel, int(kappa_candidates[0])), []
+    table. Each candidate above n-1 counts as n-1; when that leaves one value it
+    is used as given, without CV (empty table)."""
+    kappa_candidates = sorted({min(int(k), len(pairs) - 1) for k in kappa_candidates})
+    if len(kappa_candidates) == 1:
+        return FittedRegression(tuple(pairs), semimetric, kernel, kappa_candidates[0]), []
     # the pairs face a model's checks (kappa 1 fits any n); CV searches its rows
     model = FittedRegression(tuple(pairs), semimetric, kernel, 1)
     # by keyword, as perfbench/tracing.py reads the candidates (and len(model))

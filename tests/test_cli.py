@@ -153,6 +153,24 @@ def test_fit_reports_cv_table_and_kappa(runner, config_path, mock_dir, tmp_path)
     assert len(document["predictors"]) == 12
 
 
+def test_fit_counts_a_candidate_above_n_minus_1_as_n_minus_1(runner, config_path, mock_dir, tmp_path, monkeypatch):
+    """40 on 12 pairs is cross-validated as 11, which leave-one-out clamps to
+    10, so its row ties with 10's and kappa stays the one chosen without it;
+    alone, 40 fixes kappa = 11 without CV."""
+    def fit(candidates):
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, ["fit", "--config", str(config_path), "--kappa-candidates", candidates,
+                                      "--manifest", str(mock_dir / "manifest.json"), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        return result.output.replace(str(out), "m.json").splitlines()
+
+    without, clamped = fit("2,4,10"), fit("2,4,10,40")
+    assert clamped[:4] == without[:4] and clamped[-1] == without[-1] == "selected kappa=10 on n=12 pairs -> m.json"
+    assert clamped[4] == "   11" + without[3][5:]
+    monkeypatch.setattr("specband.regression.kappa_cv_scores", None)  # any CV call fails
+    assert fit("40") == ["selected kappa=11 on n=12 pairs -> m.json"]
+
+
 def test_one_candidate_fixes_kappa_and_span_without_cv(runner, config_path, mock_dir, tmp_path, monkeypatch):
     """A one-element candidate list is used as given: no span CV and no kappa
     CV run, fit prints no CV table, and predict's split-conformal model
@@ -632,6 +650,26 @@ def test_eval_rejects_malformed_band_naming_the_file(runner, mock_dir, pred_dir,
     result = _eval(runner, pred_dir, mock_dir / "manifest.json", tmp_path / "eval")
     assert result.exit_code == 2
     assert result.output.strip() == f"error: {path}: band has no 'degenerate'; rerun predict"
+    path.write_text(json.dumps({**saved, "normalization": 0}))  # eval would divide by it
+    result = _eval(runner, pred_dir, mock_dir / "manifest.json", tmp_path / "eval")
+    assert result.exit_code == 2
+    assert result.output.strip() == (
+        f"error: {path}: bad value in the band: normalization must be finite and positive, found 0; rerun predict")
+
+
+def test_manifest_id_cannot_place_outputs_outside_out(runner, mock_dir, model_path, tmp_path):
+    before = sorted(tmp_path.rglob("*"))
+    document = json.loads((mock_dir / "manifest.json").read_text())
+    manifest = tmp_path / "escaping.json"
+    for bad in ("../escaped/mock_0003", str(tmp_path / "absolute" / "mock_0003")):
+        document["spectra"][3]["id"] = bad
+        manifest.write_text(json.dumps(document))
+        result = runner.invoke(main, ["predict", "--model", str(model_path), "--manifest", str(manifest),
+                                      *QUERY_FLAGS, "--out", str(tmp_path / "pred" / "out")])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip() == (f"error: {manifest}: spectrum entry 3 needs a file name (not empty, "
+                                         f"'.' or '..', no path separator) for 'id', found {bad!r}")
+    assert sorted(tmp_path.rglob("*")) == sorted([*before, manifest])
 
 
 # --kappa and --span, which no command takes, are listed so that every command rejects them

@@ -145,9 +145,12 @@ def test_malformed_manifest_is_a_value_error_naming_the_file(tmp_path, extra, me
         ("truth_path", 3, "a string"),
         ("predict_only", "false", "true or false"),
         ("predict_only", 0, "true or false"),
+        *(("id", bad, "a file name (not empty, '.' or '..', no path separator)")
+          for bad in ("", ".", "..", "../escaped/mock0", "/tmp/mock0", "sub/mock0")),
     ],
     ids=["z-null", "z-string", "z-negative", "z-bool", "z-inf", "path-number", "truth-number",
-         "predict-only-string", "predict-only-number"],
+         "predict-only-string", "predict-only-number",
+         "id-empty", "id-dot", "id-dotdot", "id-parent", "id-absolute", "id-subdirectory"],
 )
 def test_manifest_value_of_the_wrong_type_names_the_file_and_entry(tmp_path, key, value, kind):
     entries = [{"id": "a", "path": "a.csv", "z": 2, "truth_path": "ta.csv", "predict_only": False},
@@ -285,10 +288,18 @@ def test_degenerate_band_round_trip(tmp_path):
         (lambda d: d["center"].pop(), "bad value in the band: curve has 19 values for a 20-point grid"),
         (lambda d: d.pop("degenerate"), "band has no 'degenerate'"),
         (lambda d: d.pop("normalization"), "band has no 'normalization'"),
+        (lambda d: d.update(normalization=0), "bad value in the band: normalization must be finite and positive, found 0"),
+        (lambda d: d.update(normalization=-2.5),
+         "bad value in the band: normalization must be finite and positive, found -2.5"),
+        (lambda d: d.update(normalization=math.inf),
+         "bad value in the band: normalization must be finite and positive, found inf"),
+        (lambda d: d.update(alpha=7.5), "bad value in the band: alpha must be in (0, 1)"),
+        (lambda d: d.update(alpha=0), "bad value in the band: alpha must be in (0, 1)"),
     ],
     ids=["half-width-list", "grid-object", "half-width-null", "degenerate-with-width", "degenerate-string",
          "half-width-negative", "center-short",
-         "no-degenerate", "no-normalization"],
+         "no-degenerate", "no-normalization",
+         "normalization-zero", "normalization-negative", "normalization-inf", "alpha-above-1", "alpha-zero"],
 )
 def test_malformed_band_is_rejected_naming_the_file(tmp_path, edit, message):
     path = tmp_path / "band.json"

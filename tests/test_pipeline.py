@@ -158,15 +158,15 @@ def test_smooth_spectra_needs_enough_samples_in_each_range():
 
 
 def test_fit_pairs_with_fixed_kappa_skips_cv(monkeypatch):
-    """A one-element candidate list is the fixed kappa, and so is a list of
-    which one candidate fits n - 1."""
+    """A one-element candidate list is the fixed kappa, and so is a list that
+    leaves one value once each candidate above n - 1 counts as n - 1."""
     config = PipelineConfig(mock_grid_points=160, span_candidates=(0.5,), kappa_candidates=(2,))
     model = synthetic_model(config.mock_grid(), seed=7)
     pairs = [pair for pair, _ in smooth_spectra([r.noisy for r in generate(model, 5, seed=8)], config, pairs=True)]
     monkeypatch.setattr(regression, "kappa_cv_scores", None)  # any CV call fails
-    for candidates in ((2,), (2, 5, 8)):
+    for candidates, kappa in (((2,), 2), ((8,), 4), ((4, 5, 8), 4)):
         fitted, table = fit_pairs(pairs, dataclasses.replace(config, kappa_candidates=candidates))
-        assert fitted.kappa == 2
+        assert fitted.kappa == kappa
         assert table == []
 
 

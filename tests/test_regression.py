@@ -6,6 +6,7 @@ from specband import regression
 from specband.regression import (
     FittedRegression,
     KernelSpec,
+    fit_kappa,
     kappa_cv_scores,
     predict,
     predict_many,
@@ -573,12 +574,33 @@ def test_loo_rejects_pairs_the_model_rejects():
 
 
 def test_loo_rejects_empty_or_out_of_range_candidates():
+    """An empty list and a kappa below 1 are rejected; a candidate above n - 1
+    counts as n - 1."""
     rng = np.random.default_rng(4)
     pairs = tuple(_pair(rng.normal(size=101), rng.normal(size=40)) for _ in range(5))
     with pytest.raises(ValueError, match="empty"):
         select_kappa_cv(pairs, L2, KERNEL, [])
+    with pytest.raises(ValueError, match="kappa"):
+        select_kappa_cv(pairs, L2, KERNEL, [0])
     with pytest.raises(ValueError, match="outside"):
-        select_kappa_cv(pairs, L2, KERNEL, [5])
+        select_kappa_cv(pairs, L2, KERNEL, [0, 2])
+    assert select_kappa_cv(pairs, L2, KERNEL, [5]) == 4
+
+
+def test_fit_kappa_cross_validates_the_candidates_clamped_to_n_minus_1(monkeypatch):
+    rng = np.random.default_rng(4)
+    pairs = tuple(_pair(rng.normal(size=101), rng.normal(size=40)) for _ in range(5))
+    seen = []
+
+    def recording(model, kappa_candidates):
+        seen.append(list(kappa_candidates))
+        return kappa_cv_scores(model, kappa_candidates)
+
+    monkeypatch.setattr(regression, "kappa_cv_scores", recording)
+    model, table = fit_kappa(pairs, L2, KERNEL, [2, 5, 8])
+    assert seen == [[2, 4]]
+    assert [kappa for kappa, _ in table] == [2, 4]
+    assert model.kappa in (2, 4)
 
 
 def test_loo_handles_duplicates_and_ties_at_the_bandwidth():
