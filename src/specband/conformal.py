@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import Curve, CurvePair, FloatArray, sup_distance
+from .curves import Curve, CurvePair, FloatArray, frozen_array, sup_distance
 from .regression import FittedRegression, KernelSpec, fit_kappa, predict, predict_many
 from .semimetrics import SemimetricSpec
 
@@ -36,8 +36,7 @@ class ConformalCalibration:
     split_seed: int
 
     def __post_init__(self) -> None:
-        scores = np.asarray(self.calibration_scores, dtype=np.float64).copy()
-        scores.setflags(write=False)
+        scores = frozen_array(self.calibration_scores, "calibration scores")
         if scores.size < 1:
             raise ValueError("calibration needs at least one score")
         if not np.all(np.isfinite(scores)) or np.any(scores > 0.0):

@@ -5,6 +5,11 @@ envelopes) is a function sampled on a shared wavelength grid; this module
 owns that representation plus the rest-frame conversion and the handful of
 curve operations everything else builds on. All types are immutable after
 construction and safe to share between threads.
+
+Values hold their samples in float64 arrays over immutable ``bytes`` buffers
+(:func:`frozen_array`), which numpy will not make writable again. Objects
+share such arrays; anything else is copied once, so a caller's later writes
+never reach a value. Call ``.copy()`` for a writable array.
 """
 
 from __future__ import annotations
@@ -17,13 +22,15 @@ from numpy.typing import NDArray
 FloatArray = NDArray[np.float64]
 
 
-def _as_readonly_float_array(values, name: str) -> FloatArray:
+def frozen_array(values, name: str, ndim: int = 1) -> FloatArray:
+    """``values`` as a C-ordered float64 array over an immutable ``bytes`` buffer:
+    the array itself when it already is one, else a copy (module docstring)."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional")
+    if isinstance(arr.base, bytes) and arr.flags.c_contiguous:
+        return arr
+    return np.ndarray(arr.shape, np.float64, arr.tobytes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,7 +40,7 @@ class WavelengthGrid:
     points: FloatArray
 
     def __post_init__(self) -> None:
-        pts = _as_readonly_float_array(self.points, "grid points")
+        pts = frozen_array(self.points, "grid points")
         if pts.size < 2:
             raise ValueError("a wavelength grid needs at least 2 points")
         if not np.all(np.isfinite(pts)):
@@ -76,7 +83,7 @@ class Curve:
     values: FloatArray
 
     def __post_init__(self) -> None:
-        vals = _as_readonly_float_array(self.values, "curve values")
+        vals = frozen_array(self.values, "curve values")
         if vals.size != len(self.grid):
             raise ValueError(
                 f"curve has {vals.size} values for a {len(self.grid)}-point grid"
@@ -104,9 +111,9 @@ class RawSpectrum:
     redshift: float = 0.0
 
     def __post_init__(self) -> None:
-        wl = _as_readonly_float_array(self.wavelengths, "wavelengths")
-        fx = _as_readonly_float_array(self.flux, "flux")
-        sd = _as_readonly_float_array(self.noise_sd, "noise_sd")
+        wl = frozen_array(self.wavelengths, "wavelengths")
+        fx = frozen_array(self.flux, "flux")
+        sd = frozen_array(self.noise_sd, "noise_sd")
         if wl.size < 10:
             raise ValueError("a raw spectrum needs at least 10 samples")
         if fx.size != wl.size or sd.size != wl.size:

@@ -162,7 +162,7 @@ def write_manifest(path: Path, records: Sequence[SpectrumRecord]) -> None:
 # what a manifest entry's keys must hold, and the test for each
 _ENTRY_VALUES = (
     ("id", "a file name (not empty, '.' or '..', no path separator)",  # outputs are named after it
-     lambda v: str(v) not in ("", ".", "..") and not any(sep in str(v) for sep in (os.sep, os.altsep) if sep)),
+     lambda v: isinstance(v, str) and v not in ("", ".", "..") and not any(sep in v for sep in (os.sep, os.altsep) if sep)),
     ("z", "a finite, non-negative number",
      lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v < math.inf),
     ("path", "a string", lambda v: isinstance(v, str)),
@@ -187,7 +187,7 @@ def read_manifest(path: Path) -> list[SpectrumRecord]:
         for key, kind, valid in _ENTRY_VALUES:
             if key in entry and not valid(entry[key]):
                 raise ValueError(f"{path}: spectrum entry {index} needs {kind} for {key!r}, found {entry[key]!r}")
-        spectrum_id = str(entry["id"])
+        spectrum_id = entry["id"]
         if spectrum_id in records:
             raise ValueError(f"{path}: duplicate spectrum id {spectrum_id!r}")
         truth = entry.get("truth_path")

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import Curve, FloatArray, WavelengthGrid, trapezoid_weights
+from .curves import Curve, FloatArray, WavelengthGrid, frozen_array, trapezoid_weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,8 +28,7 @@ class FpcaModel:
     grid: WavelengthGrid
 
     def __post_init__(self) -> None:
-        eig = np.asarray(self.eigenvalues, dtype=np.float64).copy()
-        eig.setflags(write=False)
+        eig = frozen_array(self.eigenvalues, "eigenvalues")
         if np.any(np.diff(eig) > 0.0):
             raise ValueError("eigenvalues must be sorted non-increasing")
         if np.any(eig < -1e-10):

@@ -23,6 +23,7 @@ from .curves import (
     FloatArray,
     RawSpectrum,
     WavelengthGrid,
+    frozen_array,
     nearest_index,
     trapezoid_weights,
 )
@@ -49,8 +50,7 @@ class MockModel:
     sigma: Curve
 
     def __post_init__(self) -> None:
-        eig = np.asarray(self.eigenvalues, dtype=np.float64).copy()
-        eig.setflags(write=False)
+        eig = frozen_array(self.eigenvalues, "eigenvalues")
         object.__setattr__(self, "xi", tuple(self.xi))
         object.__setattr__(self, "eigenvalues", eig)
         if eig.size != len(self.xi):
@@ -82,6 +82,9 @@ class MockRealization:
     noisy: RawSpectrum
     true_continuum: Curve
     omega: FloatArray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "omega", frozen_array(self.omega, "omega"))
 
 
 def generate(model: MockModel, count: int, seed: int) -> list[MockRealization]:

@@ -36,6 +36,13 @@ class KernelSpec:
         return np.where((u >= 0.0) & (u <= 1.0), 1.0 - u * u, 0.0)
 
 
+def _stacked(curves) -> FloatArray:
+    """The curves' values as the rows of one matrix, read-only as a curve's values."""
+    mat = np.stack([c.values for c in curves])
+    mat.setflags(write=False)
+    return mat
+
+
 @dataclass(frozen=True, eq=False)
 class FittedRegression:
     """Training curve pairs plus semimetric, kernel and neighbor count."""
@@ -75,11 +82,11 @@ class FittedRegression:
 
     @cached_property
     def predictor_matrix(self) -> FloatArray:
-        return np.stack([p.predictor.values for p in self.pairs])
+        return _stacked(p.predictor for p in self.pairs)
 
     @cached_property
     def response_matrix(self) -> FloatArray:
-        return np.stack([p.response.values for p in self.pairs])
+        return _stacked(p.response for p in self.pairs)
 
     @cached_property
     def reference(self) -> tuple:  # what every search reads

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import Curve, CurvePair, FloatArray
+from .curves import Curve, CurvePair, FloatArray, frozen_array
 from .fpca import FpcaModel, trapezoid_weights
 from .regression import FittedRegression, predict_many, prediction_weights
 
@@ -66,9 +66,8 @@ class BootstrapBand:
     replicates: int
 
     def __post_init__(self) -> None:
-        intervals = np.asarray(self.component_intervals, dtype=np.float64).copy()
-        intervals.setflags(write=False)
-        if intervals.ndim != 2 or intervals.shape[1] != 2:
+        intervals = frozen_array(self.component_intervals, "component_intervals", ndim=2)
+        if intervals.shape[1] != 2:
             raise ValueError("component_intervals must have shape (m, 2)")
         if np.any(intervals[:, 0] > intervals[:, 1]):
             raise ValueError("each interval must satisfy lower <= upper")

@@ -11,6 +11,9 @@ from specband.curves import (
     to_rest_frame,
     trapezoid_weights,
 )
+from specband.mockgen import MockModel, generate, synthetic_model
+from specband.regression import FittedRegression, KernelSpec
+from specband.semimetrics import SemimetricSpec
 
 
 def _spectrum(wavelengths, flux=None, z=0.0):
@@ -72,6 +75,56 @@ def test_values_are_immutable():
     curve = Curve(WavelengthGrid([1.0, 2.0]), [1.0, 2.0])
     with pytest.raises(ValueError):
         curve.values[0] = 5.0
+
+
+# -------------------------------------------------------------- ownership
+
+def test_a_frozen_array_passes_between_values_as_the_same_object():
+    curve = Curve(WavelengthGrid([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+    assert Curve(curve.grid, curve.values).values is curve.values
+    assert resample(curve, curve.grid).values is curve.values
+    spectrum = _spectrum(np.linspace(2000.0, 4000.0, 15), z=2.5)
+    rest = to_rest_frame(spectrum)
+    assert rest.flux is spectrum.flux and rest.noise_sd is spectrum.noise_sd
+    model = synthetic_model(WavelengthGrid.uniform(1000.0, 1600.0, 50), n_components=3)
+    assert MockModel(model.mu, model.xi, model.eigenvalues, model.sigma).eigenvalues is model.eigenvalues
+    for mock in generate(model, 2, seed=1):
+        assert mock.noisy.wavelengths is model.grid.points
+        assert mock.noisy.noise_sd is model.sigma.values
+
+
+@pytest.mark.parametrize("kind", ["writable", "read-only view", "list", "float32"])
+def test_anything_but_a_frozen_array_is_copied_once(kind):
+    source = np.array([1.0, 2.0, 3.0])
+    given = {"writable": source, "read-only view": source.view(), "list": source.tolist(),
+             "float32": source.astype(np.float32)}[kind]
+    if kind == "read-only view":
+        given.flags.writeable = False
+    curve = Curve(WavelengthGrid([1.0, 2.0, 3.0]), given)
+    assert isinstance(curve.values.base, bytes)
+    (source if kind == "read-only view" else given)[0] = 99.0
+    assert curve.values.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_no_value_array_can_be_made_writable_again():
+    curve = Curve(WavelengthGrid([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))
+    spectrum = _spectrum(np.linspace(1000.0, 2000.0, 12))
+    model = synthetic_model(WavelengthGrid.uniform(1000.0, 1600.0, 50), n_components=3)
+    for values in (curve.grid.points, curve.values, spectrum.wavelengths, spectrum.flux,
+                   spectrum.noise_sd, model.eigenvalues):
+        with pytest.raises(ValueError):
+            values.flags.writeable = True
+
+
+def test_mock_scores_and_model_matrices_refuse_writes():
+    model = synthetic_model(WavelengthGrid.uniform(1000.0, 1600.0, 50), n_components=3)
+    mocks = generate(model, 3, seed=2)
+    low, high = WavelengthGrid.uniform(1000.0, 1200.0, 20), WavelengthGrid.uniform(1300.0, 1600.0, 30)
+    pairs = [CurvePair(resample(m.true_continuum, high), resample(m.true_continuum, low)) for m in mocks]
+    fitted = FittedRegression(tuple(pairs), SemimetricSpec.parse("l2"), KernelSpec(), 1)
+    for values in (mocks[0].omega, fitted.predictor_matrix, fitted.response_matrix):
+        with pytest.raises(ValueError):
+            values[:] += 5.0
 
 
 # -------------------------------------------------------------- rest frame

@@ -146,11 +146,12 @@ def test_malformed_manifest_is_a_value_error_naming_the_file(tmp_path, extra, me
         ("predict_only", "false", "true or false"),
         ("predict_only", 0, "true or false"),
         *(("id", bad, "a file name (not empty, '.' or '..', no path separator)")
-          for bad in ("", ".", "..", "../escaped/mock0", "/tmp/mock0", "sub/mock0")),
+          for bad in ("", ".", "..", "../escaped/mock0", "/tmp/mock0", "sub/mock0", None, 5, True)),
     ],
     ids=["z-null", "z-string", "z-negative", "z-bool", "z-inf", "path-number", "truth-number",
          "predict-only-string", "predict-only-number",
-         "id-empty", "id-dot", "id-dotdot", "id-parent", "id-absolute", "id-subdirectory"],
+         "id-empty", "id-dot", "id-dotdot", "id-parent", "id-absolute", "id-subdirectory",
+         "id-null", "id-number", "id-bool"],
 )
 def test_manifest_value_of_the_wrong_type_names_the_file_and_entry(tmp_path, key, value, kind):
     entries = [{"id": "a", "path": "a.csv", "z": 2, "truth_path": "ta.csv", "predict_only": False},

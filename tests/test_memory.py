@@ -1,4 +1,5 @@
-"""Peak-memory guards for the stages that compare n curves, measured with tracemalloc.
+"""Memory guards measured with tracemalloc: the peak of the stages that compare
+n curves, and what generated mocks keep.
 
 numpy reports its buffers to tracemalloc, so the traced peak of a call is
 the most its arrays held at once. Leave-one-out kappa selection and
@@ -12,6 +13,7 @@ import tracemalloc
 import numpy as np
 
 from specband.curves import Curve, CurvePair, WavelengthGrid
+from specband.mockgen import generate, synthetic_model
 from specband.regression import _BLOCK_ROWS, FittedRegression, KernelSpec, kappa_cv_scores, predict_many
 from specband.semimetrics import SemimetricSpec
 
@@ -53,3 +55,18 @@ def test_predict_many_peak_stays_under_one_square_buffer():
     queries = np.random.default_rng(3).normal(size=(N, 40))
     peak = _traced_peak(lambda: predict_many(model, queries))
     assert BLOCK <= peak < SQUARE, f"{peak / 1e6:.2f} MB traced"
+
+
+def test_mocks_keep_their_own_two_arrays_and_share_the_model_s():
+    # each mock's flux and continuum are its own; its wavelengths and noise sd
+    # are the model's grid points and noise-sd curve
+    model = synthetic_model(WavelengthGrid.uniform(1000.0, 1600.0, 1000))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mocks = generate(model, 200, seed=5)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    per_mock = kept / (len(mocks) * len(model.grid) * 8)
+    assert per_mock < 2.5, f"{per_mock:.2f} sample arrays kept per mock"
