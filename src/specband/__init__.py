@@ -38,12 +38,11 @@ from .regression import (
     predict,
     select_kappa_cv,
 )
-from .semimetrics import SemimetricSpec, distance
+from .semimetrics import SemimetricSpec
 from .wild_bootstrap import (
     BootstrapBand,
     WildBootstrapConfig,
     bootstrap_bands,
-    sample_v,
 )
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "sup_distance",
     "to_rest_frame",
     "SemimetricSpec",
-    "distance",
     "KernelSpec",
     "FittedRegression",
     "predict",
@@ -70,7 +68,6 @@ __all__ = [
     "project",
     "WildBootstrapConfig",
     "BootstrapBand",
-    "sample_v",
     "bootstrap_bands",
     "MockModel",
     "MockRealization",

@@ -24,6 +24,7 @@ from . import regression as regression_mod
 from . import wild_bootstrap as wb
 from .curves import resample
 from .pipeline import PipelineConfig, fit_pairs, load_config, smooth_spectra
+from .semimetrics import TOKENS
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -49,7 +50,7 @@ _CONFIG_FLAGS = {
     "config": click.option("--config", "config_path", type=click.Path(exists=True, path_type=Path), default=None, help="JSON config file; flags override its keys."),
     "seed": click.option("--seed", type=int, default=None, help="Root random seed."),
     "alpha": click.option("--alpha", type=float, default=None, help="Miscoverage level in (0, 1)."),
-    "semimetric": click.option("--semimetric", type=click.Choice(["l2", "deriv1", "deriv2"]), default=None, help="Predictor-space distance."),
+    "semimetric": click.option("--semimetric", type=click.Choice(TOKENS), default=None, help="Predictor-space distance."),
     "kappa_candidates": click.option("--kappa-candidates", default=None, help="Comma-separated CV neighbor counts; one count is used without CV. A count above n-1 counts as n-1 (in predict's split model, n1-1)."),
     "span_candidates": click.option("--span-candidates", default=None, help="Comma-separated CV spans; one span is used without CV."),
 }

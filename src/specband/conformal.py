@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import Curve, CurvePair, FloatArray, frozen_array, sup_distance
+from .curves import Curve, CurvePair, FloatArray, frozen_array, shared_grid, sup_distance
 from .regression import FittedRegression, KernelSpec, fit_kappa, predict, predict_many
 from .semimetrics import SemimetricSpec
 
@@ -95,6 +95,8 @@ def calibrate(
         raise ValueError(f"conformal calibration needs at least 4 pairs, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
+    shared_grid([p.predictor for p in sample], "training predictors")
+    shared_grid([p.response for p in sample], "training responses")
 
     rng = np.random.default_rng(split_seed)
     order = rng.permutation(n)
@@ -104,9 +106,6 @@ def calibrate(
 
     model = fit_kappa(fit_pairs, semimetric, kernel, kappa_candidates)[0]
 
-    if not all(p.predictor.grid.matches(model.predictor_grid)
-               and p.response.grid.matches(model.response_grid) for p in score_pairs):
-        raise ValueError("every pair must share the grids of the fitted half")
     predictors = np.stack([p.predictor.values for p in score_pairs])
     responses = np.stack([p.response.values for p in score_pairs])
     # one block of predictions; each score is -sup_distance(y, predict(model, x)), bit for bit

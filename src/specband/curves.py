@@ -202,6 +202,14 @@ def ensure_same_grid(a: Curve, b: Curve) -> None:
         raise ValueError("curves are sampled on different wavelength grids")
 
 
+def shared_grid(curves, what: str) -> WavelengthGrid:
+    """The one grid every curve in a non-empty ``curves`` is sampled on."""
+    grid = curves[0].grid
+    if not all(c.grid.matches(grid) for c in curves[1:]):
+        raise ValueError(f"all {what} must share one grid")
+    return grid
+
+
 def nearest_index(grid: WavelengthGrid, wavelength: float) -> int:
     """Index of the grid point closest to the given wavelength."""
     return int(np.argmin(np.abs(grid.points - wavelength)))

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .conformal import ConformalBand, contains
-from .curves import Curve, WavelengthGrid, ensure_same_grid
+from .curves import Curve, WavelengthGrid, ensure_same_grid, shared_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +62,7 @@ def summarize(errors: Sequence[Curve]) -> ErrorSummary:
     """
     if len(errors) < 2:
         raise ValueError("need at least 2 curves to summarize")
-    grid = errors[0].grid
-    for c in errors[1:]:
-        if not c.grid.matches(grid):
-            raise ValueError("all error curves must share one grid")
+    grid = shared_grid(errors, "error curves")
     data = np.stack([c.values for c in errors])
 
     mean = data.mean(axis=0)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import Curve, FloatArray, WavelengthGrid, frozen_array, trapezoid_weights
+from .curves import Curve, FloatArray, WavelengthGrid, frozen_array, shared_grid, trapezoid_weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,10 +51,7 @@ def fit_fpca(curves: Sequence[Curve], m: int) -> FpcaModel:
     n = len(curves)
     if n < 1:
         raise ValueError("need at least one curve")
-    grid = curves[0].grid
-    for c in curves[1:]:
-        if not c.grid.matches(grid):
-            raise ValueError("all curves must share one grid")
+    grid = shared_grid(curves, "curves")
     p = len(grid)
     if not 1 <= m <= min(n, p):
         raise ValueError(f"m must be in [1, {min(n, p)}], got {m}")

@@ -25,6 +25,7 @@ from .curves import (
     WavelengthGrid,
     frozen_array,
     nearest_index,
+    shared_grid,
     trapezoid_weights,
 )
 
@@ -57,12 +58,7 @@ class MockModel:
             raise ValueError("one eigenvalue per eigenspectrum is required")
         if np.any(eig < 0.0):
             raise ValueError("eigenvalues must be non-negative")
-        grid = self.mu.grid
-        for component in self.xi:
-            if not component.grid.matches(grid):
-                raise ValueError("all model curves must share the mean's grid")
-        if not self.sigma.grid.matches(grid):
-            raise ValueError("the noise-sd curve must share the mean's grid")
+        shared_grid([self.mu, *self.xi, self.sigma], "model curves")
         if np.any(self.sigma.values < 0.0):
             raise ValueError("noise sd must be non-negative")
 

@@ -88,13 +88,9 @@ class PipelineConfig:
 MODEL_SETTINGS = ("predictor_range", "response_range", "predictor_points", "response_points",
                   "normalization_wavelength", "kappa_candidates", "span_candidates")
 
-_TUPLE_FIELDS = {
-    "predictor_range": float,
-    "response_range": float,
-    "kappa_candidates": int,
-    "span_candidates": float,
-}
 _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(PipelineConfig)}
+# a tuple field's items take the type of its default's items
+_TUPLE_FIELDS = {f.name: type(f.default[0]) for f in dataclasses.fields(PipelineConfig) if _FIELD_TYPES[f.name] is tuple}
 
 
 def _check_type(name: str, value, kind: type) -> None:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import Curve, CurvePair, FloatArray, trapezoid_weights
+from .curves import Curve, CurvePair, FloatArray, shared_grid, trapezoid_weights
 from .semimetrics import SemimetricSpec, nearest, reference
 
 
@@ -57,13 +57,8 @@ class FittedRegression:
         n = len(self.pairs)
         if n < 2:
             raise ValueError("a fitted regression needs at least 2 training pairs")
-        pred_grid = self.pairs[0].predictor.grid
-        resp_grid = self.pairs[0].response.grid
-        for pair in self.pairs[1:]:
-            if not pair.predictor.grid.matches(pred_grid):
-                raise ValueError("all training predictors must share one grid")
-            if not pair.response.grid.matches(resp_grid):
-                raise ValueError("all training responses must share one grid")
+        shared_grid([p.predictor for p in self.pairs], "training predictors")
+        shared_grid([p.response for p in self.pairs], "training responses")
         if not 1 <= self.kappa <= n - 1:
             raise ValueError(
                 f"kappa must satisfy 1 <= kappa <= n-1 = {n - 1}, got {self.kappa}"

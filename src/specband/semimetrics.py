@@ -7,7 +7,7 @@ additive constants (order 1) or affine trends (order 2).
 
 Every distance is the direct expression: the weighted sum of squared
 differences of the two curves' derivatives, each curve differentiated on its
-own. It is exact near zero, ``distance(a, a) == 0.0``, and swapping the
+own. It is exact near zero (a curve is 0.0 from itself), and swapping the
 curves gives the same bits. :func:`distances_to` evaluates it for one query.
 
 :func:`nearest` finds each query's ``count`` nearest rows by measuring only
@@ -65,11 +65,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, FloatArray, ensure_same_grid, trapezoid_weights
+from .curves import FloatArray, trapezoid_weights
 
 _EPS = np.finfo(np.float64).eps
 _UNIT_ROUNDOFF = _EPS / 2
-_TOKENS = ("l2", "deriv1", "deriv2")  # position = derivative order
+TOKENS = ("l2", "deriv1", "deriv2")  # position = derivative order
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ class SemimetricSpec:
     token: str = "l2"
 
     def __post_init__(self) -> None:
-        if self.token not in _TOKENS:
-            raise ValueError(f"unknown semimetric {self.token!r}; expected one of {sorted(_TOKENS)}")
+        if self.token not in TOKENS:
+            raise ValueError(f"unknown semimetric {self.token!r}; expected one of {sorted(TOKENS)}")
 
     @classmethod
     def parse(cls, token: str) -> "SemimetricSpec":
@@ -88,7 +88,7 @@ class SemimetricSpec:
 
     @property
     def order(self) -> int:
-        return _TOKENS.index(self.token)
+        return TOKENS.index(self.token)
 
 
 def _derivatives(spec: SemimetricSpec, values: FloatArray, points: FloatArray) -> FloatArray:
@@ -102,12 +102,6 @@ def _derivatives(spec: SemimetricSpec, values: FloatArray, points: FloatArray) -
     for _ in range(spec.order):
         out = np.gradient(out, pts, axis=1)
     return out
-
-
-def distance(spec: SemimetricSpec, a: Curve, b: Curve) -> float:
-    """Semimetric distance between two curves on a shared grid."""
-    ensure_same_grid(a, b)
-    return float(distances_to(spec, a.values, b.values, a.grid.points)[0])
 
 
 def _direct(diff: FloatArray, w: FloatArray) -> FloatArray:
@@ -132,9 +126,9 @@ def _coords(z: FloatArray, basis: FloatArray) -> tuple[FloatArray, FloatArray]:
 
 
 def reference(spec: SemimetricSpec, values: FloatArray, points: FloatArray) -> tuple:
-    """What :func:`nearest` reads of the rows ``values``: the derivative rows
-    (for ``l2``, ``values`` itself), w, the mean, V, the table of L, the slack's
-    coefficient, and the largest (c, rho) norm and residual (module docstring)."""
+    """What :func:`nearest` reads of the rows ``values``, every array read-only: the
+    derivative rows (for ``l2``, a view of ``values``), w, the mean, V, the table of L,
+    the slack's coefficient, and the largest (c, rho) norm and residual (module docstring)."""
     rows = _derivatives(spec, values, points)
     w = trapezoid_weights(points)
     mean, root_w = rows.mean(axis=0), np.sqrt(w)
@@ -152,7 +146,10 @@ def reference(spec: SemimetricSpec, values: FloatArray, points: FloatArray) -> t
     coef = 2 * eta + 20 * (p + 2) * np.sqrt(r + 1) * _UNIT_ROUNDOFF
     a, a_sq = _coords(z, basis)
     table = np.vstack([-2.0 * a.T, a_sq, np.ones(n)])  # L = [a, 1, |a|^2] @ table
-    return rows, w, mean, root_w, basis, table, coef, np.sqrt(a_sq.max()), a[:, -1].max()
+    arrays = [arr.view() for arr in (rows, w, mean, root_w, basis, table)]
+    for arr in arrays:
+        arr.setflags(write=False)
+    return (*arrays, coef, np.sqrt(a_sq.max()), a[:, -1].max())
 
 
 def nearest(

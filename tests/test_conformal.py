@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -105,6 +106,19 @@ def test_calibrate_requires_four_pairs():
     rng = np.random.default_rng(6)
     with pytest.raises(ValueError, match="at least 4"):
         calibrate(_random_pairs(rng, 3), 0.1, L2, KERNEL, [1], split_seed=0)
+
+
+@pytest.mark.parametrize("part", ["predictor", "response"])
+def test_calibrate_checks_the_whole_sample_shares_one_grid_before_fitting(part, monkeypatch):
+    from specband import conformal
+
+    pairs = _random_pairs(np.random.default_rng(3), 12)
+    curve = getattr(pairs[-1], part)
+    moved = Curve(WavelengthGrid(curve.grid.points * (1.0 + 1e-9)), curve.values)
+    pairs[-1] = dataclasses.replace(pairs[-1], **{part: moved})
+    monkeypatch.setattr(conformal, "fit_kappa", lambda *a: pytest.fail("fitted before the check"))
+    with pytest.raises(ValueError, match=f"all training {part}s must share one grid"):
+        calibrate(pairs, 0.1, L2, KERNEL, [2], split_seed=0)
 
 
 def test_scores_are_non_positive():

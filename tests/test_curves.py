@@ -7,10 +7,13 @@ from specband.curves import (
     RawSpectrum,
     WavelengthGrid,
     resample,
+    shared_grid,
     sup_distance,
     to_rest_frame,
     trapezoid_weights,
 )
+from specband.evaluation import summarize
+from specband.fpca import fit_fpca
 from specband.mockgen import MockModel, generate, synthetic_model
 from specband.regression import FittedRegression, KernelSpec
 from specband.semimetrics import SemimetricSpec
@@ -213,6 +216,31 @@ def test_sup_distance_grid_mismatch():
     b = Curve(WavelengthGrid([1.0, 3.0]), [0.0, 0.0])
     with pytest.raises(ValueError, match="different wavelength grids"):
         sup_distance(a, b)
+
+
+def test_shared_grid_returns_the_first_grid_or_names_the_curves():
+    grid = WavelengthGrid([1.0, 2.0])
+    curves = [Curve(grid, [0.0, 1.0]), Curve(WavelengthGrid([1.0, 2.0]), [1.0, 0.0])]
+    assert shared_grid(curves, "curves") is grid
+    assert shared_grid(curves[:1], "curves") is grid
+    with pytest.raises(ValueError, match="^all model curves must share one grid$"):
+        shared_grid([*curves, Curve(WavelengthGrid([1.0, 3.0]), [0.0, 0.0])], "model curves")
+
+
+def _moved(curve):
+    return Curve(WavelengthGrid(curve.grid.points + 0.5), curve.values)
+
+
+@pytest.mark.parametrize("build", [
+    lambda m: fit_fpca([m.mu, _moved(m.xi[0])], 1),
+    lambda m: summarize([m.mu, m.xi[0], _moved(m.xi[1])]),
+    lambda m: MockModel(m.mu, (m.xi[0], _moved(m.xi[1])), m.eigenvalues[:2], m.sigma),
+    lambda m: MockModel(m.mu, m.xi, m.eigenvalues, _moved(m.sigma)),
+], ids=["fpca", "summarize", "mock eigenspectrum", "mock noise sd"])
+def test_every_curve_sample_keeps_the_one_grid_rule(build):
+    model = synthetic_model(WavelengthGrid.uniform(1000.0, 1600.0, 50), n_components=3)
+    with pytest.raises(ValueError, match="must share one grid"):
+        build(model)
 
 
 def test_sup_distance_is_a_metric_on_random_triples():

@@ -13,7 +13,7 @@ from specband.regression import (
     prediction_weights,
     select_kappa_cv,
 )
-from specband.semimetrics import SemimetricSpec, distance, distances_to, reference
+from specband.semimetrics import SemimetricSpec, distances_to, reference
 
 L2 = SemimetricSpec.parse("l2")
 KERNEL = KernelSpec()
@@ -47,7 +47,7 @@ def _zero_query():
 def brute_force_prediction(model, x):
     """Direct evaluation of the kernel-average formula, scalar loops only."""
     n = len(model)
-    dists = [distance(model.semimetric, p.predictor, x) for p in model.pairs]
+    dists = [distances_to(model.semimetric, p.predictor.values, x.values, x.grid.points)[0] for p in model.pairs]
     ordered = sorted(dists)
     lo, hi = ordered[model.kappa - 1], ordered[model.kappa]
     h = lo if lo == hi else 0.5 * (lo + hi)
@@ -421,7 +421,8 @@ def test_squared_distances_that_tie_after_the_square_root_share_the_bandwidth():
     w = trapezoid_weights(DYADIC_GRID.points)
     assert np.sum(w * b * b) == 1.0 + 2.0**-52 and np.sum(w * a * a) == 1.0
     x = Curve(DYADIC_GRID, np.zeros(9))
-    assert distance(L2, pairs[1].predictor, x) == distance(L2, pairs[3].predictor, x) == 1.0
+    for pair in (pairs[1], pairs[3]):
+        assert distances_to(L2, pair.predictor.values, x.values, x.grid.points)[0] == 1.0
     model = FittedRegression(pairs, L2, KERNEL, kappa=2)
     assert np.array_equal(prediction_weights(model, x), [0.0, 0.0, 1.0, 0.0])
     assert np.array_equal(predict(model, x).values, pairs[2].response.values)
@@ -437,6 +438,23 @@ def test_predict_is_bitwise_predict_many_past_the_first_block(semimetric):
     queries[-3:] = model.predictor_matrix[:3]  # copies: distance 0
     for q, row in zip(queries, predict_many(model, queries)):
         assert predict(model, Curve(PRED_GRID, q)).values.tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("semimetric", [L2, SemimetricSpec.parse("deriv1"), SemimetricSpec.parse("deriv2")])
+def test_search_cache_is_read_only(semimetric):
+    """No array the search reads can be written, so a later prediction cannot
+    change under a caller's write."""
+    rng = np.random.default_rng(31)
+    model = FittedRegression(tuple(_pair(rng.normal(size=101), rng.normal(size=40)) for _ in range(20)),
+                             semimetric, KERNEL, kappa=3)
+    x = Curve(PRED_GRID, rng.normal(size=101))
+    before = predict(model, x).values
+    arrays = [part for part in model.reference if isinstance(part, np.ndarray)]
+    assert len(arrays) >= 6
+    for part in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            part[...] = 0.0
+    assert np.array_equal(predict(model, x).values, before)
 
 
 def test_query_grid_mismatch_raises():
@@ -458,7 +476,8 @@ def oracle_loo_table(pairs, candidates):
         total = 0.0
         for i in range(n):
             rest = [pairs[j] for j in range(n) if j != i]
-            dists = [distance(L2, p.predictor, pairs[i].predictor) for p in rest]
+            x = pairs[i].predictor
+            dists = [distances_to(L2, p.predictor.values, x.values, x.grid.points)[0] for p in rest]
             ordered = sorted(dists)
             lo, hi = ordered[k_eff - 1], ordered[k_eff]
             h = lo if lo == hi else 0.5 * (lo + hi)

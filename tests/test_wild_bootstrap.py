@@ -16,8 +16,8 @@ from specband.wild_bootstrap import (
     BootstrapBand,
     WildBootstrapConfig,
     bootstrap_bands,
+    _draw_v,
     quantile_levels,
-    sample_v,
 )
 
 L2 = SemimetricSpec.parse("l2")
@@ -51,21 +51,24 @@ def test_two_point_law_constants():
 
 
 def test_draws_take_only_the_two_values():
-    draws = sample_v(1000, seed=1)
+    draws = _draw_v(np.random.default_rng(1), 1000)
     assert set(np.unique(draws)) <= {V_LOW, V_HIGH}
 
 
 def test_sample_moments_at_modest_size():
-    draws = sample_v(100_000, seed=7)
+    draws = _draw_v(np.random.default_rng(7), 100_000)
     # 3-sigma bounds for 1e5 draws: sd(mean)=0.0032, sd(m2)=0.0032, sd(m3)=0.0063
     assert abs(draws.mean()) < 0.0095
     assert abs(np.mean(draws**2) - 1.0) < 0.0095
     assert abs(np.mean(draws**3) - 1.0) < 0.019
 
 
-def test_sample_v_is_seeded():
-    assert np.array_equal(sample_v(50, seed=3), sample_v(50, seed=3))
-    assert not np.array_equal(sample_v(50, seed=3), sample_v(50, seed=4))
+def test_draws_are_seeded():
+    def draws(seed):
+        return _draw_v(np.random.default_rng(seed), 50)
+
+    assert np.array_equal(draws(3), draws(3))
+    assert not np.array_equal(draws(3), draws(4))
 
 
 def test_quantile_levels_bonferroni_split():
@@ -157,8 +160,8 @@ def test_sparse_replicates_match_the_dense_formula():
     weights = prediction_weights(model, x)
     support = np.flatnonzero(weights)
     assert 0 < support.size <= 5  # the sparse path skips pairs
-    v = sample_v(40 * 200, seed=99).reshape(200, 40)  # off the support: any draw
-    v[:, support] = sample_v(200 * support.size, seed=17).reshape(200, support.size)
+    v = _draw_v(np.random.default_rng(99), (200, 40))  # off the support: any draw
+    v[:, support] = _draw_v(np.random.default_rng(17), (200, support.size))
     replicates = weights @ fitted + (weights * v) @ residuals  # (B, p) curves
     quad = trapezoid_weights(RESP_GRID.points)
     comp = np.stack([c.values for c in fpca_model.components])
