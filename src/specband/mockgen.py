@@ -7,7 +7,10 @@ that predictions are judged against. The model is built synthetically:
 Gaussian emission-line bumps on a shallow power law for the mean,
 Gram-Schmidt orthonormalized damped cosines for the eigenspectra, geometric
 eigenvalue decay, and a noise-sd curve inflated toward the grid edges.
-``save_model`` writes it out as curve files next to the mocks.
+``generate`` returns an immutable sequence, safe to share between threads,
+that draws each realization when it is read: a re-read draws the same bits
+again and ``list(...)`` holds the draws. ``save_model`` writes the model out
+as curve files next to the mocks.
 """
 
 from __future__ import annotations
@@ -83,32 +86,44 @@ class MockRealization:
         object.__setattr__(self, "omega", frozen_array(self.omega, "omega"))
 
 
-def generate(model: MockModel, count: int, seed: int) -> list[MockRealization]:
-    """Draw ``count`` independent realizations.
+@dataclass(frozen=True, eq=False)
+class Realizations:
+    """What ``generate`` returns: ``count`` realizations, each drawn when it is read."""
 
-    Component scores are normal with the model eigenvalues as variances; the
-    pointwise noise is normal with the model's sd curve. Realization i uses
-    the i-th child of the root seed, so a fixed seed reproduces the batch
-    bitwise no matter how it is scheduled.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    grid = model.grid
-    basis = np.stack([c.values for c in model.xi])
-    out = []
-    for child in np.random.SeedSequence(seed).spawn(count):
-        rng = np.random.default_rng(child)
+    model: MockModel
+    count: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ValueError("count must be at least 1")
+        object.__setattr__(self, "_basis", np.stack([c.values for c in self.model.xi]))
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index: int | slice) -> MockRealization | list[MockRealization]:
+        i = range(self.count)[index]  # negative indices, slices and IndexError as for a list
+        if isinstance(i, range):
+            return [self[j] for j in i]
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(i,)))
+        model = self.model
         omega = rng.normal(0.0, np.sqrt(model.eigenvalues))
-        continuum = model.mu.values + basis.T @ omega
+        continuum = model.mu.values + self._basis.T @ omega
         noisy = continuum + rng.normal(0.0, model.sigma.values)
-        out.append(
-            MockRealization(
-                noisy=RawSpectrum(grid.points, noisy, model.sigma.values, 0.0),
-                true_continuum=Curve(grid, continuum),
-                omega=omega,
-            )
-        )
-    return out
+        spectrum = RawSpectrum(model.grid.points, noisy, model.sigma.values, 0.0)
+        return MockRealization(noisy=spectrum, true_continuum=Curve(model.grid, continuum), omega=omega)
+
+
+def generate(model: MockModel, count: int, seed: int) -> Realizations:
+    """``count`` realizations as an immutable, thread-safe sequence drawn on read.
+
+    Component scores are normal with the model eigenvalues as variances, then
+    the pointwise noise is normal with the model's sd curve. Item i is drawn
+    from the i-th child of ``SeedSequence(seed)`` each time it is read: a
+    re-read draws the same bits again, and ``list(...)`` holds the draws.
+    """
+    return Realizations(model, count, seed)
 
 
 def synthetic_model(

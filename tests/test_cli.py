@@ -26,6 +26,7 @@ from specband.fileio import (
     write_spectrum,
 )
 from specband.fpca import fit_fpca
+from specband.mockgen import MockModel, generate
 from specband.pipeline import MODEL_SETTINGS, load_config, smooth_spectra
 from specband.regression import predict
 from specband.wild_bootstrap import WildBootstrapConfig, bootstrap_bands
@@ -132,6 +133,22 @@ def test_mockgen_reruns_are_byte_identical(runner, config_path, tmp_path):
         assert result.exit_code == 0, result.output
     for sub in ("manifest.json", "spectra/mock_0003.csv", "truths/mock_0003.csv"):
         assert (out1 / sub).read_bytes() == (out2 / sub).read_bytes()
+
+
+def test_mockgen_writes_the_library_s_draws(runner, config_path, tmp_path):
+    out = tmp_path / "three"
+    result = runner.invoke(main, ["mockgen", "--config", str(config_path), "--count", "3", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    saved = json.loads((out / "model" / "mock_model.json").read_text())
+    model = MockModel(
+        mu=read_curve(out / "model" / saved["mean_path"]),
+        xi=tuple(read_curve(out / "model" / entry["path"]) for entry in saved["components"]),
+        eigenvalues=np.array([entry["eigenvalue"] for entry in saved["components"]]),
+        sigma=read_curve(out / "model" / saved["sigma_path"]),
+    )
+    for i, mock in enumerate(generate(model, 3, CONFIG["seed"])):
+        assert np.array_equal(read_spectrum(out / "spectra" / f"mock_{i:04d}.csv").flux, mock.noisy.flux)
+        assert np.array_equal(read_curve(out / "truths" / f"mock_{i:04d}.csv").values, mock.true_continuum.values)
 
 
 def test_fit_reports_cv_table_and_kappa(runner, config_path, mock_dir, tmp_path):

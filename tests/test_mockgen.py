@@ -90,6 +90,46 @@ def test_generation_is_deterministic():
     assert not np.array_equal(a[0].noisy.flux, c[0].noisy.flux)
 
 
+def test_item_i_is_the_draw_of_the_i_th_child_seed():
+    model = _default_model()
+    mocks = generate(model, 5, seed=17)
+    assert len(mocks) == 5
+    basis = np.stack([c.values for c in model.xi])
+    for i, child in enumerate(np.random.SeedSequence(17).spawn(5)):
+        rng = np.random.default_rng(child)
+        omega = rng.normal(0.0, np.sqrt(model.eigenvalues))
+        continuum = model.mu.values + basis.T @ omega
+        noisy = continuum + rng.normal(0.0, model.sigma.values)
+        mock = mocks[i]
+        assert np.array_equal(mock.omega, omega)
+        assert np.array_equal(mock.true_continuum.values, continuum)
+        assert np.array_equal(mock.noisy.flux, noisy)
+
+
+def test_reads_in_any_order_draw_the_same_bits():
+    mocks = generate(_default_model(), 6, seed=23)
+    forward = [m.noisy.flux for m in mocks]
+    backward = [m.noisy.flux for m in reversed(mocks)][::-1]
+    by_index = {i: mocks[i].noisy.flux for i in (4, 0, 5, 2, 1, 3)}
+    for i in range(6):
+        assert np.array_equal(forward[i], backward[i])
+        assert np.array_equal(forward[i], by_index[i])
+        assert np.array_equal(forward[i], mocks[i - 6].noisy.flux)
+    picked = mocks[1:6:2]
+    assert isinstance(picked, list) and len(picked) == 3
+    for mock, i in zip(picked, (1, 3, 5)):
+        assert np.array_equal(mock.noisy.flux, forward[i])
+    assert isinstance(mocks[::-1], list) and np.array_equal(mocks[::-1][0].noisy.flux, forward[5])
+    for index in (6, -7):
+        with pytest.raises(IndexError):
+            mocks[index]
+
+
+def test_count_below_one_is_rejected_at_the_call():
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        generate(_default_model(), 0, seed=1)
+
+
 def test_noisy_flux_is_unbiased_around_the_mean():
     model = synthetic_model(GRID, noise_level=0.02, seed=6)
     realizations = generate(model, 10_000, seed=7)
