@@ -213,13 +213,14 @@ def _curve_values(values: np.ndarray) -> list[float]:
 
 
 def save_regression(model: FittedRegression, path: Path, config: PipelineConfig) -> None:
+    """``config`` must be the model's: its grids and semimetric are all the file says of the rows."""
+    if not (config.predictor_grid().matches(model.predictor_grid) and config.response_grid().matches(model.response_grid)
+            and config.semimetric == model.semimetric.token):
+        raise ValueError("the config's grids and semimetric must be the model's")
     document = {
         "schema_version": SCHEMA_VERSION,
         "kind": "knn_functional_regression",
-        "semimetric": model.semimetric.token,
         "kappa": model.kappa,
-        "predictor_grid": _curve_values(model.predictor_grid.points),
-        "response_grid": _curve_values(model.response_grid.points),
         "predictors": [_curve_values(p.predictor.values) for p in model.pairs],
         "responses": [_curve_values(p.response.values) for p in model.pairs],
         "config": {name: getattr(config, name) for name in MODEL_SETTINGS},
@@ -233,7 +234,7 @@ def load_regression(path: Path) -> tuple[FittedRegression, dict]:
     if not isinstance(record, dict) or record.keys() != set(MODEL_SETTINGS):
         odd = f" (its keys differ in {sorted(set(record) ^ set(MODEL_SETTINGS))})" if isinstance(record, dict) else ""
         raise ValueError(f"{path}: model has no 'config' recording {list(MODEL_SETTINGS)}{odd}; rerun fit")
-    for key in ("predictor_grid", "response_grid", "predictors", "responses", "semimetric", "kappa"):
+    for key in ("predictors", "responses", "kappa"):
         if key not in document:
             raise ValueError(f"{path}: model has no {key!r}; rerun fit")
     if isinstance(document["kappa"], bool) or not isinstance(document["kappa"], int):
@@ -242,16 +243,14 @@ def load_regression(path: Path) -> tuple[FittedRegression, dict]:
     if not (isinstance(predictors, list) and isinstance(responses, list) and len(predictors) == len(responses)):
         raise ValueError(f"{path}: model's 'predictors' and 'responses' are not lists of equal length; rerun fit")
     try:
-        load_config(**record)
+        config = load_config(**record)
+        pred_grid, resp_grid = config.predictor_grid(), config.response_grid()
     except ValueError as err:
         raise ValueError(f"{path}: bad value in the model's 'config' record: {err}; rerun fit") from None
-    try:  # values that numpy, a grid, a curve or the regression rejects
-        pred_grid = WavelengthGrid(np.asarray(document["predictor_grid"]))
-        resp_grid = WavelengthGrid(np.asarray(document["response_grid"]))
+    try:  # values that numpy, a curve or the regression rejects
         pairs = tuple(CurvePair(Curve(pred_grid, np.asarray(pv)), Curve(resp_grid, np.asarray(rv)))
                       for pv, rv in zip(predictors, responses))
-        model = FittedRegression(pairs, SemimetricSpec.parse(document["semimetric"]), KernelSpec(),
-                                 document["kappa"])
+        model = FittedRegression(pairs, SemimetricSpec(config.semimetric), KernelSpec(), document["kappa"])
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: bad value in the model: {_reason(err)}; rerun fit") from None
     return model, record

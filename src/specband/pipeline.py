@@ -84,9 +84,9 @@ class PipelineConfig:
         )
 
 
-# recorded in the model file: how predict and bootstrap must treat a query
+# recorded in the model file: the model's grids and semimetric, and how a query is treated
 MODEL_SETTINGS = ("predictor_range", "response_range", "predictor_points", "response_points",
-                  "normalization_wavelength", "kappa_candidates", "span_candidates")
+                  "normalization_wavelength", "semimetric", "kappa_candidates", "span_candidates")
 
 _FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(PipelineConfig)}
 # a tuple field's items take the type of its default's items

@@ -120,9 +120,9 @@ def bootstrap_bands(
             f"{int(math.ceil(1.0 / low_level))}"
         )
 
-    if not (
-        np.array_equal(np.stack([p.predictor.values for p in sample]), model.predictor_matrix)
-        and np.array_equal(np.stack([p.response.values for p in sample]), model.response_matrix)
+    if len(sample) != len(model) or not all(  # pair by pair: the model's own pass unread, others on equal bits
+        s is p or (s.predictor.values.tobytes(), s.response.values.tobytes())
+        == (p.predictor.values.tobytes(), p.response.values.tobytes()) for s, p in zip(sample, model.pairs)
     ):
         raise ValueError("the model must be fitted on the given sample")
     if not fpca_model.grid.matches(model.response_grid):

@@ -449,7 +449,7 @@ def test_predict_and_bootstrap_treat_queries_as_fit_did(runner, mock_dir, tmp_pa
     config_path = tmp_path / "fit_config.json"
     config_path.write_text(json.dumps(
         {"predictor_points": 40, "response_points": 30, "kappa_candidates": [3, 5],
-         "normalization_wavelength": 1400.0}
+         "normalization_wavelength": 1400.0, "semimetric": "deriv1"}
     ))
     manifest, model_path = mock_dir / "manifest.json", tmp_path / "model.json"
     records = read_manifest(manifest)
@@ -468,6 +468,8 @@ def test_predict_and_bootstrap_treat_queries_as_fit_did(runner, mock_dir, tmp_pa
     model, settings = load_regression(model_path)
     assert settings["span_candidates"] == [0.2, 0.5, 0.8]
     assert settings["normalization_wavelength"] == 1400.0
+    assert load_config(**settings).semimetric == "deriv1"
+    assert model.semimetric.token == "deriv1"
     expected = tmp_path / "expected"
     calibration = calibrate(
         model.pairs, config.alpha, model.semimetric, model.kernel,
@@ -509,11 +511,16 @@ def _query_args(command, mock_dir):
         (lambda record: record.pop("span_candidates"), "model has no 'config'"),
         (lambda record: record.update(span_candidates=[0.5, 1.5]), "candidate span"),
         (lambda record: record.update(predictor_points="40"), "'predictor_points'"),
+        (lambda record: record.update(semimetric="foo"), "unknown semimetric 'foo'"),
         # the `span` key that older models carry
         (lambda record: record.update(span=None),
          f"model has no 'config' recording {list(MODEL_SETTINGS)} (its keys differ in ['span'])"),
+        # models that kept their grids and semimetric beside the record
+        (lambda record: record.pop("semimetric"),
+         f"model has no 'config' recording {list(MODEL_SETTINGS)} (its keys differ in ['semimetric'])"),
     ],
-    ids=["no-record", "partial-record", "bad-span", "bad-type", "old-span-record"],
+    ids=["no-record", "partial-record", "bad-span", "bad-type", "bad-semimetric", "old-span-record",
+         "old-grids-record"],
 )
 def test_model_without_a_valid_config_record_is_rejected(
     runner, mock_dir, model_path, tmp_path, command, edit, message
@@ -531,7 +538,7 @@ def test_model_without_a_valid_config_record_is_rejected(
         assert "in the model's 'config' record" in result.output
 
 
-@pytest.mark.parametrize("key", ["predictor_grid", "response_grid", "predictors", "responses", "semimetric", "kappa"])
+@pytest.mark.parametrize("key", ["predictors", "responses", "kappa"])
 def test_model_missing_a_key_is_rejected(runner, mock_dir, model_path, tmp_path, key):
     document = json.loads(model_path.read_text())
     del document[key]
@@ -565,8 +572,7 @@ def test_badly_typed_manifest_or_model_value_exits_with_code_two(runner, config_
 def test_malformed_model_exits_with_code_two_naming_the_file(runner, mock_dir, model_path, tmp_path):
     saved = json.loads(model_path.read_text())
     edits = {
-        "semimetric": ["l2"],
-        "predictor_grid": {},
+        "config": {**saved["config"], "predictor_points": saved["config"]["predictor_points"] + 1},
         "predictors": [{"flux": row} for row in saved["predictors"]],
         "kappa": 0,
     }

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,16 +193,22 @@ def test_regression_round_trip_reproduces_predictions_bitwise(tmp_path):
     )
     model = FittedRegression(pairs, SemimetricSpec.parse("deriv1"), KernelSpec(), kappa=3)
     config = PipelineConfig(
-        predictor_points=40, response_points=30, normalization_wavelength=1400.1,
+        predictor_points=40, response_points=30, normalization_wavelength=1400.1, semimetric="deriv1",
         kappa_candidates=(3, 5), span_candidates=(0.35,),
     )
     path = tmp_path / "model.json"
     save_regression(model, path, config)
+    document = json.loads(path.read_text())
+    assert sorted(document) == ["config", "kappa", "kind", "predictors", "responses", "schema_version"]
     back, settings = load_regression(path)
-    assert sorted(settings) == sorted(MODEL_SETTINGS)
+    assert list(settings) == list(MODEL_SETTINGS)
     assert load_config(**settings) == config
     assert back.kappa == 3
     assert back.semimetric == model.semimetric
+    # the grids come from the record, one object each
+    assert back.predictor_grid.points.tobytes() == config.predictor_grid().points.tobytes()
+    assert back.response_grid.points.tobytes() == config.response_grid().points.tobytes()
+    assert all(p.predictor.grid is back.predictor_grid and p.response.grid is back.response_grid for p in back.pairs)
     x = Curve(pred_grid, rng.normal(size=40))
     assert np.array_equal(predict(back, x).values, predict(model, x).values)
 
@@ -212,12 +220,15 @@ def test_regression_file_rejects_wrong_kind(tmp_path):
         load_regression(path)
 
 
-def _saved_model(path):
+def _small_model():
     pred_grid, resp_grid = WavelengthGrid(np.linspace(1300.0, 1600.0, 5)), WavelengthGrid(np.linspace(1050.0, 1185.0, 5))
     pairs = tuple(CurvePair(Curve(pred_grid, np.full(5, i + 1.0)), Curve(resp_grid, np.full(5, -i - 1.0)))
                   for i in range(4))
-    save_regression(FittedRegression(pairs, SemimetricSpec.parse("l2"), KernelSpec(), kappa=2), path,
-                    PipelineConfig(predictor_points=5, response_points=5))
+    return FittedRegression(pairs, SemimetricSpec.parse("l2"), KernelSpec(), kappa=2)
+
+
+def _saved_model(path):
+    save_regression(_small_model(), path, PipelineConfig(predictor_points=5, response_points=5))
     return json.loads(path.read_text())
 
 
@@ -230,19 +241,21 @@ def _saved_model(path):
         (lambda d: d.update(predictors=5), "model's 'predictors' and 'responses' are not lists of equal length"),
         (lambda d: d.update(responses={}), "model's 'predictors' and 'responses' are not lists of equal length"),
         (lambda d: d["predictors"].pop(), "model's 'predictors' and 'responses' are not lists of equal length"),
-        (lambda d: d.update(semimetric=["l2"]),
-         "bad value in the model: unknown semimetric ['l2']; expected one of ['deriv1', 'deriv2', 'l2']"),
-        (lambda d: d.update(semimetric="foo"),
-         "bad value in the model: unknown semimetric 'foo'; expected one of ['deriv1', 'deriv2', 'l2']"),
-        (lambda d: d.update(predictor_grid={}), "bad value in the model: a null, list or object where numbers belong"),
+        (lambda d: d["config"].update(semimetric=["l2"]),
+         "bad value in the model's 'config' record: config key 'semimetric' needs str values, got ['l2']"),
+        (lambda d: d["config"].update(semimetric="foo"),
+         "bad value in the model's 'config' record: unknown semimetric 'foo'; expected one of ['deriv1', 'deriv2', 'l2']"),
+        (lambda d: d["config"].update(response_points=1),
+         "bad value in the model's 'config' record: a uniform grid needs at least 2 points"),
+        (lambda d: d["config"].update(predictor_points=6), "bad value in the model: curve has 5 values for a 6-point grid"),
         (lambda d: d.update(predictors=[{"flux": row} for row in d["predictors"]]),
          "bad value in the model: a null, list or object where numbers belong"),
         (lambda d: d.update(kappa=0), "bad value in the model: kappa must satisfy 1 <= kappa <= n-1 = 3, got 0"),
         (lambda d: d["responses"][1].pop(), "bad value in the model: curve has 4 values for a 5-point grid"),
     ],
     ids=["kappa-null", "kappa-float", "kappa-bool", "predictors-number", "responses-object", "predictors-short",
-         "semimetric-list", "semimetric-unknown", "grid-object", "predictor-rows-objects", "kappa-zero",
-         "response-row-short"],
+         "semimetric-list", "semimetric-unknown", "config-one-point", "config-grid-not-the-rows",
+         "predictor-rows-objects", "kappa-zero", "response-row-short"],
 )
 def test_model_value_of_the_wrong_type_is_rejected(tmp_path, edit, message):
     path = tmp_path / "model.json"
@@ -253,6 +266,32 @@ def test_model_value_of_the_wrong_type_is_rejected(tmp_path, edit, message):
     with pytest.raises(ValueError) as excinfo:
         load_regression(path)
     assert str(excinfo.value) == f"{path}: {message}; rerun fit"
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"predictor_points": 6}, {"response_range": (1050.0, 1186.0)}, {"semimetric": "deriv2"}],
+    ids=["predictor-points", "response-range", "semimetric"],
+)
+def test_save_refuses_a_config_that_is_not_the_models(tmp_path, settings):
+    """The model file keeps no grid or semimetric beside its config record, so
+    a record that misdescribes the rows is never written."""
+    path = tmp_path / "model.json"
+    config = PipelineConfig(**{"predictor_points": 5, "response_points": 5, **settings})
+    with pytest.raises(ValueError, match="the config's grids and semimetric must be the model's"):
+        save_regression(_small_model(), path, config)
+    assert not path.exists()
+
+
+def test_readme_names_the_keys_the_model_file_holds(tmp_path):
+    document = _saved_model(tmp_path / "model.json")
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = re.search(r"^- \*\*Model\*\*:(.*?)^- ", text, flags=re.MULTILINE | re.DOTALL).group(1)
+    paragraph = " ".join(paragraph.split())
+    keys = re.search(r"Its top-level keys are ([^.]*)\.", paragraph).group(1)
+    settings = re.search(r"`config` records [^:]*: ([^.]*)\.", paragraph).group(1)
+    assert re.findall(r"`(\w+)`", keys) == list(document)
+    assert re.findall(r"`(\w+)`", settings) == list(document["config"]) == list(MODEL_SETTINGS)
 
 
 def test_conformal_band_round_trip(tmp_path):
@@ -333,7 +372,7 @@ def test_model_and_band_files_reload_bitwise_and_rewrite_identically(tmp_path):
     )
     model = FittedRegression(pairs, SemimetricSpec.parse("l2"), KernelSpec(), kappa=2)
     band = ConformalBand(Curve(resp_grid, rng.normal(size=30) / 7.0), 0.1 + 0.2, alpha=0.1)
-    for name, save, obj, extra in (("model", save_regression, model, PipelineConfig()),
+    for name, save, obj, extra in (("model", save_regression, model, PipelineConfig(predictor_points=40, response_points=30)),
                                    ("band", save_conformal_band, band, 1 / 3)):
         save(obj, tmp_path / f"{name}.json", extra)
         save(obj, tmp_path / f"{name}_again.json", extra)

@@ -257,10 +257,15 @@ def test_bands_reject_a_sample_that_is_not_the_models():
     config = WildBootstrapConfig(replicates=64, components=2, alpha=0.5, seed=1)
     other = _pairs(rng, 6)
     same_predictors = tuple(CurvePair(p.predictor, q.response) for p, q in zip(pairs, other))
-    for sample in (other, same_predictors, pairs[::-1]):
+    for sample in (other, same_predictors, pairs[::-1], pairs[:-1]):
         with pytest.raises(ValueError, match="fitted on the given sample"):
             bootstrap_bands(sample, model, x, fpca_model, config)
-    bootstrap_bands(list(pairs), model, x, fpca_model, config)
+    # the model's own pairs, and new objects holding equal values, pass
+    copies = [CurvePair(Curve(p.predictor.grid, p.predictor.values.copy()), Curve(p.response.grid, p.response.values.copy()))
+              for p in pairs]
+    expected = bootstrap_bands(list(pairs), model, x, fpca_model, config)
+    got = bootstrap_bands(copies, model, x, fpca_model, config)
+    assert got.component_intervals.tobytes() == expected.component_intervals.tobytes()
 
 
 def test_bands_are_deterministic_in_the_seed():
