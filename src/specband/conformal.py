@@ -33,7 +33,6 @@ class ConformalCalibration:
     trained_model: FittedRegression
     calibration_scores: FloatArray
     alpha: float
-    split_seed: int
 
     def __post_init__(self) -> None:
         scores = frozen_array(self.calibration_scores, "calibration scores")
@@ -86,9 +85,9 @@ def calibrate(
     """Split the sample, fit on one half, score conformity on the other.
 
     The split draws floor(n/2) pairs without replacement using the given
-    seed (recorded on the result). On the fitted half alone, ``fit_kappa``
-    selects kappa by leave-one-out CV, each candidate above n1 - 1 counting
-    as n1 - 1, or takes it as given when that leaves one value.
+    seed. On the fitted half alone, ``fit_kappa`` selects kappa by
+    leave-one-out CV, each candidate above n1 - 1 counting as n1 - 1, or
+    takes it as given when that leaves one value.
     """
     n = len(sample)
     if n < 4:
@@ -110,7 +109,7 @@ def calibrate(
     responses = np.stack([p.response.values for p in score_pairs])
     # one block of predictions; each score is -sup_distance(y, predict(model, x)), bit for bit
     scores = -np.max(np.abs(responses - predict_many(model, predictors)), axis=1)
-    return ConformalCalibration(model, scores, float(alpha), int(split_seed))
+    return ConformalCalibration(model, scores, float(alpha))
 
 
 def _score_rank(n2: int, alpha: float) -> int:

@@ -193,13 +193,8 @@ def resample(curve: Curve, target: WavelengthGrid) -> Curve:
 
 def sup_distance(a: Curve, b: Curve) -> float:
     """Sup-norm distance max over the shared grid of |a - b|."""
-    ensure_same_grid(a, b)
+    shared_grid([a, b], "curves")
     return float(np.max(np.abs(a.values - b.values)))
-
-
-def ensure_same_grid(a: Curve, b: Curve) -> None:
-    if not a.grid.matches(b.grid):
-        raise ValueError("curves are sampled on different wavelength grids")
 
 
 def shared_grid(curves, what: str) -> WavelengthGrid:

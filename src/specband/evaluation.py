@@ -13,32 +13,40 @@ from typing import Sequence
 import numpy as np
 
 from .conformal import ConformalBand, contains
-from .curves import Curve, WavelengthGrid, ensure_same_grid, shared_grid
+from .curves import Curve, WavelengthGrid, shared_grid
 
 
 @dataclass(frozen=True, eq=False)
 class ErrorSummary:
-    """Per-wavelength statistics over a set of error curves."""
+    """Per-wavelength statistics over a set of error curves, on their mean's grid."""
 
-    grid: WavelengthGrid
     mean: Curve
     median: Curve
     q1: Curve
     q3: Curve
     ci_lower: Curve
     ci_upper: Curve
-    overall_mean: float
 
     def __post_init__(self) -> None:
+        shared_grid([self.mean, self.median, self.q1, self.q3, self.ci_lower, self.ci_upper], "summary curves")
         if np.any(self.q1.values > self.median.values) or np.any(
             self.median.values > self.q3.values
         ):
             raise ValueError("quartiles must be ordered q1 <= median <= q3")
 
+    @property
+    def grid(self) -> WavelengthGrid:
+        return self.mean.grid
+
+    @property
+    def overall_mean(self) -> float:
+        """The mean curve averaged over its grid points."""
+        return float(self.mean.values.mean())
+
 
 def relative_error(prediction: Curve, truth: Curve) -> Curve:
     """Pointwise |prediction - truth| / truth; truth must be strictly positive."""
-    ensure_same_grid(prediction, truth)
+    shared_grid([prediction, truth], "curves")
     bad = truth.values <= 0.0
     if np.any(bad):
         where = truth.grid.points[bad]
@@ -50,7 +58,7 @@ def relative_error(prediction: Curve, truth: Curve) -> Curve:
 
 def plain_error(prediction: Curve, truth: Curve) -> Curve:
     """Signed pointwise difference prediction - truth."""
-    ensure_same_grid(prediction, truth)
+    shared_grid([prediction, truth], "curves")
     return Curve(truth.grid, prediction.values - truth.values)
 
 
@@ -69,14 +77,12 @@ def summarize(errors: Sequence[Curve]) -> ErrorSummary:
     q1, med, q3 = np.quantile(data, [0.25, 0.5, 0.75], axis=0, method="median_unbiased")
     half = 1.96 * data.std(axis=0, ddof=1) / np.sqrt(data.shape[0])
     return ErrorSummary(
-        grid=grid,
         mean=Curve(grid, mean),
         median=Curve(grid, med),
         q1=Curve(grid, q1),
         q3=Curve(grid, q3),
         ci_lower=Curve(grid, mean - half),
         ci_upper=Curve(grid, mean + half),
-        overall_mean=float(mean.mean()),
     )
 
 

@@ -208,10 +208,6 @@ def _reason(err: Exception) -> str:
     return str(err) if isinstance(err, ValueError) else "a null, list or object where numbers belong"
 
 
-def _curve_values(values: np.ndarray) -> list[float]:
-    return [float(v) for v in values]
-
-
 def save_regression(model: FittedRegression, path: Path, config: PipelineConfig) -> None:
     """``config`` must be the model's: its grids and semimetric are all the file says of the rows."""
     if not (config.predictor_grid().matches(model.predictor_grid) and config.response_grid().matches(model.response_grid)
@@ -221,8 +217,8 @@ def save_regression(model: FittedRegression, path: Path, config: PipelineConfig)
         "schema_version": SCHEMA_VERSION,
         "kind": "knn_functional_regression",
         "kappa": model.kappa,
-        "predictors": [_curve_values(p.predictor.values) for p in model.pairs],
-        "responses": [_curve_values(p.response.values) for p in model.pairs],
+        "predictors": [p.predictor.values.tolist() for p in model.pairs],
+        "responses": [p.response.values.tolist() for p in model.pairs],
         "config": {name: getattr(config, name) for name in MODEL_SETTINGS},
     }
     _dump_json(document, Path(path))
@@ -266,8 +262,8 @@ def save_conformal_band(band: ConformalBand, path: Path, normalization: float) -
         "alpha": band.alpha,
         "degenerate": band.degenerate,
         "half_width": None if band.degenerate else band.half_width,
-        "grid": _curve_values(band.center.grid.points),
-        "center": _curve_values(band.center.values),
+        "grid": band.center.grid.points.tolist(),
+        "center": band.center.values.tolist(),
         "normalization": normalization,
     }
     _dump_json(document, Path(path))
@@ -298,15 +294,12 @@ def save_bootstrap_band(band: BootstrapBand, path: Path) -> None:
         "kind": "bootstrap_band",
         "alpha": band.alpha,
         "replicates": band.replicates,
-        "grid": _curve_values(band.fpca.grid.points),
-        "intervals": [[float(lo), float(hi)] for lo, hi in band.component_intervals],
-        "envelope_lower": _curve_values(band.envelope_lower.values),
-        "envelope_upper": _curve_values(band.envelope_upper.values),
-        "mean": _curve_values(band.fpca.mean.values),
-        "components": [
-            _curve_values(c.values)
-            for c in band.fpca.components[: band.component_intervals.shape[0]]
-        ],
+        "grid": band.fpca.grid.points.tolist(),
+        "intervals": band.component_intervals.tolist(),
+        "envelope_lower": band.envelope_lower.values.tolist(),
+        "envelope_upper": band.envelope_upper.values.tolist(),
+        "mean": band.fpca.mean.values.tolist(),
+        "components": [c.values.tolist() for c in band.fpca.components[: len(band.component_intervals)]],
     }
     _dump_json(document, Path(path))
 

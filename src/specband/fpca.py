@@ -5,7 +5,8 @@ The discretized covariance is symmetrized with quadrature weights
 in L2 rather than in the raw grid coordinates and makes the decomposition
 stable under grid refinement. The full eigenvalue spectrum is retained so
 explained-variance fractions refer to the total sample variance; only the
-leading ``m`` component curves are materialized.
+leading ``m`` component curves are materialized. A model's grid is its mean's,
+and every component must be sampled on it.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ class FpcaModel:
     mean: Curve
     components: tuple[Curve, ...]
     eigenvalues: FloatArray
-    grid: WavelengthGrid
 
     def __post_init__(self) -> None:
+        shared_grid([self.mean, *self.components], "FPCA curves")
         eig = frozen_array(self.eigenvalues, "eigenvalues")
         if np.any(np.diff(eig) > 0.0):
             raise ValueError("eigenvalues must be sorted non-increasing")
@@ -39,6 +40,10 @@ class FpcaModel:
     @property
     def m(self) -> int:
         return len(self.components)
+
+    @property
+    def grid(self) -> WavelengthGrid:
+        return self.mean.grid
 
 
 def fit_fpca(curves: Sequence[Curve], m: int) -> FpcaModel:
@@ -56,9 +61,9 @@ def fit_fpca(curves: Sequence[Curve], m: int) -> FpcaModel:
     if not 1 <= m <= min(n, p):
         raise ValueError(f"m must be in [1, {min(n, p)}], got {m}")
 
-    data = np.stack([c.values for c in curves])
-    mean = data.mean(axis=0)
-    centered = data - mean
+    centered = np.stack([c.values for c in curves])
+    mean = centered.mean(axis=0)
+    centered -= mean  # in place: the stack is ours, and a second (n, p) copy would set the peak
 
     w = trapezoid_weights(grid.points)
     sqrt_w = np.sqrt(w)
@@ -76,14 +81,13 @@ def fit_fpca(curves: Sequence[Curve], m: int) -> FpcaModel:
         if nonzero.size and phi[nonzero[0]] < 0.0:
             phi = -phi
         components.append(Curve(grid, phi))
-    return FpcaModel(Curve(grid, mean), tuple(components), eigvals, grid)
+    return FpcaModel(Curve(grid, mean), tuple(components), eigvals)
 
 
 def project(model: FpcaModel, curve: Curve) -> FloatArray:
     """Trapezoid inner products of the centered curve with each component."""
-    if not curve.grid.matches(model.grid):
-        raise ValueError("curve is not on the FPCA grid")
-    w = trapezoid_weights(model.grid.points)
+    grid = shared_grid([model.mean, curve], "FPCA and projected curves")
+    w = trapezoid_weights(grid.points)
     centered = curve.values - model.mean.values
     return np.array(
         [float(np.sum(w * centered * comp.values)) for comp in model.components]

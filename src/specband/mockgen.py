@@ -66,10 +66,6 @@ class MockModel:
             raise ValueError("noise sd must be non-negative")
 
     @property
-    def n_components(self) -> int:
-        return len(self.xi)
-
-    @property
     def grid(self) -> WavelengthGrid:
         return self.mu.grid
 

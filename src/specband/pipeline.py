@@ -61,6 +61,12 @@ class PipelineConfig:
         for low, high in (self.predictor_range, self.response_range):
             if low >= high:
                 raise ValueError(f"empty wavelength range [{low}, {high}]")
+        for name in ("predictor_points", "response_points", "mock_grid_points"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"config key {name!r} must be at least 2, got {getattr(self, name)}")
+        if not self.predictor_range[0] <= self.normalization_wavelength <= self.predictor_range[1]:
+            raise ValueError("config key 'normalization_wavelength' must lie in predictor_range "
+                             f"{list(self.predictor_range)}, got {self.normalization_wavelength}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         if min(self.kappa_candidates, default=0) < 1:

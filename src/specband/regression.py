@@ -143,8 +143,7 @@ def _query(model: FittedRegression, x: Curve) -> FloatArray:
 
 def prediction_weights(model: FittedRegression, x: Curve) -> FloatArray:
     """The normalized weight each training pair contributes at ``x``."""
-    idx, dist = nearest(model.semimetric, model.reference, _query(model, x),
-                        model.predictor_grid.points, model.kappa + 1)
+    idx, dist = nearest(model.reference, _query(model, x), model.kappa + 1)
     near, w, fallback = _neighbours(idx, dist, model.kappa, model.kernel)
     weights = np.zeros(len(model))
     weights[near[0]] = w[0]
@@ -163,8 +162,7 @@ def predict_many(model: FittedRegression, queries: FloatArray) -> FloatArray:
     out = np.empty((len(queries), len(model.response_grid)))
     for start in range(0, len(queries), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        idx, dist = nearest(model.semimetric, model.reference, queries[block],
-                            model.predictor_grid.points, model.kappa + 1)
+        idx, dist = nearest(model.reference, queries[block], model.kappa + 1)
         out[block] = _weighted_responses(idx, dist, model.kappa, model.kernel, model.response_matrix)
     return out
 
@@ -186,7 +184,6 @@ def kappa_cv_scores(model: FittedRegression, kappa_candidates: Sequence[int]) ->
             raise ValueError(f"candidate kappa={kappa} outside [1, {n - 1}]")
 
     x_mat, y_mat, ref = model.predictor_matrix, model.response_matrix, model.reference
-    grid = model.predictor_grid.points
     quad = trapezoid_weights(model.response_grid.points)
     kappas = [min(int(kappa), n - 2) for kappa in kappa_candidates]
     # leaving pair i out: the search skips row i, so the full response
@@ -194,7 +191,7 @@ def kappa_cv_scores(model: FittedRegression, kappa_candidates: Sequence[int]) ->
     errors = np.empty((len(kappas), n))
     for start in range(0, n, _BLOCK_ROWS):
         block = np.arange(start, min(start + _BLOCK_ROWS, n))
-        idx, dist = nearest(model.semimetric, ref, x_mat[block], grid, max(kappas) + 1, block)
+        idx, dist = nearest(ref, x_mat[block], max(kappas) + 1, block)
         for j, kappa in enumerate(kappas):
             diff = _weighted_responses(idx, dist, kappa, model.kernel, y_mat) - y_mat[block]
             errors[j, block] = np.sum(quad * diff * diff, axis=1)

@@ -126,9 +126,9 @@ def _coords(z: FloatArray, basis: FloatArray) -> tuple[FloatArray, FloatArray]:
 
 
 def reference(spec: SemimetricSpec, values: FloatArray, points: FloatArray) -> tuple:
-    """What :func:`nearest` reads of the rows ``values``, every array read-only: the
-    derivative rows (for ``l2``, a view of ``values``), w, the mean, V, the table of L,
-    the slack's coefficient, and the largest (c, rho) norm and residual (module docstring)."""
+    """What :func:`nearest` reads of the rows ``values``, every array read-only: ``spec``,
+    the grid ``points``, the derivative rows (for ``l2``, a view of ``values``), w, the mean,
+    V, the table of L, the slack's coefficient, and the largest (c, rho) norm and residual."""
     rows = _derivatives(spec, values, points)
     w = trapezoid_weights(points)
     mean, root_w = rows.mean(axis=0), np.sqrt(w)
@@ -146,24 +146,24 @@ def reference(spec: SemimetricSpec, values: FloatArray, points: FloatArray) -> t
     coef = 2 * eta + 20 * (p + 2) * np.sqrt(r + 1) * _UNIT_ROUNDOFF
     a, a_sq = _coords(z, basis)
     table = np.vstack([-2.0 * a.T, a_sq, np.ones(n)])  # L = [a, 1, |a|^2] @ table
-    arrays = [arr.view() for arr in (rows, w, mean, root_w, basis, table)]
+    arrays = [arr.view() for arr in (points, rows, w, mean, root_w, basis, table)]
     for arr in arrays:
         arr.setflags(write=False)
-    return (*arrays, coef, np.sqrt(a_sq.max()), a[:, -1].max())
+    return (spec, *arrays, coef, np.sqrt(a_sq.max()), a[:, -1].max())
 
 
 def nearest(
-    spec: SemimetricSpec, ref: tuple, queries: FloatArray,
-    points: FloatArray, count: int, exclude: np.ndarray | None = None,
+    ref: tuple, queries: FloatArray, count: int, exclude: np.ndarray | None = None
 ) -> tuple[np.ndarray, FloatArray]:
-    """Candidates for each query's ``count`` nearest rows of ``ref``, a :func:`reference`.
+    """Candidates for each query's ``count`` nearest rows of ``ref``, a :func:`reference`:
+    the query rows are values on its grid, measured with its semimetric.
 
     Returns (q, width) row indices, increasing along each row, and their
     direct distances: every row at or below a query's count-th distance, and
     the screen's next rows up to ``width``. ``exclude`` names a row per query
     to leave out. The screen holds a few (q, n) arrays: pass queries in blocks.
     """
-    rows, w, mean, root_w, basis, table, coef, top_norm, top_rho = ref
+    spec, points, rows, w, mean, root_w, basis, table, coef, top_norm, top_rho = ref
     q = _derivatives(spec, queries, points)
     a, a_sq = _coords((q - mean) * root_w, basis)
     low = np.column_stack([a, np.ones(len(a)), a_sq]) @ table  # L

@@ -12,8 +12,9 @@ V[b, j]), projected onto the leading principal components of the responses.
 As the projection is linear, all replicates' coordinates come from one
 product of the perturbations with the support's projected residuals.
 Per-coordinate empirical quantiles at Bonferroni-split levels alpha/(2m)
-and 1 - alpha/(2m) form a coefficient box, mapped through the basis into a
-pointwise envelope. It is a variance band, blind to the estimator's bias, not a
+and 1 - alpha/(2m) form a coefficient box. A band stores only the box and the
+FPCA model; its pointwise envelope is derived, the box's exact image through
+the basis. It is a variance band, blind to the estimator's bias, not a
 band for the truth: on noise-free pairs it holds 0.00 of held-out projected
 truths jointly, 0.35 with response-only scatter (acceptance criterion 1b).
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -62,20 +64,31 @@ class BootstrapBand:
 
     component_intervals: FloatArray  # (m, 2) lower/upper coefficient bounds
     fpca: FpcaModel
-    envelope_lower: Curve
-    envelope_upper: Curve
     alpha: float
     replicates: int
 
     def __post_init__(self) -> None:
         intervals = frozen_array(self.component_intervals, "component_intervals", ndim=2)
-        if intervals.shape[1] != 2:
-            raise ValueError("component_intervals must have shape (m, 2)")
+        if intervals.shape[1] != 2 or not 1 <= len(intervals) <= self.fpca.m:
+            raise ValueError(f"component_intervals must have shape (m, 2) with 1 <= m <= {self.fpca.m}")
         if np.any(intervals[:, 0] > intervals[:, 1]):
             raise ValueError("each interval must satisfy lower <= upper")
-        if np.any(self.envelope_lower.values > self.envelope_upper.values):
-            raise ValueError("envelope lower must not exceed envelope upper")
         object.__setattr__(self, "component_intervals", intervals)
+
+    def _box_image(self, extreme) -> Curve:
+        # exact pointwise extremes of sum_j a_j * phi_j over the coefficient box:
+        # where a component is negative its interval endpoints swap roles
+        comp_mat = np.stack([c.values for c in self.fpca.components[: len(self.component_intervals)]])
+        ends = self.component_intervals.T[:, :, None] * comp_mat  # (2, m, p): each endpoint times phi_j
+        return self.fpca.mean.with_values(self.fpca.mean.values + extreme(*ends).sum(axis=0))
+
+    @cached_property
+    def envelope_lower(self) -> Curve:
+        return self._box_image(np.minimum)
+
+    @cached_property
+    def envelope_upper(self) -> Curve:
+        return self._box_image(np.maximum)
 
 
 def _draw_v(rng: np.random.Generator, shape: int | tuple[int, ...]) -> FloatArray:
@@ -140,17 +153,4 @@ def bootstrap_bands(
     v = _draw_v(np.random.default_rng(config.seed), (b, support.size))
     coords = np.sort(point + (v * weights) @ own, axis=0)  # (B, m), each column sorted
     intervals = coords[[_nearest_rank(low_level, b), _nearest_rank(high_level, b)]].T
-
-    # exact pointwise extremes of sum_j a_j * phi_j over the coefficient box:
-    # where a component is negative its interval endpoints swap roles
-    lo_part = np.minimum(
-        intervals[:, 0][:, None] * comp_mat, intervals[:, 1][:, None] * comp_mat
-    ).sum(axis=0)
-    hi_part = np.maximum(
-        intervals[:, 0][:, None] * comp_mat, intervals[:, 1][:, None] * comp_mat
-    ).sum(axis=0)
-    lower = Curve(fpca_model.grid, fpca_model.mean.values + lo_part)
-    upper = Curve(fpca_model.grid, fpca_model.mean.values + hi_part)
-    return BootstrapBand(
-        intervals, fpca_model, lower, upper, config.alpha, config.replicates
-    )
+    return BootstrapBand(intervals, fpca_model, config.alpha, config.replicates)

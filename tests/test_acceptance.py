@@ -371,7 +371,7 @@ def test_criterion_7_degenerate_band():
     model = FittedRegression(pairs[:4], L2, KERNEL, kappa=2)
     scores = np.array([-1.0, -2.0, -0.5, -3.0])
     # n2 = 4, alpha = 0.15: floor(5 * 0.15) = 0
-    cal = ConformalCalibration(model, scores, alpha=0.15, split_seed=0)
+    cal = ConformalCalibration(model, scores, alpha=0.15)
     b = band(cal, pairs[5].predictor)
     wild = Curve(grid_y, 1e9 * rng.normal(size=25))
     ok = b.degenerate and math.isinf(b.half_width) and contains(b, wild)

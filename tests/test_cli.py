@@ -785,6 +785,10 @@ def test_config_with_a_fixed_value_key_is_rejected_naming_the_key(runner, mock_d
         ({"kappa_candidates": [0, 2]}, "kappa_candidates=(0, 2)"),
         ({"span_candidates": [1.5]}, "span must be in (0, 1]"),
         ({"span_candidates": []}, "span_candidates must not be empty"),
+        ({"predictor_points": 1}, "error: config key 'predictor_points' must be at least 2, got 1"),
+        ({"mock_grid_points": 0}, "error: config key 'mock_grid_points' must be at least 2, got 0"),
+        ({"normalization_wavelength": 1200.0},
+         "error: config key 'normalization_wavelength' must lie in predictor_range [1300.0, 1600.0], got 1200.0"),
     ],
 )
 def test_fit_range_checks_its_config_before_reading_a_spectrum(

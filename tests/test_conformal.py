@@ -37,7 +37,7 @@ def _model(rng, n=6, kappa=2):
 
 def _calibration(scores, alpha, rng_seed=0):
     model = _model(np.random.default_rng(rng_seed))
-    return ConformalCalibration(model, np.asarray(scores, dtype=float), alpha, 0)
+    return ConformalCalibration(model, np.asarray(scores, dtype=float), alpha)
 
 
 # ------------------------------------------------------------------- scores

@@ -214,7 +214,7 @@ def test_sup_distance_constant_offset():
 def test_sup_distance_grid_mismatch():
     a = Curve(WavelengthGrid([1.0, 2.0]), [0.0, 0.0])
     b = Curve(WavelengthGrid([1.0, 3.0]), [0.0, 0.0])
-    with pytest.raises(ValueError, match="different wavelength grids"):
+    with pytest.raises(ValueError, match="all curves must share one grid"):
         sup_distance(a, b)
 
 

@@ -6,6 +6,7 @@ import pytest
 from specband.conformal import ConformalBand
 from specband.curves import Curve, WavelengthGrid
 from specband.evaluation import (
+    ErrorSummary,
     coverage_rate,
     plain_error,
     relative_error,
@@ -97,6 +98,22 @@ def test_overall_mean_averages_the_mean_curve():
     curves = [_curve(rng.uniform(0.0, 1.0, 30)) for _ in range(10)]
     summary = summarize(curves)
     assert summary.overall_mean == pytest.approx(float(summary.mean.values.mean()))
+
+
+def test_summary_reads_its_grid_and_overall_mean_from_its_mean():
+    rng = np.random.default_rng(4)
+    summary = summarize([_curve(rng.uniform(0.5, 1.0, 30)) for _ in range(5)])
+    curves = dict(mean=summary.mean, median=summary.median, q1=summary.q1, q3=summary.q3,
+                  ci_lower=summary.ci_lower, ci_upper=summary.ci_upper)
+    rebuilt = ErrorSummary(**curves)
+    assert rebuilt.grid is summary.mean.grid
+    assert rebuilt.overall_mean == float(summary.mean.values.mean())
+    # a second grid among the curves is rejected, whichever curve carries it
+    shifted = WavelengthGrid(GRID.points + 0.5)
+    for name in ("mean", "ci_upper"):
+        odd = {**curves, name: Curve(shifted, curves[name].values)}
+        with pytest.raises(ValueError, match="all summary curves must share one grid"):
+            ErrorSummary(**odd)
 
 
 def test_coverage_rates():

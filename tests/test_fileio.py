@@ -246,7 +246,7 @@ def _saved_model(path):
         (lambda d: d["config"].update(semimetric="foo"),
          "bad value in the model's 'config' record: unknown semimetric 'foo'; expected one of ['deriv1', 'deriv2', 'l2']"),
         (lambda d: d["config"].update(response_points=1),
-         "bad value in the model's 'config' record: a uniform grid needs at least 2 points"),
+         "bad value in the model's 'config' record: config key 'response_points' must be at least 2, got 1"),
         (lambda d: d["config"].update(predictor_points=6), "bad value in the model: curve has 5 values for a 6-point grid"),
         (lambda d: d.update(predictors=[{"flux": row} for row in d["predictors"]]),
          "bad value in the model: a null, list or object where numbers belong"),

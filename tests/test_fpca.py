@@ -147,9 +147,37 @@ def test_explained_variance_fractions():
             Curve(GRID, b) for b in _orthonormal_basis(2)
         ),
         eigenvalues=np.array([3.0, 1.0]),
-        grid=GRID,
     )
     assert np.allclose([fraction for _, _, fraction in scree_rows(model)], [0.75, 1.0])
+
+
+def test_model_grid_is_its_mean_s_and_one_grid_holds_every_curve():
+    basis = _orthonormal_basis(2)
+    eigenvalues = np.array([2.0, 1.0])
+    model = FpcaModel(Curve(GRID, np.zeros(60)), tuple(Curve(GRID, b) for b in basis), eigenvalues)
+    assert model.grid is model.mean.grid
+    shifted = WavelengthGrid(GRID.points + 1.0)
+    for mean_grid, component_grids in ((shifted, (GRID, GRID)), (GRID, (GRID, shifted))):
+        with pytest.raises(ValueError, match="all FPCA curves must share one grid"):
+            FpcaModel(Curve(mean_grid, np.zeros(60)),
+                      tuple(Curve(g, b) for g, b in zip(component_grids, basis)), eigenvalues)
+    with pytest.raises(ValueError, match="all FPCA and projected curves must share one grid"):
+        project(model, Curve(shifted, np.zeros(60)))
+
+
+def test_fit_is_the_eigendecomposition_of_the_centred_sample():
+    """Reference: mean, centred copy and weighted covariance spelled out."""
+    rng = np.random.default_rng(12)
+    curves = _gaussian_sample(rng, 40, np.array([4.0, 2.0, 1.0]), _orthonormal_basis(3))
+    model = fit_fpca(curves, m=3)
+    data = np.stack([c.values for c in curves])
+    mean = data.mean(axis=0)
+    centered = data - mean
+    sqrt_w = np.sqrt(W)
+    eigvals = np.linalg.eigh(sqrt_w[:, None] * (centered.T @ centered / 40) * sqrt_w[None, :])[0][::-1]
+    assert np.array_equal(model.mean.values, mean)
+    assert np.array_equal(model.eigenvalues, eigvals)
+    assert all(c.grid is model.grid for c in model.components)
 
 
 def test_explained_variance_rank_one():

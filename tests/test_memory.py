@@ -5,7 +5,8 @@ numpy reports its buffers to tracemalloc, so the traced peak of a call is
 the most its arrays held at once. Leave-one-out kappa selection and
 ``predict_many`` hold no (n, n) array: they search the training rows one
 block of queries at a time. Their peak is at least one block's
-(_BLOCK_ROWS, n) screen and less than one (n, n) buffer.
+(_BLOCK_ROWS, n) screen and less than one (n, n) buffer. ``fit_fpca``
+centres its one stacked (n, p) sample in place.
 """
 
 import tracemalloc
@@ -14,6 +15,7 @@ from collections import deque
 import numpy as np
 
 from specband.curves import Curve, CurvePair, WavelengthGrid
+from specband.fpca import fit_fpca
 from specband.mockgen import generate, synthetic_model
 from specband.regression import _BLOCK_ROWS, FittedRegression, KernelSpec, kappa_cv_scores, predict_many
 from specband.semimetrics import SemimetricSpec
@@ -56,6 +58,17 @@ def test_predict_many_peak_stays_under_one_square_buffer():
     queries = np.random.default_rng(3).normal(size=(N, 40))
     peak = _traced_peak(lambda: predict_many(model, queries))
     assert BLOCK <= peak < SQUARE, f"{peak / 1e6:.2f} MB traced"
+
+
+def test_fit_fpca_peak_stays_under_two_stacked_copies():
+    n, p = 2000, 200
+    grid = WavelengthGrid(np.linspace(1.0, 2.0, p))
+    rng = np.random.default_rng(4)
+    curves = [Curve(grid, rng.normal(size=p)) for _ in range(n)]
+    stack = n * p * 8
+    peak = _traced_peak(lambda: fit_fpca(curves, m=5))
+    print(f"\nfit_fpca peak {peak} B = {peak / stack:.2f} stacked ({n}, {p}) copies")
+    assert peak < 2 * stack, f"{peak / stack:.2f} stacked copies held at once"
 
 
 def test_mocks_keep_their_own_two_arrays_and_share_the_model_s():

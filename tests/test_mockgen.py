@@ -20,7 +20,7 @@ def test_degenerate_model_reproduces_the_mean():
     silent = MockModel(
         mu=model.mu,
         xi=model.xi,
-        eigenvalues=np.zeros(model.n_components),
+        eigenvalues=np.zeros(len(model.xi)),
         sigma=Curve(GRID, np.zeros(len(GRID))),
     )
     for realization in generate(silent, 3, seed=5):
@@ -47,7 +47,7 @@ def test_single_component_score_variance():
 
 def test_default_configuration_matches_the_study_design():
     model = synthetic_model(GRID, n_components=10)
-    assert model.n_components == 10
+    assert len(model.xi) == 10
     train = generate(model, 100, seed=1)
     test = generate(model, 100, seed=2)
     assert len(train) == len(test) == 100
@@ -57,7 +57,7 @@ def test_eigenspectra_are_orthonormal():
     model = _default_model(seed=3)
     basis = np.stack([c.values for c in model.xi])
     gram = (basis * W) @ basis.T
-    assert np.allclose(gram, np.eye(model.n_components), atol=1e-8)
+    assert np.allclose(gram, np.eye(len(model.xi)), atol=1e-8)
 
 
 def test_mean_is_normalized_at_the_reference_wavelength():

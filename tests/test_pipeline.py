@@ -37,6 +37,23 @@ def test_config_rejects_overlapping_ranges():
         PipelineConfig(semimetric="cosine")
 
 
+@pytest.mark.parametrize("key", ["predictor_points", "response_points", "mock_grid_points"])
+def test_load_config_rejects_a_grid_of_fewer_than_two_points_naming_the_key(key):
+    with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be at least 2, got 1")):
+        load_config(**{key: 1})
+    assert getattr(load_config(**{key: 2}), key) == 2
+
+
+def test_load_config_rejects_a_normalization_wavelength_outside_the_predictor_range():
+    """Outside the range the nearest predictor grid point would stand in for it unnoticed."""
+    for wavelength in (1200.0, 1600.5):
+        with pytest.raises(ValueError, match="config key 'normalization_wavelength' must lie in predictor_range"):
+            load_config(normalization_wavelength=wavelength)
+    for wavelength in (1300.0, 1600.0):  # the range's ends are in it
+        assert load_config(normalization_wavelength=wavelength).normalization_wavelength == wavelength
+    assert load_config(predictor_range=[1250, 1600], normalization_wavelength=1260.0).predictor_range == (1250.0, 1600.0)
+
+
 def test_load_config_merges_file_and_overrides(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"alpha": 0.2, "kappa_candidates": [3, 5]}))

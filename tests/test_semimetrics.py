@@ -115,7 +115,7 @@ def test_matrix_and_vector_paths_agree_with_scalar(spec):
     grid = WavelengthGrid(pts)
     rows = rng.normal(size=(4, 35))
     cols = rng.normal(size=(3, 35))
-    idx, mat = nearest(spec, reference(spec, cols, pts), rows, pts, 3)  # every column
+    idx, mat = nearest(reference(spec, cols, pts), rows, 3)  # every column
     assert np.array_equal(idx, np.tile(np.arange(3), (4, 1)))
     for i in range(4):
         vec = distances_to(spec, cols, rows[i], pts)
@@ -136,7 +136,7 @@ def test_nearest_candidates_hold_the_direct_distances_of_their_rows(spec):
     queries = rng.normal(size=(100, 60))
     queries[::10] = values[::15]
     count = 9
-    idx, dist = nearest(spec, reference(spec, values, pts), queries, pts, count)
+    idx, dist = nearest(reference(spec, values, pts), queries, count)
     assert np.all(np.diff(idx, axis=1) > 0)
     for q, rows, got in zip(queries, idx, dist):
         assert got.tobytes() == distances_to(spec, values[rows], q, pts).tobytes()
@@ -151,7 +151,7 @@ def test_nearest_leaves_out_the_excluded_row():
     pts = np.linspace(1.0, 2.0, 30)
     values = rng.normal(size=(20, 30))
     values[5] = values[4]
-    idx, dist = nearest(L2, reference(L2, values, pts), values, pts, 19, exclude=np.arange(20))
+    idx, dist = nearest(reference(L2, values, pts), values, 19, exclude=np.arange(20))
     assert idx.shape == (20, 19)
     for i, (rows, got) in enumerate(zip(idx, dist)):
         assert i not in rows
@@ -179,7 +179,7 @@ def test_low_rank_screen_measures_only_the_nearest_and_their_ties(spec, leave_ou
     exclude = rng.integers(0, 150, size=100)
     exclude[::10] = np.arange(0, 150, 15)  # a copy of a row leaves that row out, as in leave-one-out
     count = 9
-    idx, dist = nearest(spec, reference(spec, values, pts), queries, pts, count,
+    idx, dist = nearest(reference(spec, values, pts), queries, count,
                         exclude if leave_out else None)
     assert np.all(np.diff(idx, axis=1) > 0)
     needed = 0
@@ -210,7 +210,7 @@ def test_screen_bounds_the_residuals_the_basis_leaves_out():
     others = 3.0 * (mix / np.linalg.norm(mix, axis=1, keepdims=True)) @ span[:, :4].T  # norm 3
     eps = 1e-9
     values = np.vstack([a + eps * t, np.sqrt(1 - 2 * eps) * a - eps * t, others])
-    idx, dist = nearest(L2, reference(L2, values, pts), t[None, :], pts, 1)
+    idx, dist = nearest(reference(L2, values, pts), t[None, :], 1)
     assert 0 in idx[0]
     assert dist[0].tobytes() == distances_to(L2, values[idx[0]], t, pts).tobytes()
     assert np.argmin(distances_to(L2, values, t, pts)) == 0

@@ -338,6 +338,39 @@ def test_envelope_is_the_exact_box_image():
     assert np.allclose(band.envelope_upper.values, corners.max(axis=0), atol=1e-12)
 
 
+def test_derived_envelope_is_bit_for_bit_the_stored_min_max_formula():
+    """Reference: the min/max formula bootstrap_bands applied when a band stored its envelope."""
+    rng = np.random.default_rng(10)
+    pairs = _pairs(rng, 12)
+    model = FittedRegression(pairs, L2, KERNEL, kappa=4)
+    fpca_model = fit_fpca([p.response for p in pairs], m=4)
+    band = bootstrap_bands(
+        pairs, model, Curve(PRED_GRID, rng.normal(size=40)), fpca_model,
+        WildBootstrapConfig(replicates=200, components=3, alpha=0.2, seed=3),
+    )
+    intervals = band.component_intervals
+    comp_mat = np.stack([c.values for c in fpca_model.components[:3]])
+    lo_part = np.minimum(intervals[:, 0][:, None] * comp_mat, intervals[:, 1][:, None] * comp_mat).sum(axis=0)
+    hi_part = np.maximum(intervals[:, 0][:, None] * comp_mat, intervals[:, 1][:, None] * comp_mat).sum(axis=0)
+    # the band bootstrap_bands returns, and one built from its box alone
+    for derived in (band, BootstrapBand(intervals, fpca_model, alpha=0.2, replicates=200)):
+        assert derived.envelope_lower.values.tobytes() == (fpca_model.mean.values + lo_part).tobytes()
+        assert derived.envelope_upper.values.tobytes() == (fpca_model.mean.values + hi_part).tobytes()
+
+
+def test_band_derives_its_envelope_from_its_box():
+    rng = np.random.default_rng(9)
+    fpca_model = fit_fpca([p.response for p in _pairs(rng, 6)], m=2)
+    box = np.array([[-1.0, 2.0], [0.5, 0.75]])
+    band = BootstrapBand(box, fpca_model, alpha=0.1, replicates=4)
+    assert band.envelope_lower.grid is fpca_model.grid and band.envelope_upper is band.envelope_upper
+    # an envelope is no argument, so none can disagree with the box
+    with pytest.raises(TypeError):
+        BootstrapBand(box, fpca_model, Curve(RESP_GRID, np.zeros(25)), Curve(RESP_GRID, np.ones(25)), 0.1, 4)
+    with pytest.raises(ValueError, match=r"shape \(m, 2\) with 1 <= m <= 2"):
+        BootstrapBand(np.zeros((3, 2)), fpca_model, alpha=0.1, replicates=4)
+
+
 def test_too_few_replicates_for_the_quantile():
     rng = np.random.default_rng(7)
     pairs = _pairs(rng, 5)
@@ -364,13 +397,10 @@ def test_band_interval_order_is_validated():
     rng = np.random.default_rng(8)
     pairs = _pairs(rng, 4)
     fpca_model = fit_fpca([p.response for p in pairs], m=1)
-    grid = fpca_model.grid
     with pytest.raises(ValueError, match="lower <= upper"):
         BootstrapBand(
             component_intervals=np.array([[1.0, 0.0]]),
             fpca=fpca_model,
-            envelope_lower=Curve(grid, np.zeros(25)),
-            envelope_upper=Curve(grid, np.ones(25)),
             alpha=0.1,
             replicates=4,
         )
