@@ -38,7 +38,7 @@ class ConformalCalibration:
         scores = frozen_array(self.calibration_scores, "calibration scores")
         if scores.size < 1:
             raise ValueError("calibration needs at least one score")
-        if not np.all(np.isfinite(scores)) or np.any(scores > 0.0):
+        if not np.isfinite(scores).all() or (scores > 0.0).any():
             raise ValueError("conformity scores must be finite and non-positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")

@@ -9,23 +9,26 @@ construction and safe to share between threads.
 Values hold their samples in float64 arrays over immutable ``bytes`` buffers
 (:func:`frozen_array`), which numpy will not make writable again. Objects
 share such arrays; anything else is copied once, so a caller's later writes
-never reach a value. Call ``.copy()`` for a writable array.
+never reach a value. Call ``.copy()`` for a writable array. Each value check
+is one pass over the samples: ``isfinite(x).all()``, ``(x[1:] > x[:-1]).all()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from numpy.typing import NDArray
 
 FloatArray = NDArray[np.float64]
+_FLOAT64 = np.dtype(np.float64)
 
 
 def frozen_array(values, name: str, ndim: int = 1) -> FloatArray:
     """``values`` as a C-ordered float64 array over an immutable ``bytes`` buffer:
     the array itself when it already is one, else a copy (module docstring)."""
-    arr = np.asarray(values, dtype=np.float64)
+    arr = values if type(values) is np.ndarray and values.dtype is _FLOAT64 else np.asarray(values, np.float64)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional")
     if isinstance(arr.base, bytes) and arr.flags.c_contiguous:
@@ -43,11 +46,11 @@ class WavelengthGrid:
         pts = frozen_array(self.points, "grid points")
         if pts.size < 2:
             raise ValueError("a wavelength grid needs at least 2 points")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("grid points must be finite")
-        if np.any(pts <= 0.0):
+        if (pts <= 0.0).any():
             raise ValueError("grid points must be positive")
-        if np.any(np.diff(pts) <= 0.0):
+        if not (pts[1:] > pts[:-1]).all():
             raise ValueError("grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
@@ -88,7 +91,7 @@ class Curve:
             raise ValueError(
                 f"curve has {vals.size} values for a {len(self.grid)}-point grid"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("curve values must be finite")
         object.__setattr__(self, "values", vals)
 
@@ -118,13 +121,13 @@ class RawSpectrum:
             raise ValueError("a raw spectrum needs at least 10 samples")
         if fx.size != wl.size or sd.size != wl.size:
             raise ValueError("wavelengths, flux and noise_sd must have equal length")
-        if not (np.all(np.isfinite(wl)) and np.all(np.isfinite(fx)) and np.all(np.isfinite(sd))):
+        if not (np.isfinite(wl).all() and np.isfinite(fx).all() and np.isfinite(sd).all()):
             raise ValueError("spectrum samples must be finite")
-        if np.any(np.diff(wl) <= 0.0):
+        if not (wl[1:] > wl[:-1]).all():
             raise ValueError("sample wavelengths must be strictly increasing")
-        if np.any(sd < 0.0):
+        if (sd < 0.0).any():
             raise ValueError("noise sd must be non-negative")
-        if not np.isfinite(self.redshift) or self.redshift < 0.0:
+        if isinstance(self.redshift, bool) or not isinstance(self.redshift, Real) or not 0.0 <= self.redshift < np.inf:
             raise ValueError("redshift must be a finite non-negative number")
         object.__setattr__(self, "wavelengths", wl)
         object.__setattr__(self, "flux", fx)

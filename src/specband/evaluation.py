@@ -29,9 +29,7 @@ class ErrorSummary:
 
     def __post_init__(self) -> None:
         shared_grid([self.mean, self.median, self.q1, self.q3, self.ci_lower, self.ci_upper], "summary curves")
-        if np.any(self.q1.values > self.median.values) or np.any(
-            self.median.values > self.q3.values
-        ):
+        if (self.q1.values > self.median.values).any() or (self.median.values > self.q3.values).any():
             raise ValueError("quartiles must be ordered q1 <= median <= q3")
 
     @property

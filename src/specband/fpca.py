@@ -30,9 +30,9 @@ class FpcaModel:
     def __post_init__(self) -> None:
         shared_grid([self.mean, *self.components], "FPCA curves")
         eig = frozen_array(self.eigenvalues, "eigenvalues")
-        if np.any(np.diff(eig) > 0.0):
+        if (eig[1:] > eig[:-1]).any():
             raise ValueError("eigenvalues must be sorted non-increasing")
-        if np.any(eig < -1e-10):
+        if (eig < -1e-10).any():
             raise ValueError("eigenvalues must be non-negative up to roundoff")
         object.__setattr__(self, "eigenvalues", eig)
         object.__setattr__(self, "components", tuple(self.components))

@@ -8,15 +8,16 @@ Gaussian emission-line bumps on a shallow power law for the mean,
 Gram-Schmidt orthonormalized damped cosines for the eigenspectra, geometric
 eigenvalue decay, and a noise-sd curve inflated toward the grid edges.
 ``generate`` returns an immutable sequence, safe to share between threads,
-that draws each realization when it is read: a re-read draws the same bits
-again and ``list(...)`` holds the draws. ``save_model`` writes the model out
-as curve files next to the mocks.
+that draws each realization when it is read, as scaled standard normals
+(``Generator.normal``'s bits); ``.noisy`` is built when first read.
+``save_model`` writes the model out as curve files next to the mocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +60,10 @@ class MockModel:
         object.__setattr__(self, "eigenvalues", eig)
         if eig.size != len(self.xi):
             raise ValueError("one eigenvalue per eigenspectrum is required")
-        if np.any(eig < 0.0):
+        if (eig < 0.0).any():
             raise ValueError("eigenvalues must be non-negative")
         shared_grid([self.mu, *self.xi, self.sigma], "model curves")
-        if np.any(self.sigma.values < 0.0):
+        if (self.sigma.values < 0.0).any():
             raise ValueError("noise sd must be non-negative")
 
     @property
@@ -72,14 +73,20 @@ class MockModel:
 
 @dataclass(frozen=True, eq=False)
 class MockRealization:
-    """One generated spectrum: noisy samples, the noise-free continuum, scores."""
+    """One generated spectrum; ``noisy`` is its ``RawSpectrum``, built when first read."""
 
-    noisy: RawSpectrum
     true_continuum: Curve
     omega: FloatArray
+    noisy_flux: FloatArray
+    noise_sd: FloatArray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega", frozen_array(self.omega, "omega"))
+        object.__setattr__(self, "noisy_flux", frozen_array(self.noisy_flux, "noisy_flux"))
+
+    @cached_property
+    def noisy(self) -> RawSpectrum:
+        return RawSpectrum(self.true_continuum.grid.points, self.noisy_flux, self.noise_sd, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,9 +98,11 @@ class Realizations:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
+        for name, value, low in (("count", self.count, 1), ("seed", self.seed, 0)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be at least {low} and an integer, got {value!r}")
         object.__setattr__(self, "_basis", np.stack([c.values for c in self.model.xi]))
+        object.__setattr__(self, "_scales", np.sqrt(self.model.eigenvalues))
 
     def __len__(self) -> int:
         return self.count
@@ -103,21 +112,20 @@ class Realizations:
         if isinstance(i, range):
             return [self[j] for j in i]
         rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(i,)))
-        model = self.model
-        omega = rng.normal(0.0, np.sqrt(model.eigenvalues))
-        continuum = model.mu.values + self._basis.T @ omega
-        noisy = continuum + rng.normal(0.0, model.sigma.values)
-        spectrum = RawSpectrum(model.grid.points, noisy, model.sigma.values, 0.0)
-        return MockRealization(noisy=spectrum, true_continuum=Curve(model.grid, continuum), omega=omega)
+        omega = 0.0 + self._scales * rng.standard_normal(self._scales.size)  # normal(0.0, s)'s bits, +0.0 kept
+        continuum = self.model.mu.values + self._basis.T @ omega
+        noisy = continuum + self.model.sigma.values * rng.standard_normal(continuum.size)
+        return MockRealization(Curve(self.model.grid, continuum), omega, noisy, self.model.sigma.values)
 
 
 def generate(model: MockModel, count: int, seed: int) -> Realizations:
     """``count`` realizations as an immutable, thread-safe sequence drawn on read.
 
-    Component scores are normal with the model eigenvalues as variances, then
-    the pointwise noise is normal with the model's sd curve. Item i is drawn
-    from the i-th child of ``SeedSequence(seed)`` each time it is read: a
-    re-read draws the same bits again, and ``list(...)`` holds the draws.
+    Component scores are standard normals times the square roots of the model
+    eigenvalues, then the noise standard normals times its sd curve: the bits
+    ``Generator.normal`` draws. Item i is drawn from the i-th child of
+    ``SeedSequence(seed)`` each time it is read: a re-read draws the same bits
+    again, ``list(...)`` holds the draws, and ``.noisy`` is built when first read.
     """
     return Realizations(model, count, seed)
 

@@ -71,7 +71,7 @@ class BootstrapBand:
         intervals = frozen_array(self.component_intervals, "component_intervals", ndim=2)
         if intervals.shape[1] != 2 or not 1 <= len(intervals) <= self.fpca.m:
             raise ValueError(f"component_intervals must have shape (m, 2) with 1 <= m <= {self.fpca.m}")
-        if np.any(intervals[:, 0] > intervals[:, 1]):
+        if (intervals[:, 0] > intervals[:, 1]).any():
             raise ValueError("each interval must satisfy lower <= upper")
         object.__setattr__(self, "component_intervals", intervals)
 

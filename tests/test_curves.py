@@ -66,6 +66,88 @@ def test_raw_spectrum_rejects_negative_noise():
         RawSpectrum(wl, np.ones_like(wl), -np.ones_like(wl))
 
 
+# ------------------------------------------------------------ check parity
+
+def _rejected_with(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert type(caught.value) is ValueError and str(caught.value) == message
+
+
+def _raw_with(column, position, value):
+    columns = {"wl": np.linspace(1000.0, 1100.0, 12), "fx": np.ones(12), "sd": np.full(12, 0.1)}
+    columns[column][position] = value
+    return lambda: RawSpectrum(columns["wl"], columns["fx"], columns["sd"])
+
+
+@pytest.mark.parametrize("position", [0, -1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_are_rejected_first_or_last(bad, position):
+    points = np.array([1.0, 2.0, 3.0])
+    points[position] = bad
+    _rejected_with(lambda: WavelengthGrid(points), "grid points must be finite")
+    values = np.array([1.0, 2.0, 3.0])
+    values[position] = bad
+    _rejected_with(lambda: Curve(WavelengthGrid([1.0, 2.0, 3.0]), values), "curve values must be finite")
+    for column in ("wl", "fx", "sd"):
+        _rejected_with(_raw_with(column, position, bad), "spectrum samples must be finite")
+
+
+@pytest.mark.parametrize("points", [[1.0, 1.0, 2.0], [1.0, 2.0, 2.0], [2.0, 1.0, 3.0], [1.0, 3.0, 2.0]],
+                         ids=["equal first", "equal last", "decreasing first", "decreasing last"])
+def test_equal_or_decreasing_neighbouring_grid_points_are_rejected(points):
+    _rejected_with(lambda: WavelengthGrid(points), "grid points must be strictly increasing")
+
+
+@pytest.mark.parametrize("position, step", [(1, 0.0), (-1, 0.0), (1, -1.0), (-1, -1.0)],
+                         ids=["equal first", "equal last", "decreasing first", "decreasing last"])
+def test_equal_or_decreasing_neighbouring_wavelengths_are_rejected(position, step):
+    neighbour = np.linspace(1000.0, 1100.0, 12)[position - 1]
+    _rejected_with(_raw_with("wl", position, neighbour + step), "sample wavelengths must be strictly increasing")
+
+
+@pytest.mark.parametrize("points", [[0.0, 1.0], [-0.0, 1.0], [-1.0, 1.0]])
+def test_a_grid_point_at_or_below_zero_is_rejected(points):
+    _rejected_with(lambda: WavelengthGrid(points), "grid points must be positive")
+
+
+def test_negative_noise_sd_is_rejected_and_minus_zero_accepted():
+    for position in (0, -1):
+        _rejected_with(_raw_with("sd", position, -1e-300), "noise sd must be non-negative")
+    spectrum = _raw_with("sd", 0, -0.0)()
+    assert np.signbit(spectrum.noise_sd[0]) and spectrum.noise_sd[0] == 0.0
+
+
+def test_two_dimensional_input_is_rejected():
+    square = [[1.0, 2.0], [3.0, 4.0]]
+    _rejected_with(lambda: WavelengthGrid(square), "grid points must be 1-dimensional")
+    _rejected_with(lambda: Curve(WavelengthGrid([1.0, 2.0]), square), "curve values must be 1-dimensional")
+    wl = np.linspace(1000.0, 1100.0, 12)
+    _rejected_with(lambda: RawSpectrum(wl, np.ones((12, 1)), np.zeros(12)), "flux must be 1-dimensional")
+
+
+@pytest.mark.parametrize("given", [[1, 2, 3], np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0], dtype=">f8")],
+                         ids=["int list", "int array", "big-endian float64"])
+def test_list_int_and_foreign_float_inputs_become_frozen_float64(given):
+    for values in (WavelengthGrid(given).points, Curve(WavelengthGrid([1.0, 2.0, 3.0]), given).values):
+        assert values.dtype == np.float64 and values.dtype.isnative and isinstance(values.base, bytes)
+        assert values.tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("z", [True, False, "2", None, np.nan, np.inf, -1.0, 1j])
+def test_redshift_must_be_a_finite_non_negative_real_not_a_bool(z):
+    wl = np.linspace(1000.0, 1100.0, 12)
+    _rejected_with(lambda: RawSpectrum(wl, np.ones(12), np.zeros(12), z),
+                   "redshift must be a finite non-negative number")
+
+
+@pytest.mark.parametrize("z", [0, 2, 2.5, np.float64(1.5), np.float32(0.5), np.int64(3)])
+def test_redshift_takes_any_real_number_as_a_float(z):
+    wl = np.linspace(1000.0, 1100.0, 12)
+    spectrum = RawSpectrum(wl, np.ones(12), np.zeros(12), z)
+    assert type(spectrum.redshift) is float and spectrum.redshift == float(z)
+
+
 def test_curve_pair_requires_disjoint_ranges():
     pred = Curve(WavelengthGrid([1300.0, 1400.0]), [1.0, 1.0])
     resp = Curve(WavelengthGrid([1050.0, 1185.0]), [1.0, 1.0])

@@ -1,4 +1,6 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -90,20 +92,50 @@ def test_generation_is_deterministic():
     assert not np.array_equal(a[0].noisy.flux, c[0].noisy.flux)
 
 
-def test_item_i_is_the_draw_of_the_i_th_child_seed():
+def _half_silent_model():
+    # every other eigenvalue and every other noise sd zero: Generator.normal
+    # draws +0.0 there, where a bare scale * standard normal can give -0.0
     model = _default_model()
-    mocks = generate(model, 5, seed=17)
-    assert len(mocks) == 5
-    basis = np.stack([c.values for c in model.xi])
-    for i, child in enumerate(np.random.SeedSequence(17).spawn(5)):
-        rng = np.random.default_rng(child)
-        omega = rng.normal(0.0, np.sqrt(model.eigenvalues))
-        continuum = model.mu.values + basis.T @ omega
-        noisy = continuum + rng.normal(0.0, model.sigma.values)
-        mock = mocks[i]
-        assert np.array_equal(mock.omega, omega)
-        assert np.array_equal(mock.true_continuum.values, continuum)
-        assert np.array_equal(mock.noisy.flux, noisy)
+    eigenvalues = model.eigenvalues.copy()
+    eigenvalues[1::2] = 0.0
+    sigma = model.sigma.values.copy()
+    sigma[::2] = 0.0
+    return MockModel(model.mu, model.xi, eigenvalues, Curve(GRID, sigma))
+
+
+def test_item_i_is_the_draw_of_the_i_th_child_seed():
+    count = 5
+    for model in (_default_model(), _half_silent_model()):
+        basis = np.stack([c.values for c in model.xi])
+        for seed in (17, 0, 2**40 + 3):
+            mocks = generate(model, count, seed=seed)
+            assert len(mocks) == count
+            children = np.random.SeedSequence(seed).spawn(count)
+            for i in (0, 1, count - 1, -1):
+                rng = np.random.default_rng(children[i])
+                omega = rng.normal(0.0, np.sqrt(model.eigenvalues))
+                continuum = model.mu.values + basis.T @ omega
+                noisy = continuum + rng.normal(0.0, model.sigma.values)
+                mock = mocks[i]
+                assert mock.omega.tobytes() == omega.tobytes()
+                assert mock.true_continuum.values.tobytes() == continuum.tobytes()
+                assert mock.noisy.flux.tobytes() == noisy.tobytes()
+                assert mock.noisy is mock.noisy
+
+
+def test_threads_racing_on_first_reads_of_noisy_see_the_same_bits():
+    mocks = list(generate(_default_model(), 50, seed=29))
+    expected = [m.noisy_flux.tobytes() for m in mocks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            seen = [f.result(timeout=60) for f in [
+                pool.submit(lambda: [m.noisy.flux.tobytes() for m in mocks]) for _ in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(flux == expected for flux in seen)
+    assert all(m.noisy.flux is m.noisy_flux for m in mocks)
 
 
 def test_reads_in_any_order_draw_the_same_bits():
@@ -128,6 +160,21 @@ def test_reads_in_any_order_draw_the_same_bits():
 def test_count_below_one_is_rejected_at_the_call():
     with pytest.raises(ValueError, match="count must be at least 1"):
         generate(_default_model(), 0, seed=1)
+
+
+@pytest.mark.parametrize("count, seed, name", [
+    (3, -1, "seed"), (3, 1.5, "seed"), (3, True, "seed"), (3, "1", "seed"),
+    (2.0, 1, "count"), (True, 1, "count"), (None, 1, "count"),
+])
+def test_a_count_or_seed_that_is_not_an_integer_in_range_is_rejected_at_the_call(count, seed, name):
+    with pytest.raises(ValueError, match=f"^{name} must be at least [01] and an integer, got"):
+        generate(_default_model(), count, seed)
+
+
+def test_numpy_integers_are_taken_as_count_and_seed():
+    mocks = generate(_default_model(), np.int64(2), np.uint32(4))
+    assert len(mocks) == 2
+    assert mocks[1].omega.tobytes() == generate(_default_model(), 2, 4)[1].omega.tobytes()
 
 
 def test_noisy_flux_is_unbiased_around_the_mean():
