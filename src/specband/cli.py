@@ -51,7 +51,7 @@ _CONFIG_FLAGS = {
     "seed": click.option("--seed", type=int, default=None, help="Root random seed."),
     "alpha": click.option("--alpha", type=float, default=None, help="Miscoverage level in (0, 1)."),
     "semimetric": click.option("--semimetric", type=click.Choice(TOKENS), default=None, help="Predictor-space distance."),
-    "kappa_candidates": click.option("--kappa-candidates", default=None, help="Comma-separated CV neighbor counts; one count is used without CV. A count above n-1 counts as n-1 (in predict's split model, n1-1)."),
+    "kappa_candidates": click.option("--kappa-candidates", default=None, help="Comma-separated CV neighbor counts; one count is used without CV. A count above n-1 counts as n-1 (in fit's split model, n1-1)."),
     "span_candidates": click.option("--span-candidates", default=None, help="Comma-separated CV spans; one span is used without CV."),
 }
 
@@ -116,12 +116,14 @@ def cmd_mockgen(config_path, count, out_dir, **flags) -> None:
 
 
 @main.command("fit")
-@_config_options("config", "semimetric", "kappa_candidates", "span_candidates")
+@_config_options("config", "seed", "semimetric", "kappa_candidates", "span_candidates")
 @click.option("--manifest", type=click.Path(exists=True, path_type=Path), required=True, help="Spectrum manifest to fit on.")
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True, help="Model file to write.")
 @_exit_codes
 def cmd_fit(config_path, manifest, out_path, **flags) -> None:
-    """Smooth the manifest spectra into curve pairs and fit the regression."""
+    """Smooth the manifest spectra into curve pairs, fit the regression, and
+    calibrate its conformal split once, drawn from the seed; the model file
+    keeps the split's fitting rows, kappa and scores for ``predict``."""
     config = _build_config(config_path, **flags)
     spectra = {}
     for record in fileio.read_manifest(manifest):
@@ -131,16 +133,21 @@ def cmd_fit(config_path, manifest, out_path, **flags) -> None:
         spectra[record.id] = fileio.read_spectrum(record.path, record.z)
     pairs = [pair for pair, _ in smooth_spectra(list(spectra.values()), config, pairs=True, names=list(spectra))]
     model, cv_table = fit_pairs(pairs, config)
-    fileio.save_regression(model, out_path, config)
+    calibration = conformal_mod.calibrate(model.pairs, config.alpha, model.semimetric, model.kernel,
+                                          config.kappa_candidates, split_seed=config.seed)
+    fileio.save_regression(model, out_path, config, calibration)
     if cv_table:
         click.echo("kappa  loo_error")
         for kappa, score in cv_table:
             click.echo(f"{kappa:5d}  {score:.6g}")
     click.echo(f"selected kappa={model.kappa} on n={len(model)} pairs -> {out_path}")
+    split = calibration.trained_model
+    click.echo(f"conformal split (seed {config.seed}): kappa1={split.kappa} on n1={len(split)} pairs, "
+               f"n2={calibration.n2} scores")
 
 
 @main.command("predict")
-@_config_options("seed", "alpha")
+@_config_options("alpha")
 @click.option("--model", "model_path", type=click.Path(exists=True, path_type=Path), required=True, help="Fitted model file.")
 @click.option("--manifest", type=click.Path(exists=True, path_type=Path), required=True, help="Spectra to predict.")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), required=True, help="Output directory.")
@@ -148,23 +155,18 @@ def cmd_fit(config_path, manifest, out_path, **flags) -> None:
 def cmd_predict(model_path, manifest, out_dir, **flags) -> None:
     """Predict each spectrum's response segment with a conformal band.
 
-    Spectra are smoothed with the settings the model records and calibrated
-    on its stored training pairs. Each band file records the spectrum's
+    Spectra are smoothed with the settings the model records. The bands come
+    from the conformal split ``fit`` stored: its model, rebuilt on the stored
+    rows with the stored kappa, and its scores, ranked by ``--alpha``; nothing
+    is fitted or calibrated here. Each band file records the spectrum's
     normalization constant, which ``eval`` divides the truth curve by.
     """
-    model, settings = fileio.load_regression(model_path)
+    model, settings, (split_model, scores) = fileio.load_regression(model_path)
     config = load_config(**settings, **flags)
     records = fileio.read_manifest(manifest)
     spectra = [fileio.read_spectrum(record.path, record.z) for record in records]
     predictors = smooth_spectra(spectra, config, pairs=False, names=[r.id for r in records])
-    calibration = conformal_mod.calibrate(
-        model.pairs,
-        config.alpha,
-        model.semimetric,
-        model.kernel,
-        config.kappa_candidates,
-        split_seed=config.seed,
-    )
+    calibration = conformal_mod.ConformalCalibration(split_model, scores, config.alpha)
     if np.isinf(calibration.half_width):  # alpha and n2 decide it for every band
         click.echo(f"warning: alpha={config.alpha} is too small for the calibration "
                    f"size n2={calibration.n2}; every band is degenerate", err=True)
@@ -188,7 +190,7 @@ def cmd_predict(model_path, manifest, out_dir, **flags) -> None:
 @_exit_codes
 def cmd_bootstrap(model_path, spectrum_path, redshift, components, replicates, out_dir, **flags) -> None:
     """Wild-bootstrap confidence band for the projected prediction at one spectrum."""
-    model, settings = fileio.load_regression(model_path)
+    model, settings, _ = fileio.load_regression(model_path)
     config = load_config(**settings, bootstrap_components=components, bootstrap_replicates=replicates, **flags)
     responses = [p.response for p in model.pairs]
     fpca_model = fpca.fit_fpca(responses, config.bootstrap_components)

@@ -9,6 +9,10 @@ response with probability at least 1 - alpha, for any data distribution.
 
 When k = 0 the guarantee can only be met by the whole response space, so the
 band is returned with an infinite half-width, and only then is it ``degenerate``.
+
+The command line splits once: ``fit`` calibrates and stores the fitting rows,
+kappa and scores with the model, and ``predict`` rebuilds the calibration
+from them with its own alpha.
 """
 
 from __future__ import annotations
@@ -25,14 +29,19 @@ from .curves import Curve, CurvePair, FloatArray, frozen_array, shared_grid, sup
 from .regression import FittedRegression, KernelSpec, fit_kappa, predict, predict_many
 from .semimetrics import SemimetricSpec
 
+# two pairs to fit on (kappa >= 1 needs n1 >= 2) and two to score
+MIN_PAIRS = 4
+
 
 @dataclass(frozen=True, eq=False)
 class ConformalCalibration:
-    """A split-fitted model plus the held-out conformity scores."""
+    """A split-fitted model plus the held-out conformity scores; ``fit_rows``,
+    when known, are the sample rows of the model's pairs, in split order."""
 
     trained_model: FittedRegression
     calibration_scores: FloatArray
     alpha: float
+    fit_rows: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         scores = frozen_array(self.calibration_scores, "calibration scores")
@@ -85,13 +94,14 @@ def calibrate(
     """Split the sample, fit on one half, score conformity on the other.
 
     The split draws floor(n/2) pairs without replacement using the given
-    seed. On the fitted half alone, ``fit_kappa`` selects kappa by
-    leave-one-out CV, each candidate above n1 - 1 counting as n1 - 1, or
-    takes it as given when that leaves one value.
+    seed; their indices are the result's ``fit_rows``. On the fitted half
+    alone, ``fit_kappa`` selects kappa by leave-one-out CV, each candidate
+    above n1 - 1 counting as n1 - 1, or takes it as given when that leaves
+    one value.
     """
     n = len(sample)
-    if n < 4:
-        raise ValueError(f"conformal calibration needs at least 4 pairs, got {n}")
+    if n < MIN_PAIRS:
+        raise ValueError(f"conformal calibration needs at least {MIN_PAIRS} pairs, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     shared_grid([p.predictor for p in sample], "training predictors")
@@ -109,7 +119,7 @@ def calibrate(
     responses = np.stack([p.response.values for p in score_pairs])
     # one block of predictions; each score is -sup_distance(y, predict(model, x)), bit for bit
     scores = -np.max(np.abs(responses - predict_many(model, predictors)), axis=1)
-    return ConformalCalibration(model, scores, float(alpha))
+    return ConformalCalibration(model, scores, float(alpha), tuple(order[:n1].tolist()))
 
 
 def _score_rank(n2: int, alpha: float) -> int:

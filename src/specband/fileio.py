@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conformal import ConformalBand
+from .conformal import ConformalBand, ConformalCalibration
 from .curves import Curve, CurvePair, RawSpectrum, WavelengthGrid
 from .pipeline import MODEL_SETTINGS, PipelineConfig, load_config
 from .regression import FittedRegression, KernelSpec
@@ -208,11 +208,34 @@ def _reason(err: Exception) -> str:
     return str(err) if isinstance(err, ValueError) else "a null, list or object where numbers belong"
 
 
-def save_regression(model: FittedRegression, path: Path, config: PipelineConfig) -> None:
-    """``config`` must be the model's: its grids and semimetric are all the file says of the rows."""
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# what the 'split' record's keys must hold for a model of n pairs, and the test for each
+def _split_values(n: int):
+    n1 = n // 2
+    return (
+        ("rows", f"{n1} distinct integers in [0, {n})",
+         lambda v: isinstance(v, list) and len(v) == n1 and all(_integer(r) and 0 <= r < n for r in v) and len(set(v)) == n1),
+        ("kappa", f"an integer in [1, {n1 - 1}]", lambda v: _integer(v) and 1 <= v <= n1 - 1),
+        ("scores", f"{n - n1} finite, non-positive numbers",
+         lambda v: isinstance(v, list) and len(v) == n - n1
+         and all(isinstance(s, (int, float)) and not isinstance(s, bool) and -math.inf < s <= 0.0 for s in v)),
+    )
+
+
+def save_regression(model: FittedRegression, path: Path, config: PipelineConfig,
+                    calibration: ConformalCalibration) -> None:
+    """``config`` must be the model's: its grids and semimetric are all the file says of the rows.
+    ``calibration`` must be a split of the model's pairs, as ``calibrate(model.pairs, ...)`` makes."""
     if not (config.predictor_grid().matches(model.predictor_grid) and config.response_grid().matches(model.response_grid)
             and config.semimetric == model.semimetric.token):
         raise ValueError("the config's grids and semimetric must be the model's")
+    split, rows = calibration.trained_model, calibration.fit_rows or ()
+    if not (len(split) == len(rows) == len(model) // 2 and calibration.n2 == len(model) - len(rows)
+            and split.semimetric == model.semimetric and all(model.pairs[i] is p for i, p in zip(rows, split.pairs))):
+        raise ValueError("the calibration must be a split of the model's pairs")
     document = {
         "schema_version": SCHEMA_VERSION,
         "kind": "knn_functional_regression",
@@ -220,11 +243,14 @@ def save_regression(model: FittedRegression, path: Path, config: PipelineConfig)
         "predictors": [p.predictor.values.tolist() for p in model.pairs],
         "responses": [p.response.values.tolist() for p in model.pairs],
         "config": {name: getattr(config, name) for name in MODEL_SETTINGS},
+        "split": {"rows": list(rows), "kappa": split.kappa, "scores": calibration.calibration_scores.tolist()},
     }
     _dump_json(document, Path(path))
 
 
-def load_regression(path: Path) -> tuple[FittedRegression, dict]:
+def load_regression(path: Path) -> tuple[FittedRegression, dict, tuple[FittedRegression, np.ndarray]]:
+    """The model, its config record, and its conformal split: the model fitted
+    on the recorded rows with the recorded kappa, and the held-out scores."""
     document = _load_json(Path(path), "knn_functional_regression")
     record = document.get("config")
     if not isinstance(record, dict) or record.keys() != set(MODEL_SETTINGS):
@@ -233,11 +259,17 @@ def load_regression(path: Path) -> tuple[FittedRegression, dict]:
     for key in ("predictors", "responses", "kappa"):
         if key not in document:
             raise ValueError(f"{path}: model has no {key!r}; rerun fit")
-    if isinstance(document["kappa"], bool) or not isinstance(document["kappa"], int):
+    split = document.get("split")
+    if not isinstance(split, dict) or split.keys() != {"rows", "kappa", "scores"}:
+        raise ValueError(f"{path}: model has no 'split' record of 'rows', 'kappa' and 'scores'; rerun fit")
+    if not _integer(document["kappa"]):
         raise ValueError(f"{path}: model's 'kappa' is not an integer: {document['kappa']!r}; rerun fit")
     predictors, responses = document["predictors"], document["responses"]
     if not (isinstance(predictors, list) and isinstance(responses, list) and len(predictors) == len(responses)):
         raise ValueError(f"{path}: model's 'predictors' and 'responses' are not lists of equal length; rerun fit")
+    for key, kind, valid in _split_values(len(predictors)):
+        if not valid(split[key]):
+            raise ValueError(f"{path}: model's 'split' needs {kind} for {key!r}; rerun fit")
     try:
         config = load_config(**record)
         pred_grid, resp_grid = config.predictor_grid(), config.response_grid()
@@ -249,7 +281,8 @@ def load_regression(path: Path) -> tuple[FittedRegression, dict]:
         model = FittedRegression(pairs, SemimetricSpec(config.semimetric), KernelSpec(), document["kappa"])
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: bad value in the model: {_reason(err)}; rerun fit") from None
-    return model, record
+    split_model = FittedRegression(tuple(pairs[i] for i in split["rows"]), model.semimetric, model.kernel, split["kappa"])
+    return model, record, (split_model, np.asarray(split["scores"], dtype=float))
 
 
 # ------------------------------------------------------------ band documents

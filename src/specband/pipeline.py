@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .conformal import MIN_PAIRS
 from .curves import (
     Curve,
     CurvePair,
@@ -176,7 +177,11 @@ def smooth_spectra(
 def fit_pairs(
     pairs: list[CurvePair], config: PipelineConfig
 ) -> tuple[FittedRegression, list[tuple[int, float]]]:
-    """Build the regression through ``fit_kappa`` (a candidate above n-1 counts as n-1)."""
-    if len(pairs) < 3:
-        raise ValueError(f"need at least 3 usable spectra to fit, got {len(pairs)}")
+    """Build the regression through ``fit_kappa`` (a candidate above n-1 counts as n-1).
+
+    ``fit`` then calibrates a conformal split of the same pairs, so this
+    asks for the calibration's minimum count.
+    """
+    if len(pairs) < MIN_PAIRS:
+        raise ValueError(f"need at least {MIN_PAIRS} usable spectra to fit, got {len(pairs)}")
     return fit_kappa(pairs, SemimetricSpec.parse(config.semimetric), KernelSpec(), config.kappa_candidates)

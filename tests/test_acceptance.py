@@ -410,7 +410,7 @@ def test_criterion_8_seeded_commands_are_byte_identical(tmp_path):
         steps = [
             ["mockgen", "--config", str(config_path), "--out", str(mocks)],
             ["fit", "--config", str(config_path), "--manifest", str(mocks / "manifest.json"), "--out", str(model)],
-            ["predict", "--seed", "3", "--alpha", "0.2", "--model", str(model), "--manifest", str(mocks / "manifest.json"), "--out", str(predictions)],
+            ["predict", "--alpha", "0.2", "--model", str(model), "--manifest", str(mocks / "manifest.json"), "--out", str(predictions)],
             ["bootstrap", "--seed", "3", "--alpha", "0.2", "-m", "2", "-B", "40", "--model", str(model), "--spectrum", str(mocks / "spectra" / "mock_0000.csv"), "--out", str(boot)],
             ["eval", "--predictions", str(predictions), "--manifest", str(mocks / "manifest.json"), "--out", str(evaluation_dir)],
         ]

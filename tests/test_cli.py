@@ -46,8 +46,9 @@ CONFIG = {
 
 
 # predict's and bootstrap's settings from CONFIG; the rest comes from the model
-QUERY_FLAGS = ["--seed", "7", "--alpha", "0.2"]
-BOOTSTRAP_FLAGS = [*QUERY_FLAGS, "-m", "2", "-B", "50"]
+# (fit took the seed for its conformal split from CONFIG)
+QUERY_FLAGS = ["--alpha", "0.2"]
+BOOTSTRAP_FLAGS = ["--seed", "7", *QUERY_FLAGS, "-m", "2", "-B", "50"]
 
 
 @pytest.fixture()
@@ -170,6 +171,44 @@ def test_fit_reports_cv_table_and_kappa(runner, config_path, mock_dir, tmp_path)
     assert len(document["predictors"]) == 12
 
 
+def test_fit_calibrates_its_seeded_split_once_and_stores_it(runner, config_path, mock_dir, tmp_path):
+    """fit's seed draws the conformal split; the model file keeps calibrate's
+    fitting rows (in draw order, unsorted), kappa and scores, and fit reports
+    them on a line after the one that names the selected kappa."""
+    out = tmp_path / "model.json"
+    result = runner.invoke(main, ["fit", "--config", str(config_path), "--manifest", str(mock_dir / "manifest.json"),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    model, _, _ = load_regression(out)
+    config = load_config(config_path)
+    calibration = calibrate(model.pairs, config.alpha, model.semimetric, model.kernel, config.kappa_candidates,
+                            split_seed=7)
+    split = json.loads(out.read_text())["split"]
+    assert split == {"rows": list(calibration.fit_rows), "kappa": calibration.trained_model.kappa,
+                     "scores": calibration.calibration_scores.tolist()}
+    assert split["rows"] == np.random.default_rng(7).permutation(12)[:6].tolist() != sorted(split["rows"])
+    lines = result.output.splitlines()
+    assert lines[-1] == f"conformal split (seed 7): kappa1={split['kappa']} on n1=6 pairs, n2=6 scores"
+    assert re.search(r"selected kappa=(\d+) on n=(\d+)", result.output).group(0) == f"selected kappa={model.kappa} on n=12"
+    assert "selected kappa=" not in lines[-1]
+
+
+def test_fit_needs_four_usable_spectra(runner, config_path, mock_dir, tmp_path):
+    """fit calibrates a split of its pairs, two to fit on and two to score, so
+    it takes 4 usable spectra; predict-only spectra are not counted."""
+    records = [SpectrumRecord(r.id, r.path, r.z) for r in read_manifest(mock_dir / "manifest.json")]
+    manifest, out = tmp_path / "few.json", tmp_path / "m.json"
+    for listed in (records[:3], [*records[:3], SpectrumRecord(records[3].id, records[3].path, predict_only=True)]):
+        write_manifest(manifest, listed)
+        result = runner.invoke(main, ["fit", "--config", str(config_path), "--manifest", str(manifest), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines()[-1] == "error: need at least 4 usable spectra to fit, got 3"
+        assert not out.exists()
+    write_manifest(manifest, records[:4])
+    result = runner.invoke(main, ["fit", "--config", str(config_path), "--manifest", str(manifest), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+
+
 def test_fit_counts_a_candidate_above_n_minus_1_as_n_minus_1(runner, config_path, mock_dir, tmp_path, monkeypatch):
     """40 on 12 pairs is cross-validated as 11, which leave-one-out clamps to
     10, so its row ties with 10's and kappa stays the one chosen without it;
@@ -182,15 +221,17 @@ def test_fit_counts_a_candidate_above_n_minus_1_as_n_minus_1(runner, config_path
         return result.output.replace(str(out), "m.json").splitlines()
 
     without, clamped = fit("2,4,10"), fit("2,4,10,40")
-    assert clamped[:4] == without[:4] and clamped[-1] == without[-1] == "selected kappa=10 on n=12 pairs -> m.json"
+    assert clamped[:4] == without[:4] and clamped[-2] == without[-2] == "selected kappa=10 on n=12 pairs -> m.json"
     assert clamped[4] == "   11" + without[3][5:]
+    assert clamped[-1] == without[-1]  # the split model's 6 pairs cross-validate 2,4,5 either way
     monkeypatch.setattr("specband.regression.kappa_cv_scores", None)  # any CV call fails
-    assert fit("40") == ["selected kappa=11 on n=12 pairs -> m.json"]
+    assert fit("40") == ["selected kappa=11 on n=12 pairs -> m.json",
+                         "conformal split (seed 7): kappa1=5 on n1=6 pairs, n2=6 scores"]
 
 
 def test_one_candidate_fixes_kappa_and_span_without_cv(runner, config_path, mock_dir, tmp_path, monkeypatch):
     """A one-element candidate list is used as given: no span CV and no kappa
-    CV run, fit prints no CV table, and predict's split-conformal model
+    CV run, fit prints no CV table, and the split-conformal model fit stores
     takes the same kappa."""
     def forbidden(*args, **kwargs):
         raise AssertionError("a single candidate must not be cross-validated")
@@ -201,20 +242,11 @@ def test_one_candidate_fixes_kappa_and_span_without_cv(runner, config_path, mock
     result = runner.invoke(main, ["fit", "--config", str(config_path), "--kappa-candidates", "3",
                                   "--span-candidates", "0.5", "--manifest", manifest, "--out", str(model)])
     assert result.exit_code == 0, result.output
-    assert result.output == f"selected kappa=3 on n=12 pairs -> {model}\n"
-    assert load_regression(model)[1]["kappa_candidates"] == [3]
-
-    calibrations = []
-
-    def recording(*args, **kwargs):
-        calibrations.append(calibrate(*args, **kwargs))
-        return calibrations[-1]
-
-    monkeypatch.setattr("specband.conformal.calibrate", recording)
-    result = runner.invoke(main, ["predict", "--model", str(model), "--manifest", manifest,
-                                  *QUERY_FLAGS, "--out", str(tmp_path / "pred")])
-    assert result.exit_code == 0, result.output
-    assert [c.trained_model.kappa for c in calibrations] == [3]
+    assert result.output == (f"selected kappa=3 on n=12 pairs -> {model}\n"
+                             "conformal split (seed 7): kappa1=3 on n1=6 pairs, n2=6 scores\n")
+    _, settings, (split_model, _) = load_regression(model)
+    assert settings["kappa_candidates"] == [3]
+    assert split_model.kappa == 3
 
 
 def _unusable_spectra(mock_dir, tmp_path):
@@ -372,7 +404,6 @@ def test_predict_warns_on_degenerate_alpha(runner, mock_dir, model_path, tmp_pat
         main,
         [
             "predict",
-            "--seed", "7",
             "--model", str(model_path),
             "--manifest", str(mock_dir / "manifest.json"),
             "--alpha", "0.01",
@@ -386,6 +417,43 @@ def test_predict_warns_on_degenerate_alpha(runner, mock_dir, model_path, tmp_pat
     assert len(warnings) == 1 and "degenerate" in warnings[0], result.output
     band = json.loads((out / "mock_0000_band.json").read_text())
     assert band["degenerate"] is True
+
+
+@pytest.mark.parametrize("semimetric", ["l2", "deriv1"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_predict_writes_the_bands_of_the_split_fit_stored(runner, config_path, mock_dir, tmp_path, seed, semimetric):
+    """predict rebuilds the split model from the stored rows and kappa: each
+    file it writes is, byte for byte, the library's prediction and its band
+    on calibrate(model.pairs, ..., split_seed=<fit's seed>)."""
+    manifest, model_path, out = mock_dir / "manifest.json", tmp_path / "model.json", tmp_path / "pred"
+    for step in (["fit", "--config", str(config_path), "--seed", str(seed), "--semimetric", semimetric,
+                  "--manifest", str(manifest), "--out", str(model_path)],
+                 ["predict", "--model", str(model_path), "--manifest", str(manifest), *QUERY_FLAGS, "--out", str(out)]):
+        result = runner.invoke(main, step)
+        assert result.exit_code == 0, result.output
+    model, settings, _ = load_regression(model_path)
+    config = load_config(**settings, alpha=0.2)
+    calibration = calibrate(model.pairs, config.alpha, model.semimetric, model.kernel, config.kappa_candidates,
+                            split_seed=seed)
+    records, expected = read_manifest(manifest), tmp_path / "expected"
+    smoothed = smooth_spectra([read_spectrum(r.path, r.z) for r in records], config, pairs=False)
+    for record, (predictor, ref) in zip(records, smoothed):
+        write_curve(expected / f"{record.id}_prediction.csv", predict(model, predictor))
+        save_conformal_band(band(calibration, predictor), expected / f"{record.id}_band.json", ref)
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in expected.iterdir())
+    for path in expected.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_predict_fits_and_calibrates_nothing(runner, mock_dir, model_path, pred_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr("specband.regression.kappa_cv_scores", None)  # any CV call fails
+    monkeypatch.setattr("specband.conformal.calibrate", None)  # and so does any calibration
+    out = tmp_path / "again"
+    result = runner.invoke(main, ["predict", "--model", str(model_path), "--manifest", str(mock_dir / "manifest.json"),
+                                  *QUERY_FLAGS, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in pred_dir.iterdir())
+    assert all((out / p.name).read_bytes() == p.read_bytes() for p in pred_dir.iterdir())
 
 
 def test_bootstrap_writes_band_and_scree(runner, mock_dir, model_path, tmp_path):
@@ -415,7 +483,7 @@ def test_bootstrap_single_component(runner, mock_dir, model_path, tmp_path):
     result = runner.invoke(
         main,
         [
-            "bootstrap", *QUERY_FLAGS, "-B", "50",
+            "bootstrap", "--seed", "7", *QUERY_FLAGS, "-B", "50",
             "--model", str(model_path),
             "--spectrum", str(records[1].path),
             "--components", "1",
@@ -432,7 +500,7 @@ def test_bootstrap_rejects_unresolvable_quantiles(runner, mock_dir, model_path, 
     result = runner.invoke(
         main,
         [
-            "bootstrap", *QUERY_FLAGS, "-m", "2",
+            "bootstrap", "--seed", "7", *QUERY_FLAGS, "-m", "2",
             "--model", str(model_path),
             "--spectrum", str(records[0].path),
             "--replicates", "5",
@@ -465,7 +533,7 @@ def test_predict_and_bootstrap_treat_queries_as_fit_did(runner, mock_dir, tmp_pa
         assert result.exit_code == 0, result.output
 
     config = load_config(config_path, span_candidates=[0.2, 0.5, 0.8])
-    model, settings = load_regression(model_path)
+    model, settings, _ = load_regression(model_path)
     assert settings["span_candidates"] == [0.2, 0.5, 0.8]
     assert settings["normalization_wavelength"] == 1400.0
     assert load_config(**settings).semimetric == "deriv1"
@@ -703,8 +771,8 @@ CONFIG_FLAGS = (
 # the config flags each command takes: the settings it reads
 KEPT_FLAGS = {
     "mockgen": {"--config", "--seed"},
-    "fit": {"--config", "--semimetric", "--kappa-candidates", "--span-candidates"},
-    "predict": {"--seed", "--alpha"},
+    "fit": {"--config", "--seed", "--semimetric", "--kappa-candidates", "--span-candidates"},
+    "predict": {"--alpha"},
     "bootstrap": {"--seed", "--alpha"},
     "eval": set(),
 }

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specband.conformal import ConformalBand
+from specband.conformal import ConformalBand, band, calibrate
 from specband.curves import Curve, CurvePair, RawSpectrum, WavelengthGrid
 from specband.fileio import (
     SpectrumRecord,
@@ -197,10 +197,11 @@ def test_regression_round_trip_reproduces_predictions_bitwise(tmp_path):
         kappa_candidates=(3, 5), span_candidates=(0.35,),
     )
     path = tmp_path / "model.json"
-    save_regression(model, path, config)
+    calibration = _split(model, config.kappa_candidates)
+    save_regression(model, path, config, calibration)
     document = json.loads(path.read_text())
-    assert sorted(document) == ["config", "kappa", "kind", "predictors", "responses", "schema_version"]
-    back, settings = load_regression(path)
+    assert sorted(document) == ["config", "kappa", "kind", "predictors", "responses", "schema_version", "split"]
+    back, settings, (split_model, scores) = load_regression(path)
     assert list(settings) == list(MODEL_SETTINGS)
     assert load_config(**settings) == config
     assert back.kappa == 3
@@ -211,6 +212,11 @@ def test_regression_round_trip_reproduces_predictions_bitwise(tmp_path):
     assert all(p.predictor.grid is back.predictor_grid and p.response.grid is back.response_grid for p in back.pairs)
     x = Curve(pred_grid, rng.normal(size=40))
     assert np.array_equal(predict(back, x).values, predict(model, x).values)
+    # the split model is the model's rows the split drew, in draw order, with the split's kappa
+    assert split_model.pairs == tuple(back.pairs[i] for i in calibration.fit_rows)
+    assert (split_model.kappa, split_model.semimetric) == (calibration.trained_model.kappa, model.semimetric)
+    assert scores.tobytes() == calibration.calibration_scores.tobytes()
+    assert predict(split_model, x).values.tobytes() == band(calibration, x).center.values.tobytes()
 
 
 def test_regression_file_rejects_wrong_kind(tmp_path):
@@ -227,8 +233,14 @@ def _small_model():
     return FittedRegression(pairs, SemimetricSpec.parse("l2"), KernelSpec(), kappa=2)
 
 
+def _split(model, kappa_candidates=(1,), seed=3):
+    """The conformal split fit stores for ``model``."""
+    return calibrate(model.pairs, 0.1, model.semimetric, model.kernel, kappa_candidates, split_seed=seed)
+
+
 def _saved_model(path):
-    save_regression(_small_model(), path, PipelineConfig(predictor_points=5, response_points=5))
+    model = _small_model()
+    save_regression(model, path, PipelineConfig(predictor_points=5, response_points=5), _split(model))
     return json.loads(path.read_text())
 
 
@@ -278,9 +290,75 @@ def test_save_refuses_a_config_that_is_not_the_models(tmp_path, settings):
     a record that misdescribes the rows is never written."""
     path = tmp_path / "model.json"
     config = PipelineConfig(**{"predictor_points": 5, "response_points": 5, **settings})
+    model = _small_model()
     with pytest.raises(ValueError, match="the config's grids and semimetric must be the model's"):
-        save_regression(_small_model(), path, config)
+        save_regression(model, path, config, _split(model))
     assert not path.exists()
+
+
+def test_save_refuses_a_calibration_that_is_not_a_split_of_the_models_pairs(tmp_path):
+    path, model = tmp_path / "model.json", _small_model()
+    config = PipelineConfig(predictor_points=5, response_points=5)
+    twin = FittedRegression(model.pairs, model.semimetric, model.kernel, model.kappa)
+    others = FittedRegression(tuple(CurvePair(p.predictor, p.response.with_values(p.response.values + 0.0))
+                                    for p in model.pairs), model.semimetric, model.kernel, model.kappa)
+    split = _split(model)
+    longer = FittedRegression((*model.pairs, model.pairs[0]), model.semimetric, model.kernel, 1)
+    for calibration in (_split(others), _split(longer),
+                        type(split)(split.trained_model, split.calibration_scores, split.alpha)):
+        with pytest.raises(ValueError, match="the calibration must be a split of the model's pairs"):
+            save_regression(model, path, config, calibration)
+        assert not path.exists()
+    save_regression(model, path, config, _split(twin))  # the same pair objects
+    assert json.loads(path.read_text())["split"]["rows"] == list(split.fit_rows)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.pop("split"), "model has no 'split' record of 'rows', 'kappa' and 'scores'"),
+        (lambda d: d.update(split=[]), "model has no 'split' record of 'rows', 'kappa' and 'scores'"),
+        (lambda d: d["split"].pop("scores"), "model has no 'split' record of 'rows', 'kappa' and 'scores'"),
+        (lambda d: d["split"].update(seed=3), "model has no 'split' record of 'rows', 'kappa' and 'scores'"),
+        (lambda d: d["split"]["rows"].pop(), "model's 'split' needs 2 distinct integers in [0, 4) for 'rows'"),
+        (lambda d: d["split"]["rows"].append(3), "model's 'split' needs 2 distinct integers in [0, 4) for 'rows'"),
+        (lambda d: d["split"].update(rows=[1, 1]), "model's 'split' needs 2 distinct integers in [0, 4) for 'rows'"),
+        (lambda d: d["split"].update(rows=[0, 4]), "model's 'split' needs 2 distinct integers in [0, 4) for 'rows'"),
+        (lambda d: d["split"].update(rows=[-1, 0]), "model's 'split' needs 2 distinct integers in [0, 4) for 'rows'"),
+        (lambda d: d["split"].update(rows=[0.0, 1]), "model's 'split' needs 2 distinct integers in [0, 4) for 'rows'"),
+        (lambda d: d["split"].update(rows=[True, 0]), "model's 'split' needs 2 distinct integers in [0, 4) for 'rows'"),
+        (lambda d: d["split"].update(rows="01"), "model's 'split' needs 2 distinct integers in [0, 4) for 'rows'"),
+        (lambda d: d["split"].update(kappa=0), "model's 'split' needs an integer in [1, 1] for 'kappa'"),
+        (lambda d: d["split"].update(kappa=2), "model's 'split' needs an integer in [1, 1] for 'kappa'"),
+        (lambda d: d["split"].update(kappa=1.0), "model's 'split' needs an integer in [1, 1] for 'kappa'"),
+        (lambda d: d["split"].update(kappa=True), "model's 'split' needs an integer in [1, 1] for 'kappa'"),
+        (lambda d: d["split"].update(kappa=None), "model's 'split' needs an integer in [1, 1] for 'kappa'"),
+        (lambda d: d["split"]["scores"].pop(), "model's 'split' needs 2 finite, non-positive numbers for 'scores'"),
+        (lambda d: d["split"]["scores"].append(-1.0), "model's 'split' needs 2 finite, non-positive numbers for 'scores'"),
+        (lambda d: d["split"].update(scores=[-1.0, 0.5]), "model's 'split' needs 2 finite, non-positive numbers for 'scores'"),
+        (lambda d: d["split"].update(scores=[-1.0, math.nan]), "model's 'split' needs 2 finite, non-positive numbers for 'scores'"),
+        (lambda d: d["split"].update(scores=[-math.inf, -1.0]), "model's 'split' needs 2 finite, non-positive numbers for 'scores'"),
+        (lambda d: d["split"].update(scores=[-1.0, None]), "model's 'split' needs 2 finite, non-positive numbers for 'scores'"),
+        (lambda d: d["split"].update(scores=[-1.0, "-0.5"]), "model's 'split' needs 2 finite, non-positive numbers for 'scores'"),
+        (lambda d: d["split"].update(scores=[-1.0, False]), "model's 'split' needs 2 finite, non-positive numbers for 'scores'"),
+        (lambda d: d["split"].update(scores=-1.0), "model's 'split' needs 2 finite, non-positive numbers for 'scores'"),
+    ],
+    ids=["no-split", "split-list", "split-no-scores", "split-extra-key", "rows-short", "rows-long", "rows-repeated",
+         "rows-too-high", "rows-negative", "rows-float", "rows-bool", "rows-string", "kappa1-zero", "kappa1-n1",
+         "kappa1-float", "kappa1-bool", "kappa1-null", "scores-short", "scores-long", "scores-positive", "scores-nan",
+         "scores-inf", "scores-null", "scores-string", "scores-bool", "scores-number"],
+)
+def test_model_with_a_bad_split_record_is_rejected(tmp_path, edit, message):
+    """A model fit wrote before it calibrated has no split record; one edited
+    by hand is checked key by key against its n = 4 pairs (n1 = 2, n2 = 2)."""
+    path = tmp_path / "model.json"
+    document = _saved_model(path)
+    assert load_regression(path)[2][0].kappa == 1
+    edit(document)
+    path.write_text(json.dumps(document))
+    with pytest.raises(ValueError) as excinfo:
+        load_regression(path)
+    assert str(excinfo.value) == f"{path}: {message}; rerun fit"
 
 
 def test_readme_names_the_keys_the_model_file_holds(tmp_path):
@@ -372,14 +450,15 @@ def test_model_and_band_files_reload_bitwise_and_rewrite_identically(tmp_path):
     )
     model = FittedRegression(pairs, SemimetricSpec.parse("l2"), KernelSpec(), kappa=2)
     band = ConformalBand(Curve(resp_grid, rng.normal(size=30) / 7.0), 0.1 + 0.2, alpha=0.1)
-    for name, save, obj, extra in (("model", save_regression, model, PipelineConfig(predictor_points=40, response_points=30)),
-                                   ("band", save_conformal_band, band, 1 / 3)):
-        save(obj, tmp_path / f"{name}.json", extra)
-        save(obj, tmp_path / f"{name}_again.json", extra)
+    model_extra = (PipelineConfig(predictor_points=40, response_points=30), _split(model))
+    for name, save, obj, extra in (("model", save_regression, model, model_extra),
+                                   ("band", save_conformal_band, band, (1 / 3,))):
+        save(obj, tmp_path / f"{name}.json", *extra)
+        save(obj, tmp_path / f"{name}_again.json", *extra)
         text = (tmp_path / f"{name}.json").read_bytes()
         assert text == (tmp_path / f"{name}_again.json").read_bytes()
         assert text.count(b"\n") == 1  # one line: the stdlib's C encoder, not its indenting Python one
-    back, _ = load_regression(tmp_path / "model.json")
+    back, _, _ = load_regression(tmp_path / "model.json")
     assert back.predictor_matrix.tobytes() == model.predictor_matrix.tobytes()
     assert back.response_matrix.tobytes() == model.response_matrix.tobytes()
     assert back.predictor_grid.points.tobytes() == pred_grid.points.tobytes()
