@@ -236,7 +236,12 @@ def cmd_eval(pred_dir, manifest, out_dir) -> None:
     for record in records:
         prediction = fileio.read_curve(pred_dir / f"{record.id}_prediction.csv")
         band, normalization = fileio.load_conformal_band(pred_dir / f"{record.id}_band.json")
-        truth = resample(fileio.read_curve(record.truth_path), prediction.grid)
+        if not band.center.grid.matches(prediction.grid):
+            raise ValueError(f"spectrum {record.id}: band and prediction grids differ; rerun predict")
+        try:
+            truth = resample(fileio.read_curve(record.truth_path), prediction.grid)
+        except ValueError as err:
+            raise ValueError(f"spectrum {record.id}'s truth: {err}") from None
         predictions.append(prediction)
         bands.append(band)
         truths.append(truth.with_values(truth.values / normalization))

@@ -159,12 +159,21 @@ def write_manifest(path: Path, records: Sequence[SpectrumRecord]) -> None:
     )
 
 
+# a JSON number is an int or a float: not a bool, string, null, list or object
+_NUMBER_TYPES = {int, float}
+
+
+def _numbers(values) -> bool:
+    """Whether ``values`` is a list of JSON numbers, in one C-level pass over their types."""
+    return isinstance(values, list) and set(map(type, values)) <= _NUMBER_TYPES
+
+
 # what a manifest entry's keys must hold, and the test for each
 _ENTRY_VALUES = (
     ("id", "a file name (not empty, '.' or '..', no path separator)",  # outputs are named after it
      lambda v: isinstance(v, str) and v not in ("", ".", "..") and not any(sep in v for sep in (os.sep, os.altsep) if sep)),
     ("z", "a finite, non-negative number",
-     lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v < math.inf),
+     lambda v: type(v) in _NUMBER_TYPES and 0.0 <= v < math.inf),
     ("path", "a string", lambda v: isinstance(v, str)),
     ("truth_path", "a string", lambda v: isinstance(v, str)),
     ("predict_only", "true or false", lambda v: isinstance(v, bool)),
@@ -203,25 +212,15 @@ def read_manifest(path: Path) -> list[SpectrumRecord]:
 
 # ----------------------------------------------------------- model documents
 
-def _reason(err: Exception) -> str:
-    # numpy's TypeError on a JSON null, list or object words its message by Python version
-    return str(err) if isinstance(err, ValueError) else "a null, list or object where numbers belong"
-
-
-def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # what the 'split' record's keys must hold for a model of n pairs, and the test for each
 def _split_values(n: int):
     n1 = n // 2
     return (
         ("rows", f"{n1} distinct integers in [0, {n})",
-         lambda v: isinstance(v, list) and len(v) == n1 and all(_integer(r) and 0 <= r < n for r in v) and len(set(v)) == n1),
-        ("kappa", f"an integer in [1, {n1 - 1}]", lambda v: _integer(v) and 1 <= v <= n1 - 1),
+         lambda v: isinstance(v, list) and len(v) == n1 and all(type(r) is int and 0 <= r < n for r in v) and len(set(v)) == n1),
+        ("kappa", f"an integer in [1, {n1 - 1}]", lambda v: type(v) is int and 1 <= v <= n1 - 1),
         ("scores", f"{n - n1} finite, non-positive numbers",
-         lambda v: isinstance(v, list) and len(v) == n - n1
-         and all(isinstance(s, (int, float)) and not isinstance(s, bool) and -math.inf < s <= 0.0 for s in v)),
+         lambda v: _numbers(v) and len(v) == n - n1 and all(-math.inf < s <= 0.0 for s in v)),
     )
 
 
@@ -262,11 +261,15 @@ def load_regression(path: Path) -> tuple[FittedRegression, dict, tuple[FittedReg
     split = document.get("split")
     if not isinstance(split, dict) or split.keys() != {"rows", "kappa", "scores"}:
         raise ValueError(f"{path}: model has no 'split' record of 'rows', 'kappa' and 'scores'; rerun fit")
-    if not _integer(document["kappa"]):
+    if type(document["kappa"]) is not int:
         raise ValueError(f"{path}: model's 'kappa' is not an integer: {document['kappa']!r}; rerun fit")
     predictors, responses = document["predictors"], document["responses"]
     if not (isinstance(predictors, list) and isinstance(responses, list) and len(predictors) == len(responses)):
         raise ValueError(f"{path}: model's 'predictors' and 'responses' are not lists of equal length; rerun fit")
+    for key, rows in (("predictors", predictors), ("responses", responses)):
+        bad = next((i for i, row in enumerate(rows) if not _numbers(row)), None)
+        if bad is not None:
+            raise ValueError(f"{path}: model's {key!r} row {bad} is not a list of numbers; rerun fit")
     for key, kind, valid in _split_values(len(predictors)):
         if not valid(split[key]):
             raise ValueError(f"{path}: model's 'split' needs {kind} for {key!r}; rerun fit")
@@ -275,12 +278,12 @@ def load_regression(path: Path) -> tuple[FittedRegression, dict, tuple[FittedReg
         pred_grid, resp_grid = config.predictor_grid(), config.response_grid()
     except ValueError as err:
         raise ValueError(f"{path}: bad value in the model's 'config' record: {err}; rerun fit") from None
-    try:  # values that numpy, a curve or the regression rejects
+    try:  # values that a curve or the regression rejects
         pairs = tuple(CurvePair(Curve(pred_grid, np.asarray(pv)), Curve(resp_grid, np.asarray(rv)))
                       for pv, rv in zip(predictors, responses))
         model = FittedRegression(pairs, SemimetricSpec(config.semimetric), KernelSpec(), document["kappa"])
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{path}: bad value in the model: {_reason(err)}; rerun fit") from None
+    except ValueError as err:
+        raise ValueError(f"{path}: bad value in the model: {err}; rerun fit") from None
     split_model = FittedRegression(tuple(pairs[i] for i in split["rows"]), model.semimetric, model.kernel, split["kappa"])
     return model, record, (split_model, np.asarray(split["scores"], dtype=float))
 
@@ -309,6 +312,12 @@ def load_conformal_band(path: Path) -> tuple[ConformalBand, float]:
             raise ValueError(f"{path}: band has no {key!r}; rerun predict")
     if document["degenerate"] is not (document["half_width"] is None):
         raise ValueError(f"{path}: band's 'half_width' must be null exactly when 'degenerate' is true; rerun predict")
+    for key in ("alpha", "normalization") if document["degenerate"] else ("alpha", "normalization", "half_width"):
+        if type(document[key]) not in _NUMBER_TYPES:
+            raise ValueError(f"{path}: band needs a number for {key!r}, found {document[key]!r}; rerun predict")
+    for key in ("grid", "center"):
+        if not _numbers(document[key]):
+            raise ValueError(f"{path}: band needs a list of numbers for {key!r}; rerun predict")
     try:
         grid = WavelengthGrid(np.asarray(document["grid"]))
         half_width = math.inf if document["degenerate"] else float(document["half_width"])
@@ -317,8 +326,8 @@ def load_conformal_band(path: Path) -> tuple[ConformalBand, float]:
         if not 0.0 < normalization < math.inf:  # eval divides each truth by it
             raise ValueError(f"normalization must be finite and positive, found {document['normalization']!r}")
         return band, normalization
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{path}: bad value in the band: {_reason(err)}; rerun predict") from None
+    except ValueError as err:
+        raise ValueError(f"{path}: bad value in the band: {err}; rerun predict") from None
 
 
 def save_bootstrap_band(band: BootstrapBand, path: Path) -> None:
@@ -332,7 +341,7 @@ def save_bootstrap_band(band: BootstrapBand, path: Path) -> None:
         "envelope_lower": band.envelope_lower.values.tolist(),
         "envelope_upper": band.envelope_upper.values.tolist(),
         "mean": band.fpca.mean.values.tolist(),
-        "components": [c.values.tolist() for c in band.fpca.components[: len(band.component_intervals)]],
+        "components": band.fpca.components[: len(band.component_intervals)].tolist(),
     }
     _dump_json(document, Path(path))
 

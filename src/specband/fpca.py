@@ -5,8 +5,8 @@ The discretized covariance is symmetrized with quadrature weights
 in L2 rather than in the raw grid coordinates and makes the decomposition
 stable under grid refinement. The full eigenvalue spectrum is retained so
 explained-variance fractions refer to the total sample variance; only the
-leading ``m`` component curves are materialized. A model's grid is its mean's,
-and every component must be sampled on it.
+leading ``m`` components are kept, as the rows of one read-only (m, p) array
+sampled on the model's grid, which is its mean's.
 """
 
 from __future__ import annotations
@@ -21,21 +21,23 @@ from .curves import Curve, FloatArray, WavelengthGrid, frozen_array, shared_grid
 
 @dataclass(frozen=True, eq=False)
 class FpcaModel:
-    """Mean curve, leading component curves, and the full eigenvalue spectrum."""
+    """Mean curve, leading components (one row each on the mean's grid), and the full eigenvalue spectrum."""
 
     mean: Curve
-    components: tuple[Curve, ...]
+    components: FloatArray  # (m, p)
     eigenvalues: FloatArray
 
     def __post_init__(self) -> None:
-        shared_grid([self.mean, *self.components], "FPCA curves")
+        comps = frozen_array(self.components, "components", ndim=2)
+        if comps.shape[1] != len(self.grid) or not np.isfinite(comps).all():
+            raise ValueError(f"components must be finite rows of {len(self.grid)} values, one per grid point")
         eig = frozen_array(self.eigenvalues, "eigenvalues")
         if (eig[1:] > eig[:-1]).any():
             raise ValueError("eigenvalues must be sorted non-increasing")
         if (eig < -1e-10).any():
             raise ValueError("eigenvalues must be non-negative up to roundoff")
         object.__setattr__(self, "eigenvalues", eig)
-        object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "components", comps)
 
     @property
     def m(self) -> int:
@@ -65,23 +67,18 @@ def fit_fpca(curves: Sequence[Curve], m: int) -> FpcaModel:
     mean = centered.mean(axis=0)
     centered -= mean  # in place: the stack is ours, and a second (n, p) copy would set the peak
 
-    w = trapezoid_weights(grid.points)
-    sqrt_w = np.sqrt(w)
+    sqrt_w = np.sqrt(trapezoid_weights(grid.points))
     cov = centered.T @ centered / n
     sym = sqrt_w[:, None] * cov * sqrt_w[None, :]
     eigvals, eigvecs = np.linalg.eigh(sym)
     order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
 
-    components = []
-    for j in range(m):
-        phi = eigvecs[:, j] / sqrt_w
-        nonzero = np.nonzero(np.abs(phi) > 1e-12)[0]
-        if nonzero.size and phi[nonzero[0]] < 0.0:
-            phi = -phi
-        components.append(Curve(grid, phi))
-    return FpcaModel(Curve(grid, mean), tuple(components), eigvals)
+    phi = (eigvecs[:, order[:m]] / sqrt_w[:, None]).T  # (m, p): row j is component j
+    # each row's first entry with |phi| > 1e-12 decides its sign; a row without
+    # one has argmax 0 there, whose |phi| <= 1e-12 never reads as negative
+    lead = phi[np.arange(m), (np.abs(phi) > 1e-12).argmax(axis=1)]
+    phi[lead < -1e-12] *= -1.0
+    return FpcaModel(Curve(grid, mean), phi, eigvals[order])
 
 
 def project(model: FpcaModel, curve: Curve) -> FloatArray:
@@ -89,9 +86,7 @@ def project(model: FpcaModel, curve: Curve) -> FloatArray:
     grid = shared_grid([model.mean, curve], "FPCA and projected curves")
     w = trapezoid_weights(grid.points)
     centered = curve.values - model.mean.values
-    return np.array(
-        [float(np.sum(w * centered * comp.values)) for comp in model.components]
-    )
+    return np.array([float(np.sum(w * centered * comp)) for comp in model.components])
 
 
 def scree_rows(model: FpcaModel) -> list[tuple[int, float, float]]:
@@ -101,14 +96,11 @@ def scree_rows(model: FpcaModel) -> list[tuple[int, float, float]]:
     machine epsilon relative to the curves themselves; that counts as an
     all-zero spectrum, whose fractions are undefined.
     """
-    total = float(np.sum(np.clip(model.eigenvalues, 0.0, None)))
+    clipped = np.clip(model.eigenvalues, 0.0, None)
+    total = float(np.sum(clipped))
     w = trapezoid_weights(model.grid.points)
     mean_square = float(np.sum(w * model.mean.values**2))
     if total <= 1e-24 * (total + mean_square):
         raise ValueError("all eigenvalues are zero; variance fractions undefined")
-    rows = []
-    running = 0.0
-    for j, lam in enumerate(model.eigenvalues, start=1):
-        running += max(float(lam), 0.0)
-        rows.append((j, float(lam), running / total))
-    return rows
+    fractions = np.cumsum(clipped) / total  # a running sum, added in order
+    return [(j, float(lam), float(f)) for j, (lam, f) in enumerate(zip(model.eigenvalues, fractions), start=1)]

@@ -4,9 +4,10 @@ A mock is a mean curve plus a Gaussian combination of orthonormal
 eigenspectra plus heteroskedastic pointwise noise; no absorption is
 simulated, so the noise-free part of each realization is the true continuum
 that predictions are judged against. The model is built synthetically:
-Gaussian emission-line bumps on a shallow power law for the mean,
-Gram-Schmidt orthonormalized damped cosines for the eigenspectra, geometric
-eigenvalue decay, and a noise-sd curve inflated toward the grid edges.
+Gaussian emission-line bumps on a shallow power law for the mean, geometric
+eigenvalue decay, a noise-sd curve inflated toward the grid edges and
+Gram-Schmidt orthonormalized damped cosines for the eigenspectra, the rows of
+one read-only (m, p) array on the mean's grid.
 ``generate`` returns an immutable sequence, safe to share between threads,
 that draws each realization when it is read, as scaled standard normals
 (``Generator.normal``'s bits); ``.noisy`` is built when first read.
@@ -47,22 +48,25 @@ _EDGE_NOISE_BOOST = 2.0
 
 @dataclass(frozen=True, eq=False)
 class MockModel:
-    """Mean curve, eigenspectra, eigenvalues and noise-sd curve on one grid."""
+    """Mean curve, eigenspectra (one row each), eigenvalues and noise-sd curve on one grid."""
 
     mu: Curve
-    xi: tuple[Curve, ...]
+    xi: FloatArray  # (m, p)
     eigenvalues: FloatArray
     sigma: Curve
 
     def __post_init__(self) -> None:
+        shared_grid([self.mu, self.sigma], "model curves")
+        xi = frozen_array(self.xi, "eigenspectra", ndim=2)
+        if xi.shape[1] != len(self.grid) or not np.isfinite(xi).all():
+            raise ValueError(f"eigenspectra must be finite rows of {len(self.grid)} values, one per grid point")
         eig = frozen_array(self.eigenvalues, "eigenvalues")
-        object.__setattr__(self, "xi", tuple(self.xi))
+        object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "eigenvalues", eig)
-        if eig.size != len(self.xi):
+        if eig.size != len(xi):
             raise ValueError("one eigenvalue per eigenspectrum is required")
         if (eig < 0.0).any():
             raise ValueError("eigenvalues must be non-negative")
-        shared_grid([self.mu, *self.xi, self.sigma], "model curves")
         if (self.sigma.values < 0.0).any():
             raise ValueError("noise sd must be non-negative")
 
@@ -101,7 +105,6 @@ class Realizations:
         for name, value, low in (("count", self.count, 1), ("seed", self.seed, 0)):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"{name} must be at least {low} and an integer, got {value!r}")
-        object.__setattr__(self, "_basis", np.stack([c.values for c in self.model.xi]))
         object.__setattr__(self, "_scales", np.sqrt(self.model.eigenvalues))
 
     def __len__(self) -> int:
@@ -113,7 +116,7 @@ class Realizations:
             return [self[j] for j in i]
         rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(i,)))
         omega = 0.0 + self._scales * rng.standard_normal(self._scales.size)  # normal(0.0, s)'s bits, +0.0 kept
-        continuum = self.model.mu.values + self._basis.T @ omega
+        continuum = self.model.mu.values + self.model.xi.T @ omega
         noisy = continuum + self.model.sigma.values * rng.standard_normal(continuum.size)
         return MockRealization(Curve(self.model.grid, continuum), omega, noisy, self.model.sigma.values)
 
@@ -164,29 +167,21 @@ def synthetic_model(
     w = trapezoid_weights(lam)
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * math.pi, n_components)
-    basis: list[FloatArray] = []
+    basis = np.empty((n_components, len(lam)))
     for j in range(n_components):
-        raw = (1.0 - 0.35 * t + 0.2 * t * t) * np.cos(math.pi * (j + 1) * t + phases[j])
-        v = raw.copy()
-        for b in basis:
+        v = (1.0 - 0.35 * t + 0.2 * t * t) * np.cos(math.pi * (j + 1) * t + phases[j])
+        for b in basis[:j]:
             v = v - float(np.sum(w * v * b)) * b
         norm = math.sqrt(float(np.sum(w * v * v)))
         if norm < 1e-8:
-            raise ValueError(
-                f"cannot orthonormalize component {j + 1} on a {len(grid)}-point grid"
-            )
-        basis.append(v / norm)
+            raise ValueError(f"cannot orthonormalize component {j + 1} on a {len(grid)}-point grid")
+        basis[j] = v / norm
 
     eigenvalues = variance_scale * eigenvalue_decay ** np.arange(n_components)
     edge = 2.0 * (lam - (lam[0] + lam[-1]) / 2.0) / (lam[-1] - lam[0])
     sigma = noise_level * (1.0 + _EDGE_NOISE_BOOST * edge * edge)
 
-    return MockModel(
-        mu=Curve(grid, mu),
-        xi=tuple(Curve(grid, b) for b in basis),
-        eigenvalues=eigenvalues,
-        sigma=Curve(grid, sigma),
-    )
+    return MockModel(Curve(grid, mu), basis, eigenvalues, Curve(grid, sigma))
 
 
 def save_model(model: MockModel, directory) -> Path:
@@ -204,7 +199,7 @@ def save_model(model: MockModel, directory) -> Path:
     components = []
     for j, (component, eigenvalue) in enumerate(zip(model.xi, model.eigenvalues), 1):
         name = f"component_{j:02d}.csv"
-        fileio.write_curve(directory / name, component)
+        fileio.write_curve(directory / name, Curve(model.grid, component))
         components.append({"path": name, "eigenvalue": float(eigenvalue)})
     manifest = directory / "mock_model.json"
     fileio._dump_json(

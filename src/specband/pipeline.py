@@ -73,7 +73,7 @@ class PipelineConfig:
         if min(self.kappa_candidates, default=0) < 1:
             raise ValueError("every kappa candidate (at least one) must be at least 1, "
                              f"got kappa_candidates={self.kappa_candidates}")
-        SemimetricSpec.parse(self.semimetric)
+        SemimetricSpec(self.semimetric)
         if not self.span_candidates:
             raise ValueError("span_candidates must not be empty")
         if not all(0.0 < s <= 1.0 for s in self.span_candidates):
@@ -184,4 +184,4 @@ def fit_pairs(
     """
     if len(pairs) < MIN_PAIRS:
         raise ValueError(f"need at least {MIN_PAIRS} usable spectra to fit, got {len(pairs)}")
-    return fit_kappa(pairs, SemimetricSpec.parse(config.semimetric), KernelSpec(), config.kappa_candidates)
+    return fit_kappa(pairs, SemimetricSpec(config.semimetric), KernelSpec(), config.kappa_candidates)

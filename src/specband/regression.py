@@ -141,15 +141,15 @@ def _query(model: FittedRegression, x: Curve) -> FloatArray:
     return x.values[None, :]
 
 
-def prediction_weights(model: FittedRegression, x: Curve) -> FloatArray:
-    """The normalized weight each training pair contributes at ``x``."""
+def prediction_weights(model: FittedRegression, x: Curve) -> tuple[np.ndarray, FloatArray]:
+    """The training rows of non-zero weight at ``x``, increasing, and their normalized
+    weights: the kernel's, or 1/size for every pair inside if those all vanish."""
     idx, dist = nearest(model.reference, _query(model, x), model.kappa + 1)
     near, w, fallback = _neighbours(idx, dist, model.kappa, model.kernel)
-    weights = np.zeros(len(model))
-    weights[near[0]] = w[0]
-    for inside in fallback.values():  # the kappa nearest are inside
-        weights[inside] = 1.0 / inside.size
-    return weights
+    if 0 in fallback:  # the kappa nearest are inside
+        return fallback[0], np.full(fallback[0].size, 1.0 / fallback[0].size)
+    keep = w[0] > 0.0
+    return near[0][keep], w[0][keep]
 
 
 def predict(model: FittedRegression, x: Curve) -> Curve:

@@ -5,12 +5,13 @@ independent two-point perturbation whose first three moments are 0, 1, 1
 (Mammen 1993), so a replicate keeps the residuals' local variance and
 skewness. Each replicate re-evaluates the kernel estimator at the query
 point with the original weights (they depend only on the training
-predictors): with S = (s_1 < ... < s_k) the pairs of non-zero weight and
-fitted_{s_j} the model's prediction at s_j's own predictor (only S is
-evaluated), replicate b is sum_j w_{s_j} (fitted_{s_j} + residual_{s_j}
-V[b, j]), projected onto the leading principal components of the responses.
-As the projection is linear, all replicates' coordinates come from one
-product of the perturbations with the support's projected residuals.
+predictors): with S = (s_1 < ... < s_k) and w the support and weights
+``prediction_weights`` returns, and fitted_{s_j} the model's prediction at
+s_j's own predictor (only S is evaluated), replicate b is sum_j w_j
+(fitted_{s_j} + residual_{s_j} V[b, j]), projected onto the first m rows of
+the FPCA component array. As the projection is linear, all replicates'
+coordinates come from one product of the perturbations with the support's
+projected residuals.
 Per-coordinate empirical quantiles at Bonferroni-split levels alpha/(2m)
 and 1 - alpha/(2m) form a coefficient box. A band stores only the box and the
 FPCA model; its pointwise envelope is derived, the box's exact image through
@@ -31,8 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import Curve, CurvePair, FloatArray, frozen_array
-from .fpca import FpcaModel, trapezoid_weights
+from .curves import Curve, CurvePair, FloatArray, frozen_array, trapezoid_weights
+from .fpca import FpcaModel
 from .regression import FittedRegression, predict_many, prediction_weights
 
 V_LOW = (1.0 - math.sqrt(5.0)) / 2.0
@@ -78,8 +79,8 @@ class BootstrapBand:
     def _box_image(self, extreme) -> Curve:
         # exact pointwise extremes of sum_j a_j * phi_j over the coefficient box:
         # where a component is negative its interval endpoints swap roles
-        comp_mat = np.stack([c.values for c in self.fpca.components[: len(self.component_intervals)]])
-        ends = self.component_intervals.T[:, :, None] * comp_mat  # (2, m, p): each endpoint times phi_j
+        phi = self.fpca.components[: len(self.component_intervals)]
+        ends = self.component_intervals.T[:, :, None] * phi  # (2, m, p): each endpoint times phi_j
         return self.fpca.mean.with_values(self.fpca.mean.values + extreme(*ends).sum(axis=0))
 
     @cached_property
@@ -141,12 +142,9 @@ def bootstrap_bands(
     if not fpca_model.grid.matches(model.response_grid):
         raise ValueError("the FPCA model is not on the regression's response grid")
 
-    weights = prediction_weights(model, x)
-    support = np.flatnonzero(weights)  # only these pairs enter a replicate
-    weights = weights[support]
+    support, weights = prediction_weights(model, x)  # only these pairs enter a replicate
     fitted = predict_many(model, model.predictor_matrix[support])
-    comp_mat = np.stack([c.values for c in fpca_model.components[:m]])
-    projector = trapezoid_weights(fpca_model.grid.points) * comp_mat  # (m, p)
+    projector = trapezoid_weights(fpca_model.grid.points) * fpca_model.components[:m]  # (m, p)
     point = projector @ (weights @ fitted - fpca_model.mean.values)
     own = (model.response_matrix[support] - fitted) @ projector.T  # (|S|, m)
     b = config.replicates

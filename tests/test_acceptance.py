@@ -257,7 +257,7 @@ def test_criterion_5_fpca_contracts():
     curves = [Curve(grid, rng.normal(size=80) * rng.uniform(0.5, 2.0)) for _ in range(n)]
     model = fit_fpca(curves, m=n - 1)
 
-    comp = np.stack([c.values for c in model.components])
+    comp = model.components
     gram = (comp * w) @ comp.T
     ortho_dev = float(np.max(np.abs(gram - np.eye(n - 1))))
 

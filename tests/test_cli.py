@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from specband import evaluation
 from specband.cli import main
 from specband.conformal import band, calibrate
-from specband.curves import resample
+from specband.curves import Curve, WavelengthGrid, resample
 from specband.fileio import (
     SpectrumRecord,
     load_conformal_band,
@@ -143,7 +143,7 @@ def test_mockgen_writes_the_library_s_draws(runner, config_path, tmp_path):
     saved = json.loads((out / "model" / "mock_model.json").read_text())
     model = MockModel(
         mu=read_curve(out / "model" / saved["mean_path"]),
-        xi=tuple(read_curve(out / "model" / entry["path"]) for entry in saved["components"]),
+        xi=np.stack([read_curve(out / "model" / entry["path"]).values for entry in saved["components"]]),
         eigenvalues=np.array([entry["eigenvalue"] for entry in saved["components"]]),
         sigma=read_curve(out / "model" / saved["sigma_path"]),
     )
@@ -640,16 +640,18 @@ def test_badly_typed_manifest_or_model_value_exits_with_code_two(runner, config_
 def test_malformed_model_exits_with_code_two_naming_the_file(runner, mock_dir, model_path, tmp_path):
     saved = json.loads(model_path.read_text())
     edits = {
-        "config": {**saved["config"], "predictor_points": saved["config"]["predictor_points"] + 1},
-        "predictors": [{"flux": row} for row in saved["predictors"]],
-        "kappa": 0,
+        "config": ({**saved["config"], "predictor_points": saved["config"]["predictor_points"] + 1},
+                   "bad value in the model: "),
+        "predictors": ([{"flux": row} for row in saved["predictors"]], "model's 'predictors' row 0 is not a list"),
+        "responses": ([[str(v) for v in row] for row in saved["responses"]], "model's 'responses' row 0 is not a list"),
+        "kappa": (0, "bad value in the model: "),
     }
     query = _query_args("predict", mock_dir)
-    for key, value in edits.items():
+    for key, (value, message) in edits.items():
         model_path.write_text(json.dumps({**saved, key: value}))
         result = runner.invoke(main, ["predict", "--model", str(model_path), *query, "--out", str(tmp_path / "out")])
         assert result.exit_code == 2, (key, result.output)
-        assert result.output.startswith(f"error: {model_path}: bad value in the model: "), result.output
+        assert result.output.startswith(f"error: {model_path}: {message}"), result.output
         assert result.output.strip().endswith("; rerun fit")
 
 
@@ -731,12 +733,13 @@ def test_eval_rejects_band_without_normalization(runner, mock_dir, pred_dir, tmp
 def test_eval_rejects_malformed_band_naming_the_file(runner, mock_dir, pred_dir, tmp_path):
     path = pred_dir / "mock_0003_band.json"
     saved = json.loads(path.read_text())
-    for edit in ({"half_width": [1]}, {"grid": {}}):
+    for edit, message in (({"half_width": [1]}, "band needs a number for 'half_width', found [1]"),
+                          ({"grid": {}}, "band needs a list of numbers for 'grid'"),
+                          ({"alpha": "0.1"}, "band needs a number for 'alpha', found '0.1'")):
         path.write_text(json.dumps({**saved, **edit}))
         result = _eval(runner, pred_dir, mock_dir / "manifest.json", tmp_path / "eval")
         assert result.exit_code == 2, (edit, result.output)
-        assert result.output.strip() == (
-            f"error: {path}: bad value in the band: a null, list or object where numbers belong; rerun predict")
+        assert result.output.strip() == f"error: {path}: {message}; rerun predict"
     path.write_text(json.dumps({k: v for k, v in saved.items() if k != "degenerate"}))
     result = _eval(runner, pred_dir, mock_dir / "manifest.json", tmp_path / "eval")
     assert result.exit_code == 2
@@ -916,3 +919,27 @@ def test_exit_code_mapping():
     with _pytest.raises(SystemExit) as info:
         bad_numerics()
     assert info.value.code == EXIT_NUMERICAL
+
+
+def test_eval_names_the_spectrum_whose_band_is_on_another_grid(runner, mock_dir, pred_dir, tmp_path):
+    path = pred_dir / "mock_0005_band.json"
+    document = json.loads(path.read_text())
+    document["grid"] = [g + 0.5 for g in document["grid"]]
+    path.write_text(json.dumps(document))
+    result = _eval(runner, pred_dir, mock_dir / "manifest.json", tmp_path / "eval")
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == "error: spectrum mock_0005: band and prediction grids differ; rerun predict"
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_names_the_spectrum_whose_truth_does_not_cover_its_prediction(runner, mock_dir, pred_dir, tmp_path):
+    record = read_manifest(mock_dir / "manifest.json")[4]
+    truth = read_curve(record.truth_path)
+    keep = truth.grid.points >= 1089.0
+    write_curve(record.truth_path, Curve(WavelengthGrid(truth.grid.points[keep]), truth.values[keep]))
+    result = _eval(runner, pred_dir, mock_dir / "manifest.json", tmp_path / "eval")
+    assert result.exit_code == 2, result.output
+    low = truth.grid.points[keep][0]
+    assert result.output.strip() == (
+        f"error: spectrum {record.id}'s truth: cannot resample: target wavelength 1050.0 "
+        f"below curve range [{low}, {truth.grid.high}]")

@@ -314,11 +314,11 @@ def _moved(curve):
 
 
 @pytest.mark.parametrize("build", [
-    lambda m: fit_fpca([m.mu, _moved(m.xi[0])], 1),
-    lambda m: summarize([m.mu, m.xi[0], _moved(m.xi[1])]),
-    lambda m: MockModel(m.mu, (m.xi[0], _moved(m.xi[1])), m.eigenvalues[:2], m.sigma),
+    lambda m: fit_fpca([m.mu, _moved(m.mu.with_values(m.xi[0]))], 1),
+    lambda m: summarize([m.mu, m.mu.with_values(m.xi[0]), _moved(m.mu.with_values(m.xi[1]))]),
+    lambda m: MockModel(_moved(m.mu), m.xi, m.eigenvalues, m.sigma),
     lambda m: MockModel(m.mu, m.xi, m.eigenvalues, _moved(m.sigma)),
-], ids=["fpca", "summarize", "mock eigenspectrum", "mock noise sd"])
+], ids=["fpca", "summarize", "mock mean", "mock noise sd"])
 def test_every_curve_sample_keeps_the_one_grid_rule(build):
     model = synthetic_model(WavelengthGrid.uniform(1000.0, 1600.0, 50), n_components=3)
     with pytest.raises(ValueError, match="must share one grid"):

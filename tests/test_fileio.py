@@ -261,13 +261,24 @@ def _saved_model(path):
          "bad value in the model's 'config' record: config key 'response_points' must be at least 2, got 1"),
         (lambda d: d["config"].update(predictor_points=6), "bad value in the model: curve has 5 values for a 6-point grid"),
         (lambda d: d.update(predictors=[{"flux": row} for row in d["predictors"]]),
-         "bad value in the model: a null, list or object where numbers belong"),
+         "model's 'predictors' row 0 is not a list of numbers"),
+        (lambda d: d["predictors"][2].__setitem__(1, str(d["predictors"][2][1])),
+         "model's 'predictors' row 2 is not a list of numbers"),
+        (lambda d: d.update(predictors=[[str(v) for v in row] for row in d["predictors"]]),
+         "model's 'predictors' row 0 is not a list of numbers"),
+        (lambda d: d["responses"].__setitem__(3, [True] * 5), "model's 'responses' row 3 is not a list of numbers"),
+        (lambda d: d["responses"][1].__setitem__(0, False), "model's 'responses' row 1 is not a list of numbers"),
+        (lambda d: d["responses"][0].__setitem__(4, None), "model's 'responses' row 0 is not a list of numbers"),
+        (lambda d: d["responses"][0].__setitem__(4, [1.0]), "model's 'responses' row 0 is not a list of numbers"),
+        (lambda d: d["predictors"].__setitem__(1, 2.0), "model's 'predictors' row 1 is not a list of numbers"),
         (lambda d: d.update(kappa=0), "bad value in the model: kappa must satisfy 1 <= kappa <= n-1 = 3, got 0"),
         (lambda d: d["responses"][1].pop(), "bad value in the model: curve has 4 values for a 5-point grid"),
     ],
     ids=["kappa-null", "kappa-float", "kappa-bool", "predictors-number", "responses-object", "predictors-short",
          "semimetric-list", "semimetric-unknown", "config-one-point", "config-grid-not-the-rows",
-         "predictor-rows-objects", "kappa-zero", "response-row-short"],
+         "predictor-rows-objects", "predictor-value-string", "predictor-rows-strings", "response-row-bools",
+         "response-value-false", "response-value-null", "response-value-list", "predictor-row-number",
+         "kappa-zero", "response-row-short"],
 )
 def test_model_value_of_the_wrong_type_is_rejected(tmp_path, edit, message):
     path = tmp_path / "model.json"
@@ -397,8 +408,17 @@ def test_degenerate_band_round_trip(tmp_path):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda d: d.update(half_width=[1]), "bad value in the band: a null, list or object where numbers belong"),
-        (lambda d: d.update(grid={}), "bad value in the band: a null, list or object where numbers belong"),
+        (lambda d: d.update(half_width=[1]), "band needs a number for 'half_width', found [1]"),
+        (lambda d: d.update(grid={}), "band needs a list of numbers for 'grid'"),
+        (lambda d: d.update(alpha="0.1"), "band needs a number for 'alpha', found '0.1'"),
+        (lambda d: d.update(alpha=None), "band needs a number for 'alpha', found None"),
+        (lambda d: d.update(half_width="0.4"), "band needs a number for 'half_width', found '0.4'"),
+        (lambda d: d.update(normalization=True), "band needs a number for 'normalization', found True"),
+        (lambda d: d.update(normalization="2.5"), "band needs a number for 'normalization', found '2.5'"),
+        (lambda d: d.update(grid=[str(v) for v in d["grid"]]), "band needs a list of numbers for 'grid'"),
+        (lambda d: d.update(center=[True] * 20), "band needs a list of numbers for 'center'"),
+        (lambda d: d["center"].__setitem__(7, "1.0"), "band needs a list of numbers for 'center'"),
+        (lambda d: d["center"].__setitem__(7, None), "band needs a list of numbers for 'center'"),
         (lambda d: d.update(half_width=None), "band's 'half_width' must be null exactly when 'degenerate' is true"),
         (lambda d: d.update(degenerate=True), "band's 'half_width' must be null exactly when 'degenerate' is true"),
         (lambda d: d.update(degenerate="false"), "band's 'half_width' must be null exactly when 'degenerate' is true"),
@@ -414,7 +434,9 @@ def test_degenerate_band_round_trip(tmp_path):
         (lambda d: d.update(alpha=7.5), "bad value in the band: alpha must be in (0, 1)"),
         (lambda d: d.update(alpha=0), "bad value in the band: alpha must be in (0, 1)"),
     ],
-    ids=["half-width-list", "grid-object", "half-width-null", "degenerate-with-width", "degenerate-string",
+    ids=["half-width-list", "grid-object", "alpha-string", "alpha-null", "half-width-string",
+         "normalization-true", "normalization-string", "grid-strings", "center-trues", "center-value-string",
+         "center-value-null", "half-width-null", "degenerate-with-width", "degenerate-string",
          "half-width-negative", "center-short",
          "no-degenerate", "no-normalization",
          "normalization-zero", "normalization-negative", "normalization-inf", "alpha-above-1", "alpha-zero"],

@@ -35,7 +35,7 @@ def test_antisymmetric_pair_gives_rank_one():
     model = fit_fpca([Curve(GRID, c), Curve(GRID, -c)], m=2)
     assert np.allclose(model.mean.values, 0.0, atol=1e-14)
     direction = c / _l2_norm(c)
-    aligned = abs(np.sum(W * model.components[0].values * direction))
+    aligned = abs(np.sum(W * model.components[0] * direction))
     assert aligned == pytest.approx(1.0, abs=1e-10)
     assert model.eigenvalues[0] > 1e-10
     assert np.all(np.abs(model.eigenvalues[1:]) < 1e-10)
@@ -72,7 +72,7 @@ def test_recovers_a_known_three_component_model():
         assert np.allclose(model.eigenvalues[:3], ref_eigs[:3], rtol=1e-8)
 
         for j in range(3):
-            overlap = abs(np.sum(W * model.components[j].values * basis[j]))
+            overlap = abs(np.sum(W * model.components[j] * basis[j]))
             assert overlap > 0.9
     mean_estimate = np.mean(estimates, axis=0)
     assert np.all(np.abs(mean_estimate / truth_eigs - 1.0) < 0.25)
@@ -84,7 +84,7 @@ def test_components_are_orthonormal():
     model = fit_fpca(curves, m=6)
     for i in range(6):
         for j in range(6):
-            inner = np.sum(W * model.components[i].values * model.components[j].values)
+            inner = np.sum(W * model.components[i] * model.components[j])
             assert inner == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
 
 
@@ -109,7 +109,7 @@ def test_projection_reads_component_coordinates():
     rng = np.random.default_rng(6)
     curves = [Curve(GRID, rng.normal(size=60)) for _ in range(10)]
     model = fit_fpca(curves, m=4)
-    shifted = model.mean.values + 2.0 * model.components[0].values
+    shifted = model.mean.values + 2.0 * model.components[0]
     scores = project(model, Curve(GRID, shifted))
     assert scores[0] == pytest.approx(2.0, abs=1e-8)
     assert np.allclose(scores[1:], 0.0, atol=1e-8)
@@ -122,8 +122,7 @@ def test_projection_is_the_least_squares_fit():
     target = Curve(GRID, rng.normal(size=60))
     scores = project(model, target)
     # weighted least squares onto the component basis, solved independently
-    comp = np.stack([c.values for c in model.components])
-    lhs = comp * np.sqrt(W)
+    lhs = model.components * np.sqrt(W)
     rhs = (target.values - model.mean.values) * np.sqrt(W)
     ls, *_ = np.linalg.lstsq(lhs.T, rhs, rcond=None)
     assert np.allclose(scores, ls, atol=1e-8)
@@ -134,18 +133,15 @@ def test_full_rank_reconstruction_of_training_curves():
     n = 9
     curves = [Curve(GRID, rng.normal(size=60)) for _ in range(n)]
     model = fit_fpca(curves, m=n - 1)
-    components = np.stack([comp.values for comp in model.components])
     for c in curves:
-        back = model.mean.values + project(model, c) @ components
+        back = model.mean.values + project(model, c) @ model.components
         assert _l2_norm(back - c.values) < 1e-6
 
 
 def test_explained_variance_fractions():
     model = FpcaModel(
         mean=Curve(GRID, np.zeros(60)),
-        components=tuple(
-            Curve(GRID, b) for b in _orthonormal_basis(2)
-        ),
+        components=_orthonormal_basis(2),
         eigenvalues=np.array([3.0, 1.0]),
     )
     assert np.allclose([fraction for _, _, fraction in scree_rows(model)], [0.75, 1.0])
@@ -154,15 +150,34 @@ def test_explained_variance_fractions():
 def test_model_grid_is_its_mean_s_and_one_grid_holds_every_curve():
     basis = _orthonormal_basis(2)
     eigenvalues = np.array([2.0, 1.0])
-    model = FpcaModel(Curve(GRID, np.zeros(60)), tuple(Curve(GRID, b) for b in basis), eigenvalues)
+    model = FpcaModel(Curve(GRID, np.zeros(60)), basis, eigenvalues)
     assert model.grid is model.mean.grid
+    assert model.m == 2 and np.array_equal(model.components, basis)
     shifted = WavelengthGrid(GRID.points + 1.0)
-    for mean_grid, component_grids in ((shifted, (GRID, GRID)), (GRID, (GRID, shifted))):
-        with pytest.raises(ValueError, match="all FPCA curves must share one grid"):
-            FpcaModel(Curve(mean_grid, np.zeros(60)),
-                      tuple(Curve(g, b) for g, b in zip(component_grids, basis)), eigenvalues)
     with pytest.raises(ValueError, match="all FPCA and projected curves must share one grid"):
         project(model, Curve(shifted, np.zeros(60)))
+
+
+def test_components_are_a_read_only_copy():
+    basis = _orthonormal_basis(2)
+    model = FpcaModel(Curve(GRID, np.zeros(60)), basis, np.array([2.0, 1.0]))
+    basis[0, 0] = 99.0
+    assert model.components[0, 0] != 99.0
+    assert not model.components.flags.writeable
+    with pytest.raises(ValueError):
+        model.components[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("components, message", [
+    (np.ones(60), "components must be 2-dimensional"),
+    (np.ones((2, 59)), "components must be finite rows of 60 values"),
+    (np.ones((2, 61)), "components must be finite rows of 60 values"),
+    (np.vstack([np.ones(60), np.full(60, np.nan)]), "components must be finite rows of 60 values"),
+    (np.vstack([np.ones(60), np.full(60, np.inf)]), "components must be finite rows of 60 values"),
+], ids=["1-d", "narrow", "wide", "nan", "inf"])
+def test_model_rejects_a_component_array_that_is_not_finite_rows_on_the_grid(components, message):
+    with pytest.raises(ValueError, match=message):
+        FpcaModel(Curve(GRID, np.zeros(60)), components, np.array([2.0, 1.0]))
 
 
 def test_fit_is_the_eigendecomposition_of_the_centred_sample():
@@ -177,7 +192,7 @@ def test_fit_is_the_eigendecomposition_of_the_centred_sample():
     eigvals = np.linalg.eigh(sqrt_w[:, None] * (centered.T @ centered / 40) * sqrt_w[None, :])[0][::-1]
     assert np.array_equal(model.mean.values, mean)
     assert np.array_equal(model.eigenvalues, eigvals)
-    assert all(c.grid is model.grid for c in model.components)
+    assert model.components.shape == (3, 60) and not model.components.flags.writeable
 
 
 def test_explained_variance_rank_one():
@@ -192,8 +207,34 @@ def test_component_sign_is_fixed_leading_positive():
     curves = [Curve(GRID, rng.normal(size=60)) for _ in range(10)]
     model = fit_fpca(curves, m=5)
     for comp in model.components:
-        lead = comp.values[np.abs(comp.values) > 1e-12][0]
+        lead = comp[np.abs(comp) > 1e-12][0]
         assert lead > 0.0
+
+
+def test_components_are_the_per_column_loop_s_bits():
+    """Reference: each eigenvector divided by sqrt(w) on its own, then negated
+    when its first entry with |phi| > 1e-12 is negative. On a grid spaced
+    1e30 apart (values scaled by 1e-15) every |phi| is below 1e-12, and each
+    component keeps the sign eigh gave it."""
+    rng = np.random.default_rng(14)
+    wide = WavelengthGrid(1e30 * np.arange(1.0, 61.0))
+    for grid, scale in ((GRID, 1.0), (wide, 1e-15)):
+        curves = [Curve(grid, scale * rng.normal(size=60)) for _ in range(10)]
+        model = fit_fpca(curves, m=3)
+        data = np.stack([c.values for c in curves])
+        centered = data - data.mean(axis=0)
+        sqrt_w = np.sqrt(trapezoid_weights(grid.points))
+        eigvals, eigvecs = np.linalg.eigh(sqrt_w[:, None] * (centered.T @ centered / 10) * sqrt_w[None, :])
+        order = np.argsort(eigvals)[::-1]
+        signs = []
+        for j in range(3):
+            phi = eigvecs[:, order[j]] / sqrt_w
+            nonzero = np.flatnonzero(np.abs(phi) > 1e-12)
+            if nonzero.size and phi[nonzero[0]] < 0.0:
+                phi = -phi
+            assert model.components[j].tobytes() == phi.tobytes()
+            signs.append(np.sign(phi[0]))
+    assert -1.0 in signs and 1.0 in signs  # on the wide grid, both signs are kept
 
 
 def test_m_bounds_are_enforced():

@@ -57,8 +57,7 @@ def test_default_configuration_matches_the_study_design():
 
 def test_eigenspectra_are_orthonormal():
     model = _default_model(seed=3)
-    basis = np.stack([c.values for c in model.xi])
-    gram = (basis * W) @ basis.T
+    gram = (model.xi * W) @ model.xi.T
     assert np.allclose(gram, np.eye(len(model.xi)), atol=1e-8)
 
 
@@ -106,7 +105,6 @@ def _half_silent_model():
 def test_item_i_is_the_draw_of_the_i_th_child_seed():
     count = 5
     for model in (_default_model(), _half_silent_model()):
-        basis = np.stack([c.values for c in model.xi])
         for seed in (17, 0, 2**40 + 3):
             mocks = generate(model, count, seed=seed)
             assert len(mocks) == count
@@ -114,7 +112,7 @@ def test_item_i_is_the_draw_of_the_i_th_child_seed():
             for i in (0, 1, count - 1, -1):
                 rng = np.random.default_rng(children[i])
                 omega = rng.normal(0.0, np.sqrt(model.eigenvalues))
-                continuum = model.mu.values + basis.T @ omega
+                continuum = model.mu.values + model.xi.T @ omega
                 noisy = continuum + rng.normal(0.0, model.sigma.values)
                 mock = mocks[i]
                 assert mock.omega.tobytes() == omega.tobytes()
@@ -191,7 +189,7 @@ def test_true_continuum_lies_in_the_model_span():
     model = _default_model(seed=8)
     realization = generate(model, 1, seed=9)[0]
     design = np.column_stack(
-        [model.mu.values] + [c.values for c in model.xi]
+        [model.mu.values, *model.xi]
     )
     coeff, *_ = np.linalg.lstsq(design, realization.true_continuum.values, rcond=None)
     residual = design @ coeff - realization.true_continuum.values
@@ -209,7 +207,7 @@ def test_model_round_trip_through_files(tmp_path):
     assert np.array_equal(read_curve(base / document["mean_path"]).values, model.mu.values)
     assert np.array_equal(read_curve(base / document["sigma_path"]).values, model.sigma.values)
     for entry, component in zip(document["components"], model.xi, strict=True):
-        assert np.array_equal(read_curve(base / entry["path"]).values, component.values)
+        assert np.array_equal(read_curve(base / entry["path"]).values, component)
 
 
 def test_corrupt_component_file_names_file_and_row(tmp_path):
@@ -228,3 +226,25 @@ def test_synthetic_model_validation():
         synthetic_model(GRID, n_components=0)
     with pytest.raises(ValueError, match="decay"):
         synthetic_model(GRID, eigenvalue_decay=0.0)
+
+
+def test_eigenspectra_are_one_read_only_array():
+    model = _default_model()
+    assert type(model.xi) is np.ndarray and model.xi.shape == (10, len(GRID))
+    assert not model.xi.flags.writeable
+    with pytest.raises(ValueError):
+        model.xi[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("xi, message", [
+    (lambda xi: xi[0], "eigenspectra must be 2-dimensional"),
+    (lambda xi: xi[:, 1:], f"eigenspectra must be finite rows of {len(GRID)} values"),
+    (lambda xi: np.hstack([xi, xi[:, :1]]), f"eigenspectra must be finite rows of {len(GRID)} values"),
+    (lambda xi: np.where(np.arange(len(GRID)) == 5, np.nan, xi), "eigenspectra must be finite rows"),
+    (lambda xi: np.where(np.arange(len(GRID)) == 5, -np.inf, xi), "eigenspectra must be finite rows"),
+    (lambda xi: xi[:-1], "one eigenvalue per eigenspectrum"),
+], ids=["1-d", "narrow", "wide", "nan", "inf", "one-row-short"])
+def test_model_rejects_eigenspectra_that_are_not_finite_rows_on_the_grid(xi, message):
+    model = _default_model()
+    with pytest.raises(ValueError, match=message):
+        MockModel(model.mu, xi(model.xi), model.eigenvalues, model.sigma)

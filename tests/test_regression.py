@@ -68,14 +68,42 @@ def brute_force_prediction(model, x):
     return values / total
 
 
+def brute_force_weights(model, x):
+    """Every pair's normalized weight at ``x`` as a dense n-vector, scalar loops only."""
+    dists = [distances_to(model.semimetric, p.predictor.values, x.values, x.grid.points)[0] for p in model.pairs]
+    ordered = sorted(dists)
+    lo, hi = ordered[model.kappa - 1], ordered[model.kappa]
+    h = lo if lo == hi else 0.5 * (lo + hi)
+    raw = []
+    for d in dists:
+        if h == 0.0:
+            raw.append(1.0 if d == 0.0 else 0.0)
+        else:
+            u = d / h
+            raw.append(1.0 - u * u if u <= 1.0 else 0.0)
+    total = sum(raw)
+    if total == 0.0:  # every pair inside ties at the bandwidth: each gets 1/count
+        inside = [1.0 if d <= h else 0.0 for d in dists]
+        return np.array(inside) / sum(inside)
+    return np.array(raw) / total
+
+
+def assert_weights_are_the_oracle_s_nonzeros(model, x):
+    rows, w = prediction_weights(model, x)
+    dense = brute_force_weights(model, x)
+    assert rows.tolist() == np.flatnonzero(dense).tolist()
+    assert w.tobytes() == dense[rows].tobytes()
+    return rows, w
+
+
 # ---------------------------------------------------------------- bandwidth
 
 def test_bandwidth_midpoint_rule():
     # kappa=2 puts h midway between distances 2 and 3; the kernel weights
     # 1 - (1/2.5)^2 = 0.84 and 1 - (2/2.5)^2 = 0.36 hold at h = 2.5 only
     model = _offset_model([1.0, 2.0, 3.0, 4.0, 9.9], [0.0] * 5, kappa=2)
-    w = prediction_weights(model, _zero_query())
-    assert np.allclose(w, [0.7, 0.3, 0.0, 0.0, 0.0], atol=1e-12)
+    rows, w = prediction_weights(model, _zero_query())
+    assert rows.tolist() == [0, 1] and np.allclose(w, [0.7, 0.3], atol=1e-12)
 
 
 def test_bandwidth_tie_returns_common_value():
@@ -83,14 +111,15 @@ def test_bandwidth_tie_returns_common_value():
     # the kernel's edge with zero weight, and the weight ratio 15:12 of the
     # two nearer curves holds at h = 1 only
     model = _offset_model([0.25, 0.5, 1.0, -1.0], [0.0] * 4, kappa=3)
-    w = prediction_weights(model, _zero_query())
-    assert np.allclose(w, [15 / 27, 12 / 27, 0.0, 0.0], atol=1e-12)
+    rows, w = assert_weights_are_the_oracle_s_nonzeros(model, _zero_query())
+    assert rows.tolist() == [0, 1] and np.allclose(w, [15 / 27, 12 / 27], atol=1e-12)
 
 
 def test_bandwidth_two_points():
     # the bandwidth falls between the two curves, so only the nearer counts
     model = _offset_model([0.0, 5.0], [0.0, 0.0], kappa=1)
-    assert np.array_equal(prediction_weights(model, _zero_query()), [1.0, 0.0])
+    rows, w = prediction_weights(model, _zero_query())
+    assert rows.tolist() == [0] and w.tolist() == [1.0]
 
 
 def test_kappa_must_be_below_n():
@@ -136,8 +165,8 @@ def test_predict_matches_hand_computed_weights():
         KERNEL,
         kappa=3,
     )
-    w = prediction_weights(model, _zero_query())
-    assert np.allclose(w, [35 / 94, 32 / 94, 27 / 94, 0.0, 0.0], atol=1e-12)
+    rows, w = prediction_weights(model, _zero_query())
+    assert rows.tolist() == [0, 1, 2] and np.allclose(w, [35 / 94, 32 / 94, 27 / 94], atol=1e-12)
     out = predict(model, _zero_query())
     expected = (35 * responses[0] + 32 * responses[1] + 27 * responses[2]) / 94
     assert np.allclose(out.values, expected, atol=1e-12)
@@ -182,8 +211,9 @@ def test_weights_form_probability_vector():
     )
     model = FittedRegression(pairs, L2, KERNEL, kappa=4)
     for _ in range(20):
-        w = prediction_weights(model, Curve(PRED_GRID, rng.normal(size=101)))
-        assert np.all(w >= 0.0)
+        rows, w = prediction_weights(model, Curve(PRED_GRID, rng.normal(size=101)))
+        assert np.all(rows[1:] > rows[:-1]) and 0 <= rows[0] and rows[-1] < len(model)
+        assert np.all(w > 0.0)
         assert abs(w.sum() - 1.0) < 1e-12
 
 
@@ -202,8 +232,8 @@ def test_prediction_stays_in_response_envelope():
 
 def test_pairs_beyond_bandwidth_get_zero_weight():
     model = _offset_model([0.1, 0.2, 5.0, 9.0], [0.0] * 4, kappa=2)
-    w = prediction_weights(model, _zero_query())
-    assert w[2] == 0.0 and w[3] == 0.0
+    rows, _ = prediction_weights(model, _zero_query())
+    assert 2 not in rows and 3 not in rows
 
 
 def test_response_scaling_is_exact_for_powers_of_two():
@@ -323,7 +353,8 @@ def test_sparse_neighbours_match_brute_force_on_duplicates_and_ties(kappa):
         want = brute_force_prediction(model, x)
         assert np.max(np.abs(predict(model, x).values - want)) < 1e-12
         assert np.max(np.abs(row - want)) < 1e-12
-        assert np.max(np.abs(prediction_weights(model, x) @ model.response_matrix - want)) < 1e-12
+        rows, w = assert_weights_are_the_oracle_s_nonzeros(model, x)
+        assert np.max(np.abs(w @ model.response_matrix[rows] - want)) < 1e-12
     if kappa == 1:  # from 20 the fallback averages the curves at 10 and 30
         want = (pairs[3].response.values + pairs[5].response.values) / 2.0
         assert np.allclose(many[3], want, atol=1e-12)
@@ -424,7 +455,8 @@ def test_squared_distances_that_tie_after_the_square_root_share_the_bandwidth():
     for pair in (pairs[1], pairs[3]):
         assert distances_to(L2, pair.predictor.values, x.values, x.grid.points)[0] == 1.0
     model = FittedRegression(pairs, L2, KERNEL, kappa=2)
-    assert np.array_equal(prediction_weights(model, x), [0.0, 0.0, 1.0, 0.0])
+    rows, w = assert_weights_are_the_oracle_s_nonzeros(model, x)
+    assert rows.tolist() == [2] and w.tolist() == [1.0]
     assert np.array_equal(predict(model, x).values, pairs[2].response.values)
     assert np.allclose(brute_force_prediction(model, x), pairs[2].response.values, atol=1e-12)
 

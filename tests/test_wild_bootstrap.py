@@ -123,19 +123,18 @@ def test_four_replicates_match_enumerated_oracle():
     y_mat = np.stack([p.response.values for p in pairs])
     fitted = predict_many(model, x_mat)
     residuals = y_mat - fitted
-    w = prediction_weights(model, x)
-    support = [i for i in range(n) if w[i] != 0.0]
-    assert len(support) == 2
+    support, w = prediction_weights(model, x)
+    assert len(support) == 2 and all(0 <= i < n for i in support)
     quad = trapezoid_weights(RESP_GRID.points)
-    comp = fpca_model.components[0].values
+    comp = fpca_model.components[0]
     mean_vals = fpca_model.mean.values
     gen = np.random.default_rng(123)
     coords = []
     for _ in range(4):
         replicate = np.zeros(25)
-        for i in support:
+        for i, w_i in zip(support, w):
             v = V_LOW if gen.random() < V_LOW_PROB else V_HIGH
-            replicate += w[i] * (fitted[i] + residuals[i] * v)
+            replicate += w_i * (fitted[i] + residuals[i] * v)
         coords.append(float(np.sum(quad * (replicate - mean_vals) * comp)))
     ordered = sorted(coords)
     assert band.component_intervals[0, 0] == pytest.approx(ordered[0], abs=1e-12)
@@ -157,15 +156,15 @@ def test_sparse_replicates_match_the_dense_formula():
     y_mat = np.stack([p.response.values for p in pairs])
     fitted = predict_many(model, np.stack([p.predictor.values for p in pairs]))
     residuals = y_mat - fitted
-    weights = prediction_weights(model, x)
-    support = np.flatnonzero(weights)
+    support, w = prediction_weights(model, x)
+    weights = np.zeros(40)  # dense: every pair's weight, zero off the support
+    weights[support] = w
     assert 0 < support.size <= 5  # the sparse path skips pairs
     v = _draw_v(np.random.default_rng(99), (200, 40))  # off the support: any draw
     v[:, support] = _draw_v(np.random.default_rng(17), (200, support.size))
     replicates = weights @ fitted + (weights * v) @ residuals  # (B, p) curves
     quad = trapezoid_weights(RESP_GRID.points)
-    comp = np.stack([c.values for c in fpca_model.components])
-    coords = (quad * (replicates - fpca_model.mean.values)) @ comp.T
+    coords = (quad * (replicates - fpca_model.mean.values)) @ fpca_model.components.T
     ordered = np.sort(coords, axis=0)
     lo, hi = quantile_levels(0.3, 3)
     want = np.stack([ordered[math.ceil(lo * 200) - 1], ordered[math.ceil(hi * 200) - 1]], axis=1)
@@ -180,7 +179,7 @@ def test_bands_predict_only_the_support(monkeypatch):
     model = FittedRegression(pairs, L2, KERNEL, kappa=5)  # fresh: nothing cached
     fpca_model = fit_fpca([p.response for p in pairs], m=2)
     x = Curve(PRED_GRID, rng.normal(size=40))
-    support = np.flatnonzero(prediction_weights(model, x))
+    support, _ = prediction_weights(model, x)
     rows = []
 
     def counting(model, queries):
@@ -215,27 +214,26 @@ def test_each_pair_keeps_its_own_residual():
     y_mat = np.stack([p.response.values for p in pairs])
     fitted = predict_many(model, np.stack([p.predictor.values for p in pairs]))
     residuals = y_mat - fitted
-    w = prediction_weights(model, x)
-    support = np.flatnonzero(w)
+    support, w = prediction_weights(model, x)
     assert support.size == 3
     quad = trapezoid_weights(RESP_GRID.points)
     levels = quantile_levels(0.4, 2)
     q_high = 1.0 - V_LOW_PROB
     for j, comp in enumerate(fpca_model.components):
-        proj = quad * comp.values
-        point = float(np.sum(proj * (w @ fitted - fpca_model.mean.values)))
+        proj = quad * comp
+        point = float(np.sum(proj * (w @ fitted[support] - fpca_model.mean.values)))
         c = residuals @ proj  # every pair's own projected residual
         law = {}
         for pattern in itertools.product((V_LOW, V_HIGH), repeat=3):
-            value = point + sum(w[i] * c[i] * v for i, v in zip(support, pattern))
+            value = point + sum(w_i * c[i] * v for w_i, i, v in zip(w, support, pattern))
             prob = math.prod(V_LOW_PROB if v == V_LOW else q_high for v in pattern)
             law[value] = law.get(value, 0.0) + prob
         values = np.array(sorted(law))
         cumulative = np.cumsum([law[v] for v in values])
         mean = float(np.dot(values, [law[v] for v in values]))
         variance = sum(law[v] * (v - mean) ** 2 for v in values)
-        own = sum(w[i] ** 2 * c[i] ** 2 for i in support)
-        pooled = sum(w[i] ** 2 for i in support) * np.mean(c**2)
+        own = sum(w_i**2 * c[i] ** 2 for w_i, i in zip(w, support))
+        pooled = sum(w**2) * np.mean(c**2)
         assert mean == pytest.approx(point, abs=1e-12)
         assert variance == pytest.approx(own, rel=1e-12)
         assert abs(variance - pooled) > 0.1 * pooled  # the sample is heteroscedastic
@@ -324,7 +322,7 @@ def test_envelope_is_the_exact_box_image():
         pairs, model, x, fpca_model,
         WildBootstrapConfig(replicates=64, components=3, alpha=0.3, seed=8),
     )
-    comp = np.stack([c.values for c in fpca_model.components])
+    comp = fpca_model.components
     mean_vals = fpca_model.mean.values
     # brute force over the 2^3 corners of the coefficient box
     corners = []
@@ -349,7 +347,7 @@ def test_derived_envelope_is_bit_for_bit_the_stored_min_max_formula():
         WildBootstrapConfig(replicates=200, components=3, alpha=0.2, seed=3),
     )
     intervals = band.component_intervals
-    comp_mat = np.stack([c.values for c in fpca_model.components[:3]])
+    comp_mat = fpca_model.components[:3]
     lo_part = np.minimum(intervals[:, 0][:, None] * comp_mat, intervals[:, 1][:, None] * comp_mat).sum(axis=0)
     hi_part = np.maximum(intervals[:, 0][:, None] * comp_mat, intervals[:, 1][:, None] * comp_mat).sum(axis=0)
     # the band bootstrap_bands returns, and one built from its box alone
