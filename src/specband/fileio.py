@@ -159,13 +159,14 @@ def write_manifest(path: Path, records: Sequence[SpectrumRecord]) -> None:
     )
 
 
-# a JSON number is an int or a float: not a bool, string, null, list or object
-_NUMBER_TYPES = {int, float}
+# a JSON number is a float or an int that a float holds: not a bool, string, null, list or object
+_INT_LIMIT = 2**1024 - 2**970  # the least integer float() rounds to infinity
 
 
 def _numbers(values) -> bool:
-    """Whether ``values`` is a list of JSON numbers, in one C-level pass over their types."""
-    return isinstance(values, list) and set(map(type, values)) <= _NUMBER_TYPES
+    """Whether ``values`` is a list of JSON numbers: one C-level pass over the types, one over any ints."""
+    return isinstance(values, list) and (types := set(map(type, values))) <= {int, float} and (
+        int not in types or all(-_INT_LIMIT < v < _INT_LIMIT for v in values if type(v) is int))
 
 
 # what a manifest entry's keys must hold, and the test for each
@@ -173,7 +174,7 @@ _ENTRY_VALUES = (
     ("id", "a file name (not empty, '.' or '..', no path separator)",  # outputs are named after it
      lambda v: isinstance(v, str) and v not in ("", ".", "..") and not any(sep in v for sep in (os.sep, os.altsep) if sep)),
     ("z", "a finite, non-negative number",
-     lambda v: type(v) in _NUMBER_TYPES and 0.0 <= v < math.inf),
+     lambda v: _numbers([v]) and 0.0 <= v < math.inf),
     ("path", "a string", lambda v: isinstance(v, str)),
     ("truth_path", "a string", lambda v: isinstance(v, str)),
     ("predict_only", "true or false", lambda v: isinstance(v, bool)),
@@ -313,7 +314,7 @@ def load_conformal_band(path: Path) -> tuple[ConformalBand, float]:
     if document["degenerate"] is not (document["half_width"] is None):
         raise ValueError(f"{path}: band's 'half_width' must be null exactly when 'degenerate' is true; rerun predict")
     for key in ("alpha", "normalization") if document["degenerate"] else ("alpha", "normalization", "half_width"):
-        if type(document[key]) not in _NUMBER_TYPES:
+        if not _numbers([document[key]]):
             raise ValueError(f"{path}: band needs a number for {key!r}, found {document[key]!r}; rerun predict")
     for key in ("grid", "center"):
         if not _numbers(document[key]):

@@ -8,7 +8,8 @@ training response curves,
 with a quadratic kernel K(u) = 1 - u^2 supported on [0, 1] and a bandwidth h
 chosen per query so that exactly ``kappa`` training predictors fall inside
 it. The neighbor count ``kappa`` is selected by leave-one-out CV on the
-squared-L2 prediction error, or used as given when it is the one candidate.
+squared-L2 prediction error, or used as given when it is the one candidate;
+one neighbor search and one weighting serve every candidate.
 """
 
 from __future__ import annotations
@@ -93,45 +94,43 @@ class FittedRegression:
 _BLOCK_ROWS = 64
 
 
-def _neighbours(idx: np.ndarray, dist: FloatArray, kappa: int, kernel: KernelSpec) -> tuple:
-    """Each query's kappa nearest pairs and their normalized weights.
+def _neighbours(idx: np.ndarray, dist: FloatArray, kappas: tuple, kernel: KernelSpec) -> tuple:
+    """Each query's max(kappas) nearest pairs, in index order, and for every kappa
+    their normalized weights, (q, len(kappas), max(kappas)): one sort serves all.
 
-    ``idx`` and ``dist`` come from :func:`nearest`. The kappa nearest are
-    taken by distance, ties to the smaller index, and weighted in index
-    order, so the bits do not depend on which other rows the screen let in.
-
-    A row's bandwidth is the midpoint between its kappa-th and (kappa+1)-th
-    smallest distances, which keeps all kappa neighbors strictly inside the
-    kernel support; when the two tie, their common value is used and more
-    than kappa curves sit inside, but every non-zero weight (d < h) is still
-    among the kappa nearest. A row whose kernel weights all vanish
-    (distances tied exactly at the bandwidth, where the kernel is zero, or a
-    zero bandwidth) falls back to the unweighted mean of every pair inside,
-    whose indices ``fallback`` gives.
+    ``idx`` and ``dist`` come from :func:`nearest`; the nearest are taken by
+    distance, ties to the smaller index, so no bit depends on which other rows
+    the screen let in. A row's bandwidth is the midpoint between its kappa-th and
+    (kappa+1)-th smallest distances, so all kappa neighbors sit strictly inside the
+    kernel support; if the two tie, h is their common value and every non-zero
+    weight (d < h) is still among the kappa nearest: each kappa weighs only its
+    own. A (row, kappa) whose kernel weights all vanish (distances tied at the
+    bandwidth, where the kernel is zero, or a zero bandwidth) falls back to the
+    unweighted mean of every pair inside: ``fallback[row, j]`` for the j-th kappa.
     """
-    rows = np.arange(len(dist))[:, None]
+    rows, count, top = np.arange(len(dist))[:, None], len(kappas), max(kappas)
     order = np.argsort(dist, axis=1, kind="stable")
-    edge = dist[rows, order[:, kappa - 1 : kappa + 1]]
-    lo, hi = edge[:, :1], edge[:, 1:]
+    cols = slice(top - 1, top + 1) if count == 1 else [k - 1 for k in kappas] + list(kappas)
+    edge = dist[rows, order[:, cols]]  # every kappa-th nearest, then every (kappa+1)-th
+    lo, hi = edge[:, :count], edge[:, count:]
     h = np.where(lo == hi, lo, 0.5 * (lo + hi))
-    pos = np.sort(order[:, :kappa], axis=1)  # candidates are in index order
+    pos = np.sort(order[:, :top], axis=1)  # candidates are in index order
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = kernel.weights(dist[rows, pos] / h)
-    total = w.sum(axis=1, keepdims=True)
+        w = kernel.weights(dist[rows, pos][:, None, :] / h[:, :, None])
+    total = w.sum(axis=2, keepdims=True)
     vanished = np.flatnonzero(total == 0.0)
-    total[vanished] = 1.0  # their kernel weights stay 0 and go unused
-    fallback = {int(r): idx[r][dist[r] <= h[r]] for r in vanished}
+    total[total == 0.0] = 1.0  # their kernel weights stay 0 and go unused
+    fallback = {(r, j): idx[r][dist[r] <= h[r, j]] for r, j in (divmod(int(v), count) for v in vanished)}
     return idx[rows, pos], w / total, fallback
 
 
-def _weighted_responses(
-    idx: np.ndarray, dist: FloatArray, kappa: int, kernel: KernelSpec, responses: FloatArray
-) -> FloatArray:
-    """One kernel-weighted average of the response rows per query."""
-    near, w, fallback = _neighbours(idx, dist, kappa, kernel)
-    out = np.matmul(w[:, None, :], responses[near])[:, 0]  # one BLAS product per row
-    for row, inside in fallback.items():
-        out[row] = responses[inside].mean(axis=0)
+def _weighted_responses(idx: np.ndarray, dist: FloatArray, kappas: tuple, kernel: KernelSpec,
+                        responses: FloatArray) -> FloatArray:
+    """For every kappa, one kernel-weighted average of the response rows per query: (q, len(kappas), p)."""
+    near, w, fallback = _neighbours(idx, dist, kappas, kernel)
+    out = np.matmul(w, responses[near])  # one gather and one BLAS product per row
+    for (row, j), inside in fallback.items():
+        out[row, j] = responses[inside].mean(axis=0)
     return out
 
 
@@ -145,11 +144,11 @@ def prediction_weights(model: FittedRegression, x: Curve) -> tuple[np.ndarray, F
     """The training rows of non-zero weight at ``x``, increasing, and their normalized
     weights: the kernel's, or 1/size for every pair inside if those all vanish."""
     idx, dist = nearest(model.reference, _query(model, x), model.kappa + 1)
-    near, w, fallback = _neighbours(idx, dist, model.kappa, model.kernel)
-    if 0 in fallback:  # the kappa nearest are inside
-        return fallback[0], np.full(fallback[0].size, 1.0 / fallback[0].size)
-    keep = w[0] > 0.0
-    return near[0][keep], w[0][keep]
+    near, w, fallback = _neighbours(idx, dist, (model.kappa,), model.kernel)
+    if (inside := fallback.get((0, 0))) is not None:  # the kappa nearest are inside
+        return inside, np.full(inside.size, 1.0 / inside.size)
+    keep = w[0, 0] > 0.0
+    return near[0][keep], w[0, 0][keep]
 
 
 def predict(model: FittedRegression, x: Curve) -> Curve:
@@ -163,7 +162,7 @@ def predict_many(model: FittedRegression, queries: FloatArray) -> FloatArray:
     for start in range(0, len(queries), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         idx, dist = nearest(model.reference, queries[block], model.kappa + 1)
-        out[block] = _weighted_responses(idx, dist, model.kappa, model.kernel, model.response_matrix)
+        out[block] = _weighted_responses(idx, dist, (model.kappa,), model.kernel, model.response_matrix)[:, 0]
     return out
 
 
@@ -171,8 +170,10 @@ def kappa_cv_scores(model: FittedRegression, kappa_candidates: Sequence[int]) ->
     """Leave-one-out CV table on the model's pairs: mean squared-L2 prediction
     error per candidate (the model's own kappa is not used).
 
-    Each held-out pair is predicted from the remaining n-1; candidates are
-    clamped to the n-2 neighbors available inside the leave-one-out fit.
+    Each held-out pair is predicted from the remaining n-1; candidates are clamped
+    to the n-2 neighbors inside the leave-one-out fit. One search and one weighting
+    per block serve every candidate: the table is a per-candidate LOO's up to
+    rounding, as a kappa's zero weights past its own nearest reorder its sums.
     """
     if len(kappa_candidates) == 0:
         raise ValueError("kappa_candidates must not be empty")
@@ -185,19 +186,15 @@ def kappa_cv_scores(model: FittedRegression, kappa_candidates: Sequence[int]) ->
 
     x_mat, y_mat, ref = model.predictor_matrix, model.response_matrix, model.reference
     quad = trapezoid_weights(model.response_grid.points)
-    kappas = [min(int(kappa), n - 2) for kappa in kappa_candidates]
-    # leaving pair i out: the search skips row i, so the full response
-    # matrix serves every fit, and one search serves every candidate
+    kappas = tuple(min(int(kappa), n - 2) for kappa in kappa_candidates)
+    # leaving pair i out, the search skips row i: the full response matrix serves every fit
     errors = np.empty((len(kappas), n))
     for start in range(0, n, _BLOCK_ROWS):
         block = np.arange(start, min(start + _BLOCK_ROWS, n))
         idx, dist = nearest(ref, x_mat[block], max(kappas) + 1, block)
-        for j, kappa in enumerate(kappas):
-            diff = _weighted_responses(idx, dist, kappa, model.kernel, y_mat) - y_mat[block]
-            errors[j, block] = np.sum(quad * diff * diff, axis=1)
-    return [
-        (int(kappa), float(np.sum(row)) / n) for kappa, row in zip(kappa_candidates, errors)
-    ]
+        diff = _weighted_responses(idx, dist, kappas, model.kernel, y_mat) - y_mat[block, None]
+        errors[:, block] = np.sum(quad * diff * diff, axis=2).T
+    return [(int(kappa), float(np.sum(row)) / n) for kappa, row in zip(kappa_candidates, errors)]
 
 
 def fit_kappa(pairs: Sequence[CurvePair], semimetric: SemimetricSpec, kernel: KernelSpec,

@@ -118,10 +118,10 @@ def distances_to(
 
 def _coords(z: FloatArray, basis: FloatArray) -> tuple[FloatArray, FloatArray]:
     """Each row's coordinates in ``basis`` and, last, its residual norm; their squared norms."""
-    c = z @ basis
-    rho = [np.linalg.norm(z[i : i + 256] - c[i : i + 256] @ basis.T, axis=1)
-           for i in range(0, len(z), 256)]  # no second (n, p) temporary
-    a = np.column_stack([c, np.concatenate(rho)])
+    a = np.empty((len(z), basis.shape[1] + 1))
+    a[:, :-1] = c = z @ basis
+    for i in range(0, len(z), 256):  # norms, with no second (n, p) temporary
+        a[i : i + 256, -1] = np.sqrt(np.square(z[i : i + 256] - c[i : i + 256] @ basis.T).sum(axis=1))
     return a, np.einsum("ij,ij->i", a, a)
 
 
@@ -158,15 +158,15 @@ def nearest(
     """Candidates for each query's ``count`` nearest rows of ``ref``, a :func:`reference`:
     the query rows are values on its grid, measured with its semimetric.
 
-    Returns (q, width) row indices, increasing along each row, and their
-    direct distances: every row at or below a query's count-th distance, and
-    the screen's next rows up to ``width``. ``exclude`` names a row per query
-    to leave out. The screen holds a few (q, n) arrays: pass queries in blocks.
+    Returns (q, width) row indices, increasing along each row, and their direct
+    distances, measured a few queries at a time: every row at or below a query's
+    count-th distance, then the screen's next rows up to ``width``. ``exclude`` names
+    a row per query to leave out. The screen holds (q, n) arrays: pass queries in blocks.
     """
     spec, points, rows, w, mean, root_w, basis, table, coef, top_norm, top_rho = ref
     q = _derivatives(spec, queries, points)
     a, a_sq = _coords((q - mean) * root_w, basis)
-    low = np.column_stack([a, np.ones(len(a)), a_sq]) @ table  # L
+    low = np.concatenate([a, np.ones((len(a), 1)), a_sq[:, None]], axis=1) @ table  # L
     if exclude is not None:
         low[np.arange(len(q)), exclude] = np.inf
     slack = coef * (np.sqrt(a_sq) + top_norm) ** 2
@@ -177,7 +177,9 @@ def nearest(
     width = (low <= top[:, None] * (1.0 + 16 * _UNIT_ROUNDOFF)).sum(axis=1).max()
     if width > count:
         order = np.argpartition(low, width - 1, axis=1)
-    idx = np.sort(order[:, :width], axis=1)
-    diff = rows[idx]
-    diff -= q[:, None, :]
-    return idx, _direct(diff.reshape(-1, q.shape[1]), w).reshape(idx.shape)
+    idx, dist = np.sort(order[:, :width], axis=1), np.empty((len(q), width))
+    for i in range(0, len(q), 4):  # a few queries' (width, p) differences stay in cache
+        diff = rows[idx[i : i + 4]]
+        diff -= q[i : i + 4, None, :]
+        dist[i : i + 4] = _direct(diff.reshape(-1, q.shape[1]), w).reshape(-1, width)
+    return idx, dist

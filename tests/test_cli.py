@@ -751,6 +751,37 @@ def test_eval_rejects_malformed_band_naming_the_file(runner, mock_dir, pred_dir,
         f"error: {path}: bad value in the band: normalization must be finite and positive, found 0; rerun predict")
 
 
+def test_integer_beyond_float_range_exits_with_code_two_naming_the_file(runner, config_path, mock_dir, model_path,
+                                                                        pred_dir, tmp_path):
+    # JSON integers have no size limit; one that no float holds is not a number
+    # here, so it is a bad value in its file (exit 2), not a numerical failure
+    huge = 10**400
+    manifest = json.loads((mock_dir / "manifest.json").read_text())
+    manifest["spectra"][2]["z"] = huge
+    bad_manifest = mock_dir / "huge_z.json"
+    bad_manifest.write_text(json.dumps(manifest))
+    result = runner.invoke(
+        main, ["fit", "--config", str(config_path), "--manifest", str(bad_manifest), "--out", str(tmp_path / "m.json")]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == (
+        f"error: {bad_manifest}: spectrum entry 2 needs a finite, non-negative number for 'z', found {huge!r}")
+
+    band = pred_dir / "mock_0003_band.json"
+    band.write_text(json.dumps({**json.loads(band.read_text()), "normalization": huge}))
+    result = _eval(runner, pred_dir, mock_dir / "manifest.json", tmp_path / "eval")
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == f"error: {band}: band needs a number for 'normalization', found {huge!r}; rerun predict"
+
+    document = json.loads(model_path.read_text())
+    document["predictors"][4][7] = -huge
+    model_path.write_text(json.dumps(document))
+    result = runner.invoke(main, ["predict", "--model", str(model_path), *_query_args("predict", mock_dir),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == f"error: {model_path}: model's 'predictors' row 4 is not a list of numbers; rerun fit"
+
+
 def test_manifest_id_cannot_place_outputs_outside_out(runner, mock_dir, model_path, tmp_path):
     before = sorted(tmp_path.rglob("*"))
     document = json.loads((mock_dir / "manifest.json").read_text())

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,8 @@ def test_malformed_manifest_is_a_value_error_naming_the_file(tmp_path, extra, me
         ("z", -1, "a finite, non-negative number"),
         ("z", True, "a finite, non-negative number"),
         ("z", math.inf, "a finite, non-negative number"),
+        ("z", 10**400, "a finite, non-negative number"),
+        ("z", 2**1024 - 2**970, "a finite, non-negative number"),
         ("path", 5, "a string"),
         ("truth_path", 3, "a string"),
         ("predict_only", "false", "true or false"),
@@ -150,7 +153,8 @@ def test_malformed_manifest_is_a_value_error_naming_the_file(tmp_path, extra, me
         *(("id", bad, "a file name (not empty, '.' or '..', no path separator)")
           for bad in ("", ".", "..", "../escaped/mock0", "/tmp/mock0", "sub/mock0", None, 5, True)),
     ],
-    ids=["z-null", "z-string", "z-negative", "z-bool", "z-inf", "path-number", "truth-number",
+    ids=["z-null", "z-string", "z-negative", "z-bool", "z-inf", "z-huge-int", "z-least-int-beyond-float",
+         "path-number", "truth-number",
          "predict-only-string", "predict-only-number",
          "id-empty", "id-dot", "id-dotdot", "id-parent", "id-absolute", "id-subdirectory",
          "id-null", "id-number", "id-bool"],
@@ -238,6 +242,16 @@ def _split(model, kappa_candidates=(1,), seed=3):
     return calibrate(model.pairs, 0.1, model.semimetric, model.kernel, kappa_candidates, split_seed=seed)
 
 
+def test_manifest_reads_the_largest_integer_a_float_holds(tmp_path):
+    # 2**1024 - 2**970 is the least integer that rounds to infinity; the one
+    # below it rounds to the largest float
+    manifest = tmp_path / "manifest.json"
+    entries = [{"id": "a", "path": "a.csv", "z": 2**1024 - 2**970 - 1}]
+    manifest.write_text(json.dumps({"schema_version": 1, "kind": "spectrum_manifest", "spectra": entries}))
+    (record,) = read_manifest(manifest)
+    assert record.z == sys.float_info.max
+
+
 def _saved_model(path):
     model = _small_model()
     save_regression(model, path, PipelineConfig(predictor_points=5, response_points=5), _split(model))
@@ -271,6 +285,11 @@ def _saved_model(path):
         (lambda d: d["responses"][0].__setitem__(4, None), "model's 'responses' row 0 is not a list of numbers"),
         (lambda d: d["responses"][0].__setitem__(4, [1.0]), "model's 'responses' row 0 is not a list of numbers"),
         (lambda d: d["predictors"].__setitem__(1, 2.0), "model's 'predictors' row 1 is not a list of numbers"),
+        (lambda d: d["responses"][2].__setitem__(3, 10**400), "model's 'responses' row 2 is not a list of numbers"),
+        (lambda d: d["predictors"][0].__setitem__(0, -(2**1024 - 2**970)),
+         "model's 'predictors' row 0 is not a list of numbers"),
+        (lambda d: d["split"].update(scores=[-10**400] * len(d["split"]["scores"])),
+         "model's 'split' needs 2 finite, non-positive numbers for 'scores'"),
         (lambda d: d.update(kappa=0), "bad value in the model: kappa must satisfy 1 <= kappa <= n-1 = 3, got 0"),
         (lambda d: d["responses"][1].pop(), "bad value in the model: curve has 4 values for a 5-point grid"),
     ],
@@ -278,6 +297,7 @@ def _saved_model(path):
          "semimetric-list", "semimetric-unknown", "config-one-point", "config-grid-not-the-rows",
          "predictor-rows-objects", "predictor-value-string", "predictor-rows-strings", "response-row-bools",
          "response-value-false", "response-value-null", "response-value-list", "predictor-row-number",
+         "response-value-huge-int", "predictor-value-least-negative-int-beyond-float", "split-scores-huge-ints",
          "kappa-zero", "response-row-short"],
 )
 def test_model_value_of_the_wrong_type_is_rejected(tmp_path, edit, message):
@@ -419,6 +439,9 @@ def test_degenerate_band_round_trip(tmp_path):
         (lambda d: d.update(center=[True] * 20), "band needs a list of numbers for 'center'"),
         (lambda d: d["center"].__setitem__(7, "1.0"), "band needs a list of numbers for 'center'"),
         (lambda d: d["center"].__setitem__(7, None), "band needs a list of numbers for 'center'"),
+        (lambda d: d["center"].__setitem__(7, 10**400), "band needs a list of numbers for 'center'"),
+        (lambda d: d.update(normalization=10**400), f"band needs a number for 'normalization', found {10**400!r}"),
+        (lambda d: d.update(half_width=2**1024 - 2**970), f"band needs a number for 'half_width', found {2**1024 - 2**970!r}"),
         (lambda d: d.update(half_width=None), "band's 'half_width' must be null exactly when 'degenerate' is true"),
         (lambda d: d.update(degenerate=True), "band's 'half_width' must be null exactly when 'degenerate' is true"),
         (lambda d: d.update(degenerate="false"), "band's 'half_width' must be null exactly when 'degenerate' is true"),
@@ -436,7 +459,8 @@ def test_degenerate_band_round_trip(tmp_path):
     ],
     ids=["half-width-list", "grid-object", "alpha-string", "alpha-null", "half-width-string",
          "normalization-true", "normalization-string", "grid-strings", "center-trues", "center-value-string",
-         "center-value-null", "half-width-null", "degenerate-with-width", "degenerate-string",
+         "center-value-null", "center-value-huge-int", "normalization-huge-int", "half-width-least-int-beyond-float",
+         "half-width-null", "degenerate-with-width", "degenerate-string",
          "half-width-negative", "center-short",
          "no-degenerate", "no-normalization",
          "normalization-zero", "normalization-negative", "normalization-inf", "alpha-above-1", "alpha-zero"],

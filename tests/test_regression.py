@@ -13,7 +13,8 @@ from specband.regression import (
     prediction_weights,
     select_kappa_cv,
 )
-from specband.semimetrics import SemimetricSpec, distances_to, reference
+from specband.conformal import calibrate
+from specband.semimetrics import SemimetricSpec, distances_to, nearest, reference
 
 L2 = SemimetricSpec.parse("l2")
 KERNEL = KernelSpec()
@@ -675,3 +676,126 @@ def test_best_kappa_ties_go_to_the_smaller_kappa(monkeypatch):
         monkeypatch.setattr(regression, "kappa_cv_scores", lambda *args, table=table, **kwargs: table)
         model, got = regression.fit_kappa(pairs, L2, KERNEL, [k for k, _ in table])
         assert (model.kappa, got) == (best, table)
+
+
+# ----------------------------------- one weighting pass against one kappa at a time
+
+def one_kappa_neighbours(idx, dist, kappa, kernel):
+    """One kappa's nearest pairs, normalized weights and fallbacks from a
+    search's candidates, written out for that kappa alone: the kappa nearest
+    by distance (ties to the smaller index) in index order, the midpoint
+    bandwidth, and the fallback rows of every vanished query row."""
+    rows = np.arange(len(dist))[:, None]
+    order = np.argsort(dist, axis=1, kind="stable")
+    edge = dist[rows, order[:, kappa - 1 : kappa + 1]]
+    lo, hi = edge[:, :1], edge[:, 1:]
+    h = np.where(lo == hi, lo, 0.5 * (lo + hi))
+    pos = np.sort(order[:, :kappa], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = kernel.weights(dist[rows, pos] / h)
+    total = w.sum(axis=1, keepdims=True)
+    vanished = np.flatnonzero(total == 0.0)
+    total[vanished] = 1.0
+    fallback = {int(r): idx[r][dist[r] <= h[r]] for r in vanished}
+    return idx[rows, pos], w / total, fallback
+
+
+def one_kappa_predictions(idx, dist, kappa, kernel, responses):
+    near, w, fallback = one_kappa_neighbours(idx, dist, kappa, kernel)
+    out = np.matmul(w[:, None, :], responses[near])[:, 0]
+    for row, inside in fallback.items():
+        out[row] = responses[inside].mean(axis=0)
+    return out
+
+
+def one_kappa_predict_many(model, queries):
+    return np.concatenate([
+        one_kappa_predictions(*nearest(model.reference, queries[start : start + regression._BLOCK_ROWS], model.kappa + 1),
+                              model.kappa, model.kernel, model.response_matrix)
+        for start in range(0, len(queries), regression._BLOCK_ROWS)])
+
+
+def one_kappa_at_a_time_loo_table(model, candidates):
+    """Leave-one-out table with one search and one weighting per candidate."""
+    n = len(model)
+    quad = trapezoid_weights(model.response_grid.points)
+    x, y = model.predictor_matrix, model.response_matrix
+    table = []
+    for kappa in candidates:
+        k = min(kappa, n - 2)
+        errors = np.empty(n)
+        for start in range(0, n, regression._BLOCK_ROWS):
+            block = np.arange(start, min(start + regression._BLOCK_ROWS, n))
+            idx, dist = nearest(model.reference, x[block], k + 1, block)
+            diff = one_kappa_predictions(idx, dist, k, model.kernel, y) - y[block]
+            errors[block] = np.sum(quad * diff * diff, axis=1)
+        table.append((kappa, float(np.sum(errors)) / n))
+    return table
+
+
+def _best(table):
+    return min(table, key=lambda entry: (entry[1], entry[0]))[0]
+
+
+@pytest.mark.parametrize("semimetric", [L2, SemimetricSpec.parse("deriv1")])
+def test_one_pass_loo_table_matches_one_kappa_at_a_time(semimetric):
+    # rows 70, 71 and 72 are copies: leaving one out leaves two at distance 0,
+    # so kappa = 1 has a zero bandwidth and falls back while kappa = 3 weights
+    # the two copies; n - 2 and n - 1 both clamp to n - 2
+    rng = np.random.default_rng(40)
+    n = regression._BLOCK_ROWS + 16
+    values = rng.normal(size=(n, 101))
+    values[71:73] = values[70]
+    pairs = tuple(_pair(v, rng.normal(size=40)) for v in values)
+    model = FittedRegression(pairs, semimetric, KERNEL, 1)
+    candidates = [1, 3, 8, n - 2, n - 1]
+
+    idx, dist = nearest(model.reference, model.predictor_matrix[70:71], n - 1, np.array([70]))
+    fallback = regression._neighbours(idx, dist, (1, 3, n - 2, n - 2), KERNEL)[2]
+    assert list(fallback) == [(0, 0)] and fallback[0, 0].tolist() == [71, 72]
+
+    table = kappa_cv_scores(model, candidates)
+    want = one_kappa_at_a_time_loo_table(model, candidates)
+    assert [k for k, _ in table] == candidates
+    for (_, got), (_, expected) in zip(table, want):
+        assert got == pytest.approx(expected, rel=1e-12)
+    assert table[-2][1] == table[-1][1]  # one clamped value, scored once per column
+    assert _best(table) == _best(want)
+    assert select_kappa_cv(pairs, semimetric, KERNEL, candidates) == _best(want)
+
+
+@pytest.mark.parametrize("kappa", [2, 16])
+@pytest.mark.parametrize("semimetric", [L2, SemimetricSpec.parse("deriv1"), SemimetricSpec.parse("deriv2")])
+def test_one_kappa_predictions_weights_and_scores_keep_their_bits(semimetric, kappa):
+    # the one-kappa path runs the one-kappa operations: predictions, weights
+    # and calibration scores equal the one-kappa formula bit for bit, past the
+    # first block, on copies (distance 0) and on a triple copy whose zero
+    # bandwidth (kappa = 2) falls back
+    rng = np.random.default_rng(41)
+    values = rng.normal(size=(150, 101))
+    values[1:3] = values[0]
+    pairs = tuple(_pair(v, rng.normal(size=40)) for v in values)
+    model = FittedRegression(pairs, semimetric, KERNEL, kappa)
+    queries = rng.normal(size=(regression._BLOCK_ROWS + 20, 101))
+    queries[[5, -3]] = values[0]
+    queries[-2:] = values[[40, 90]]
+    assert predict_many(model, queries).tobytes() == one_kappa_predict_many(model, queries).tobytes()
+
+    for i in (0, 5, -2):
+        rows, w = prediction_weights(model, Curve(PRED_GRID, queries[i]))
+        near, want, fallback = one_kappa_neighbours(*nearest(model.reference, queries[i : i + 1], kappa + 1),
+                                                    kappa, KERNEL)
+        assert bool(fallback) == (kappa == 2 and i == 5)
+        if fallback:
+            assert rows.tolist() == fallback[0].tolist() and w.tolist() == [1.0 / rows.size] * rows.size
+        else:
+            keep = want[0] > 0.0
+            assert rows.tolist() == near[0][keep].tolist() and w.tobytes() == want[0][keep].tobytes()
+
+    cal = calibrate(pairs, 0.1, semimetric, KERNEL, [kappa], split_seed=3)
+    held_out = np.random.default_rng(3).permutation(len(pairs))[len(pairs) // 2 :]
+    fitted = cal.trained_model
+    assert fitted.kappa == kappa and len(held_out) > regression._BLOCK_ROWS
+    scores = -np.max(np.abs(model.response_matrix[held_out]
+                            - one_kappa_predict_many(fitted, model.predictor_matrix[held_out])), axis=1)
+    assert cal.calibration_scores.tobytes() == scores.tobytes()

@@ -146,6 +146,23 @@ def test_nearest_candidates_hold_the_direct_distances_of_their_rows(spec):
         assert full[rows].tobytes() == got.tobytes()  # a subset of the full row, bit for bit
 
 
+@pytest.mark.parametrize("size", [1, 3, 4, 5, 64])
+@pytest.mark.parametrize("spec", [L2, D1, D2])
+def test_nearest_measures_blocks_of_any_size_bit_for_bit(spec, size):
+    # the direct distances are measured a few queries at a time: blocks that
+    # end inside, at and past such a group give each row distances_to's bits
+    rng = np.random.default_rng(29)
+    pts = np.sort(rng.uniform(1.0, 6.0, 60))
+    values = rng.normal(size=(150, 60))
+    values[140:] = values[:10]
+    queries = rng.normal(size=(size, 60))
+    queries[::3] = values[: len(queries[::3])]
+    idx, dist = nearest(reference(spec, values, pts), queries, 9)
+    assert idx.shape == dist.shape and len(idx) == size
+    for q, rows, got in zip(queries, idx, dist):
+        assert got.tobytes() == distances_to(spec, values[rows], q, pts).tobytes()
+
+
 def test_nearest_leaves_out_the_excluded_row():
     rng = np.random.default_rng(24)
     pts = np.linspace(1.0, 2.0, 30)
