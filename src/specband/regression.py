@@ -110,8 +110,7 @@ def _neighbours(idx: np.ndarray, dist: FloatArray, kappas: tuple, kernel: Kernel
     """
     rows, count, top = np.arange(len(dist))[:, None], len(kappas), max(kappas)
     order = np.argsort(dist, axis=1, kind="stable")
-    cols = slice(top - 1, top + 1) if count == 1 else [k - 1 for k in kappas] + list(kappas)
-    edge = dist[rows, order[:, cols]]  # every kappa-th nearest, then every (kappa+1)-th
+    edge = dist[rows, order[:, [k - 1 for k in kappas] + list(kappas)]]  # every kappa-th nearest, then every (kappa+1)-th
     lo, hi = edge[:, :count], edge[:, count:]
     h = np.where(lo == hi, lo, 0.5 * (lo + hi))
     pos = np.sort(order[:, :top], axis=1)  # candidates are in index order
@@ -186,7 +185,8 @@ def kappa_cv_scores(model: FittedRegression, kappa_candidates: Sequence[int]) ->
 
     x_mat, y_mat, ref = model.predictor_matrix, model.response_matrix, model.reference
     quad = trapezoid_weights(model.response_grid.points)
-    kappas = tuple(min(int(kappa), n - 2) for kappa in kappa_candidates)
+    kappas, column = np.unique([min(int(kappa), n - 2) for kappa in kappa_candidates], return_inverse=True)
+    kappas = tuple(kappas.tolist())  # each distinct clamped kappa is scored once; a duplicate reads its row
     # leaving pair i out, the search skips row i: the full response matrix serves every fit
     errors = np.empty((len(kappas), n))
     for start in range(0, n, _BLOCK_ROWS):
@@ -194,7 +194,7 @@ def kappa_cv_scores(model: FittedRegression, kappa_candidates: Sequence[int]) ->
         idx, dist = nearest(ref, x_mat[block], max(kappas) + 1, block)
         diff = _weighted_responses(idx, dist, kappas, model.kernel, y_mat) - y_mat[block, None]
         errors[:, block] = np.sum(quad * diff * diff, axis=2).T
-    return [(int(kappa), float(np.sum(row)) / n) for kappa, row in zip(kappa_candidates, errors)]
+    return [(int(kappa), float(np.sum(row)) / n) for kappa, row in zip(kappa_candidates, errors[column])]
 
 
 def fit_kappa(pairs: Sequence[CurvePair], semimetric: SemimetricSpec, kernel: KernelSpec,

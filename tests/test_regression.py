@@ -759,7 +759,7 @@ def test_one_pass_loo_table_matches_one_kappa_at_a_time(semimetric):
     assert [k for k, _ in table] == candidates
     for (_, got), (_, expected) in zip(table, want):
         assert got == pytest.approx(expected, rel=1e-12)
-    assert table[-2][1] == table[-1][1]  # one clamped value, scored once per column
+    assert table[-2][1] == table[-1][1]  # one clamped value, scored once
     assert _best(table) == _best(want)
     assert select_kappa_cv(pairs, semimetric, KERNEL, candidates) == _best(want)
 
