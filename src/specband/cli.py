@@ -258,7 +258,3 @@ def cmd_eval(pred_dir, manifest, out_dir) -> None:
         f"mean relative error {rel.overall_mean:.4f}; band coverage "
         f"{evaluation.coverage_rate(bands, truths):.3f} over {len(records)} spectra"
     )
-
-
-if __name__ == "__main__":
-    main()

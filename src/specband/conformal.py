@@ -102,8 +102,6 @@ def calibrate(
     n = len(sample)
     if n < MIN_PAIRS:
         raise ValueError(f"conformal calibration needs at least {MIN_PAIRS} pairs, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
     shared_grid([p.predictor for p in sample], "training predictors")
     shared_grid([p.response for p in sample], "training responses")
 
@@ -119,7 +117,7 @@ def calibrate(
     responses = np.stack([p.response.values for p in score_pairs])
     # one block of predictions; each score is -sup_distance(y, predict(model, x)), bit for bit
     scores = -np.max(np.abs(responses - predict_many(model, predictors)), axis=1)
-    return ConformalCalibration(model, scores, float(alpha), tuple(order[:n1].tolist()))
+    return ConformalCalibration(model, scores, alpha, tuple(order[:n1].tolist()))
 
 
 def _score_rank(n2: int, alpha: float) -> int:

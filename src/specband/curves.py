@@ -24,6 +24,19 @@ from numpy.typing import NDArray
 FloatArray = NDArray[np.float64]
 _FLOAT64 = np.dtype(np.float64)
 
+# the one number rule for outside input: a real that is not a bool, and an int only
+# if a float holds it, the range RFC 8259 section 6 tells a JSON reader to expect
+_INT_LIMIT = 2**1024 - 2**970  # the least integer float() rounds to infinity
+
+
+def are_numbers(values) -> bool:
+    """Whether ``values`` is a list of numbers: one C-level pass over the types, one over any ints."""
+    if not isinstance(values, list):
+        return False
+    types = set(map(type, values))
+    return all(issubclass(t, Real) and t is not bool for t in types) and (
+        int not in types or all(-_INT_LIMIT < v < _INT_LIMIT for v in values if type(v) is int))
+
 
 def frozen_array(values, name: str, ndim: int = 1) -> FloatArray:
     """``values`` as a C-ordered float64 array over an immutable ``bytes`` buffer:
@@ -56,8 +69,6 @@ class WavelengthGrid:
 
     @classmethod
     def uniform(cls, low: float, high: float, count: int) -> "WavelengthGrid":
-        if count < 2:
-            raise ValueError("a uniform grid needs at least 2 points")
         return cls(np.linspace(low, high, count))
 
     def __len__(self) -> int:
@@ -127,7 +138,7 @@ class RawSpectrum:
             raise ValueError("sample wavelengths must be strictly increasing")
         if (sd < 0.0).any():
             raise ValueError("noise sd must be non-negative")
-        if isinstance(self.redshift, bool) or not isinstance(self.redshift, Real) or not 0.0 <= self.redshift < np.inf:
+        if not (are_numbers([self.redshift]) and 0.0 <= self.redshift < np.inf):
             raise ValueError("redshift must be a finite non-negative number")
         object.__setattr__(self, "wavelengths", wl)
         object.__setattr__(self, "flux", fx)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .conformal import ConformalBand, ConformalCalibration
-from .curves import Curve, CurvePair, RawSpectrum, WavelengthGrid
+from .curves import Curve, CurvePair, RawSpectrum, WavelengthGrid, are_numbers
 from .pipeline import MODEL_SETTINGS, PipelineConfig, load_config
 from .regression import FittedRegression, KernelSpec
 from .semimetrics import SemimetricSpec
@@ -118,12 +118,18 @@ def _parse_rows(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def read_spectrum(path: Path, redshift: float = 0.0) -> RawSpectrum:
     wl, fx, sd = _parse_rows(path)
-    return RawSpectrum(wl, fx, sd, redshift)
+    try:
+        return RawSpectrum(wl, fx, sd, redshift)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def read_curve(path: Path) -> Curve:
     wl, fx, _ = _parse_rows(path)
-    return Curve(WavelengthGrid(wl), fx)
+    try:
+        return Curve(WavelengthGrid(wl), fx)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 # ------------------------------------------------------------------ manifest
@@ -159,22 +165,12 @@ def write_manifest(path: Path, records: Sequence[SpectrumRecord]) -> None:
     )
 
 
-# a JSON number is a float or an int that a float holds: not a bool, string, null, list or object
-_INT_LIMIT = 2**1024 - 2**970  # the least integer float() rounds to infinity
-
-
-def _numbers(values) -> bool:
-    """Whether ``values`` is a list of JSON numbers: one C-level pass over the types, one over any ints."""
-    return isinstance(values, list) and (types := set(map(type, values))) <= {int, float} and (
-        int not in types or all(-_INT_LIMIT < v < _INT_LIMIT for v in values if type(v) is int))
-
-
 # what a manifest entry's keys must hold, and the test for each
 _ENTRY_VALUES = (
     ("id", "a file name (not empty, '.' or '..', no path separator)",  # outputs are named after it
      lambda v: isinstance(v, str) and v not in ("", ".", "..") and not any(sep in v for sep in (os.sep, os.altsep) if sep)),
     ("z", "a finite, non-negative number",
-     lambda v: _numbers([v]) and 0.0 <= v < math.inf),
+     lambda v: are_numbers([v]) and 0.0 <= v < math.inf),
     ("path", "a string", lambda v: isinstance(v, str)),
     ("truth_path", "a string", lambda v: isinstance(v, str)),
     ("predict_only", "true or false", lambda v: isinstance(v, bool)),
@@ -221,7 +217,7 @@ def _split_values(n: int):
          lambda v: isinstance(v, list) and len(v) == n1 and all(type(r) is int and 0 <= r < n for r in v) and len(set(v)) == n1),
         ("kappa", f"an integer in [1, {n1 - 1}]", lambda v: type(v) is int and 1 <= v <= n1 - 1),
         ("scores", f"{n - n1} finite, non-positive numbers",
-         lambda v: _numbers(v) and len(v) == n - n1 and all(-math.inf < s <= 0.0 for s in v)),
+         lambda v: are_numbers(v) and len(v) == n - n1 and all(-math.inf < s <= 0.0 for s in v)),
     )
 
 
@@ -268,7 +264,7 @@ def load_regression(path: Path) -> tuple[FittedRegression, dict, tuple[FittedReg
     if not (isinstance(predictors, list) and isinstance(responses, list) and len(predictors) == len(responses)):
         raise ValueError(f"{path}: model's 'predictors' and 'responses' are not lists of equal length; rerun fit")
     for key, rows in (("predictors", predictors), ("responses", responses)):
-        bad = next((i for i, row in enumerate(rows) if not _numbers(row)), None)
+        bad = next((i for i, row in enumerate(rows) if not are_numbers(row)), None)
         if bad is not None:
             raise ValueError(f"{path}: model's {key!r} row {bad} is not a list of numbers; rerun fit")
     for key, kind, valid in _split_values(len(predictors)):
@@ -297,7 +293,6 @@ def save_conformal_band(band: ConformalBand, path: Path, normalization: float) -
         "schema_version": SCHEMA_VERSION,
         "kind": "conformal_band",
         "alpha": band.alpha,
-        "degenerate": band.degenerate,
         "half_width": None if band.degenerate else band.half_width,
         "grid": band.center.grid.points.tolist(),
         "center": band.center.values.tolist(),
@@ -308,20 +303,19 @@ def save_conformal_band(band: ConformalBand, path: Path, normalization: float) -
 
 def load_conformal_band(path: Path) -> tuple[ConformalBand, float]:
     document = _load_json(Path(path), "conformal_band")
-    for key in ("alpha", "degenerate", "half_width", "grid", "center", "normalization"):
+    for key in ("alpha", "half_width", "grid", "center", "normalization"):
         if key not in document:
             raise ValueError(f"{path}: band has no {key!r}; rerun predict")
-    if document["degenerate"] is not (document["half_width"] is None):
-        raise ValueError(f"{path}: band's 'half_width' must be null exactly when 'degenerate' is true; rerun predict")
-    for key in ("alpha", "normalization") if document["degenerate"] else ("alpha", "normalization", "half_width"):
-        if not _numbers([document[key]]):
+    degenerate = document["half_width"] is None  # the band covers every curve
+    for key in ("alpha", "normalization") if degenerate else ("alpha", "normalization", "half_width"):
+        if not are_numbers([document[key]]):
             raise ValueError(f"{path}: band needs a number for {key!r}, found {document[key]!r}; rerun predict")
     for key in ("grid", "center"):
-        if not _numbers(document[key]):
+        if not are_numbers(document[key]):
             raise ValueError(f"{path}: band needs a list of numbers for {key!r}; rerun predict")
     try:
         grid = WavelengthGrid(np.asarray(document["grid"]))
-        half_width = math.inf if document["degenerate"] else float(document["half_width"])
+        half_width = math.inf if degenerate else float(document["half_width"])
         band = ConformalBand(Curve(grid, np.asarray(document["center"])), half_width, float(document["alpha"]))
         normalization = float(document["normalization"])
         if not 0.0 < normalization < math.inf:  # eval divides each truth by it

@@ -20,14 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import MIN_PAIRS
-from .curves import (
-    Curve,
-    CurvePair,
-    RawSpectrum,
-    WavelengthGrid,
-    nearest_index,
-    to_rest_frame,
-)
+from .curves import Curve, CurvePair, RawSpectrum, WavelengthGrid, are_numbers, nearest_index, to_rest_frame
 from .regression import FittedRegression, KernelSpec, fit_kappa
 from .semimetrics import SemimetricSpec
 from .smoothing import in_range, select_spans, smooth_block
@@ -101,8 +94,8 @@ _TUPLE_FIELDS = {f.name: type(f.default[0]) for f in dataclasses.fields(Pipeline
 
 
 def _check_type(name: str, value, kind: type) -> None:
-    """Type check on JSON values: an int passes as a float, a bool as nothing."""
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+    """Type check on JSON values: a float must be a number (``curves.are_numbers``), a bool passes as nothing."""
+    if not (are_numbers([value]) if kind is float else isinstance(value, kind) and not isinstance(value, bool)):
         raise ValueError(f"config key {name!r} needs {kind.__name__} values, got {value!r}")
 
 

@@ -390,7 +390,7 @@ def test_predict_writes_predictions_and_bands(config_path, mock_dir, pred_dir):
         assert (pred_dir / f"{record.id}_prediction.csv").exists()
     band = json.loads((pred_dir / "mock_0000_band.json").read_text())
     assert band["kind"] == "conformal_band"
-    assert not band["degenerate"]
+    assert band["half_width"] > 0.0
     _, ref = smooth_spectra([read_spectrum(records[0].path)], load_config(config_path), pairs=False)[0]
     assert band["normalization"] == ref
     # evaluation is eval's job alone
@@ -416,7 +416,7 @@ def test_predict_warns_on_degenerate_alpha(runner, mock_dir, model_path, tmp_pat
     warnings = [line for line in result.output.splitlines() if line.startswith("warning:")]
     assert len(warnings) == 1 and "degenerate" in warnings[0], result.output
     band = json.loads((out / "mock_0000_band.json").read_text())
-    assert band["degenerate"] is True
+    assert band["half_width"] is None
 
 
 @pytest.mark.parametrize("semimetric", ["l2", "deriv1"])
@@ -586,9 +586,14 @@ def _query_args(command, mock_dir):
         # models that kept their grids and semimetric beside the record
         (lambda record: record.pop("semimetric"),
          f"model has no 'config' recording {list(MODEL_SETTINGS)} (its keys differ in ['semimetric'])"),
+        # JSON integers have no size limit; one that no float holds is not a number
+        (lambda record: record.update(span_candidates=[0.3, 10**400]),
+         f"config key 'span_candidates' needs float values, got {10**400!r}"),
+        (lambda record: record.update(predictor_range=[1300.0, 10**400]),
+         f"config key 'predictor_range' needs float values, got {10**400!r}"),
     ],
     ids=["no-record", "partial-record", "bad-span", "bad-type", "bad-semimetric", "old-span-record",
-         "old-grids-record"],
+         "old-grids-record", "span-int-beyond-float", "range-int-beyond-float"],
 )
 def test_model_without_a_valid_config_record_is_rejected(
     runner, mock_dir, model_path, tmp_path, command, edit, message
@@ -740,10 +745,6 @@ def test_eval_rejects_malformed_band_naming_the_file(runner, mock_dir, pred_dir,
         result = _eval(runner, pred_dir, mock_dir / "manifest.json", tmp_path / "eval")
         assert result.exit_code == 2, (edit, result.output)
         assert result.output.strip() == f"error: {path}: {message}; rerun predict"
-    path.write_text(json.dumps({k: v for k, v in saved.items() if k != "degenerate"}))
-    result = _eval(runner, pred_dir, mock_dir / "manifest.json", tmp_path / "eval")
-    assert result.exit_code == 2
-    assert result.output.strip() == f"error: {path}: band has no 'degenerate'; rerun predict"
     path.write_text(json.dumps({**saved, "normalization": 0}))  # eval would divide by it
     result = _eval(runner, pred_dir, mock_dir / "manifest.json", tmp_path / "eval")
     assert result.exit_code == 2
@@ -852,6 +853,7 @@ def test_removed_config_flags_are_rejected(runner, command, flag):
         ({"kappa_candidates": 5}, "'kappa_candidates'"),
         ({"span_candidates": ["0.3"]}, "'span_candidates'"),
         ([1, 2], "config must be a JSON object"),
+        ({"span_candidates": [10**400]}, "error: config key 'span_candidates' needs float values, got 1000"),
     ],
 )
 def test_malformed_config_exits_with_code_two(runner, mock_dir, tmp_path, document, message):
@@ -891,6 +893,7 @@ def test_config_with_a_fixed_value_key_is_rejected_naming_the_key(runner, mock_d
         ({"mock_grid_points": 0}, "error: config key 'mock_grid_points' must be at least 2, got 0"),
         ({"normalization_wavelength": 1200.0},
          "error: config key 'normalization_wavelength' must lie in predictor_range [1300.0, 1600.0], got 1200.0"),
+        ({"predictor_range": [1600.0, 1300.0]}, "error: empty wavelength range [1600.0, 1300.0]"),
     ],
 )
 def test_fit_range_checks_its_config_before_reading_a_spectrum(
@@ -974,3 +977,61 @@ def test_eval_names_the_spectrum_whose_truth_does_not_cover_its_prediction(runne
     assert result.output.strip() == (
         f"error: spectrum {record.id}'s truth: cannot resample: target wavelength 1050.0 "
         f"below curve range [{low}, {truth.grid.high}]")
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(10**400, f"config key 'mock_noise_level' needs float values, got {10**400!r}"),
+     (-0.05, "noise_level must be non-negative")],
+    ids=["int-beyond-float", "negative"],
+)
+def test_mockgen_rejects_a_noise_level_it_cannot_use(runner, tmp_path, value, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mock_noise_level": value}))
+    result = runner.invoke(main, ["mockgen", "--config", str(path), "--out", str(tmp_path / "mocks")])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == f"error: {message}"
+    assert not (tmp_path / "mocks").exists()
+
+
+def test_readers_name_the_spectrum_or_curve_file_a_bad_value_is_in(runner, config_path, mock_dir, pred_dir, tmp_path):
+    manifest = mock_dir / "manifest.json"
+    spectrum = read_manifest(manifest)[1].path
+    spectrum.write_text("\n".join(spectrum.read_text().splitlines()[:6]) + "\n")  # header and 5 rows
+    result = runner.invoke(main, ["fit", "--config", str(config_path), "--manifest", str(manifest),
+                                  "--out", str(tmp_path / "m.json")])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == f"error: {spectrum}: a raw spectrum needs at least 10 samples"
+
+    spectrum.write_text("")
+    result = runner.invoke(main, ["fit", "--config", str(config_path), "--manifest", str(manifest),
+                                  "--out", str(tmp_path / "m.json")])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == f"error: {spectrum}: empty spectrum file"
+
+    path = pred_dir / "mock_0002_prediction.csv"
+    header, *rows = path.read_text().splitlines()
+    for body, message in ((rows[::-1], "grid points must be strictly increasing"),
+                          (rows[:1], "a wavelength grid needs at least 2 points")):
+        path.write_text("\n".join([header, *body]) + "\n")
+        result = _eval(runner, pred_dir, manifest, tmp_path / "eval")
+        assert result.exit_code == 2, result.output
+        assert result.output.strip() == f"error: {path}: {message}"
+
+
+def test_manifest_of_another_schema_or_without_truths_exits_with_code_two(runner, config_path, mock_dir, pred_dir,
+                                                                          tmp_path):
+    document = json.loads((mock_dir / "manifest.json").read_text())
+    path = mock_dir / "other.json"
+    path.write_text(json.dumps({**document, "schema_version": 2}))
+    result = runner.invoke(main, ["fit", "--config", str(config_path), "--manifest", str(path),
+                                  "--out", str(tmp_path / "m.json")])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == f"error: {path}: unsupported schema version 2"
+
+    for entry in document["spectra"]:
+        del entry["truth_path"]
+    path.write_text(json.dumps(document))
+    result = _eval(runner, pred_dir, path, tmp_path / "eval")
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == "error: no manifest entry carries a truth_path"

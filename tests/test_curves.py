@@ -141,6 +141,14 @@ def test_redshift_must_be_a_finite_non_negative_real_not_a_bool(z):
                    "redshift must be a finite non-negative number")
 
 
+@pytest.mark.parametrize("z", [10**400, 2**1024 - 2**970], ids=["10**400", "least-int-beyond-float"])
+def test_redshift_rejects_an_integer_no_float_holds(z):
+    wl = np.linspace(1000.0, 1100.0, 12)
+    _rejected_with(lambda: RawSpectrum(wl, np.ones(12), np.zeros(12), z),
+                   "redshift must be a finite non-negative number")
+    assert RawSpectrum(wl, np.ones(12), np.zeros(12), 2**1024 - 2**971).redshift == float(2**1024 - 2**971)
+
+
 @pytest.mark.parametrize("z", [0, 2, 2.5, np.float64(1.5), np.float32(0.5), np.int64(3)])
 def test_redshift_takes_any_real_number_as_a_float(z):
     wl = np.linspace(1000.0, 1100.0, 12)

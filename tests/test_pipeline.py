@@ -76,6 +76,17 @@ def test_load_config_rejects_unknown_keys(tmp_path):
             load_config(**{key: value})
 
 
+def test_load_config_takes_a_float_key_value_by_the_one_number_rule():
+    """Any real that is not a bool, an integer only if a float holds it."""
+    config = load_config(normalization_wavelength=np.int64(1400), span_candidates=[1, np.float32(0.5)])
+    assert config.normalization_wavelength == 1400 and config.span_candidates == (1.0, 0.5)
+    for value in (10**400, -(2**1024 - 2**970), True, "0.5"):  # an override of None sets nothing
+        with pytest.raises(ValueError, match=re.escape(f"config key 'span_candidates' needs float values, got {value!r}")):
+            load_config(span_candidates=[0.5, value])
+        with pytest.raises(ValueError, match=re.escape(f"config key 'mock_noise_level' needs float values, got {value!r}")):
+            load_config(mock_noise_level=value)
+
+
 def test_pair_is_normalized_at_the_reference_wavelength():
     spectrum, config = _mock_spectrum(seed=3)
     ((pair, ref),) = smooth_spectra([spectrum], config, pairs=True)
