@@ -141,9 +141,20 @@ def cmd_fit(config_path, manifest, out_path, **flags) -> None:
         for kappa, score in cv_table:
             click.echo(f"{kappa:5d}  {score:.6g}")
     click.echo(f"selected kappa={model.kappa} on n={len(model)} pairs -> {out_path}")
+    _echo_edge_kappa("kappa", model, config.kappa_candidates)
     split = calibration.trained_model
     click.echo(f"conformal split (seed {config.seed}): kappa1={split.kappa} on n1={len(split)} pairs, "
                f"n2={calibration.n2} scores")
+    _echo_edge_kappa("kappa1", split, config.kappa_candidates)
+
+
+def _echo_edge_kappa(name: str, model, kappa_candidates) -> None:
+    """Flag a kappa LOO chose at an end of the usable candidates: past that end
+    a kappa never scored might score lower."""
+    usable = regression_mod.usable_kappas(kappa_candidates, len(model))
+    if len(usable) > 1 and model.kappa in (usable[0], usable[-1]):
+        edge, past = ("largest", "larger") if model.kappa == usable[-1] else ("smallest", "smaller")
+        click.echo(f"{name}={model.kappa} is the {edge} usable candidate of {usable}; a {past} one might score lower")
 
 
 @main.command("predict")

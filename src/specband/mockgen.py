@@ -10,15 +10,16 @@ Gram-Schmidt orthonormalized damped cosines for the eigenspectra, the rows of
 one read-only (m, p) array on the mean's grid.
 ``generate`` returns an immutable sequence, safe to share between threads,
 that draws each realization when it is read, as scaled standard normals
-(``Generator.normal``'s bits); ``.noisy`` is built when first read.
+(``Generator.normal``'s bits); a realization's noise is drawn, from the same
+generator, when its ``.noisy`` is first read.
 ``save_model`` writes the model out as curve files next to the mocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+import threading
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -77,20 +78,35 @@ class MockModel:
 
 @dataclass(frozen=True, eq=False)
 class MockRealization:
-    """One generated spectrum; ``noisy`` is its ``RawSpectrum``, built when first read."""
+    """One generated spectrum; its noise is drawn from ``rng`` when ``noisy`` is
+    first read, once however many threads race to read it, and ``rng`` is then dropped."""
 
     true_continuum: Curve
     omega: FloatArray
-    noisy_flux: FloatArray
     noise_sd: FloatArray
+    rng: np.random.Generator | None = field(repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega", frozen_array(self.omega, "omega"))
-        object.__setattr__(self, "noisy_flux", frozen_array(self.noisy_flux, "noisy_flux"))
 
-    @cached_property
+    @property
     def noisy(self) -> RawSpectrum:
-        return RawSpectrum(self.true_continuum.grid.points, self.noisy_flux, self.noise_sd, 0.0)
+        noisy = self.__dict__.get("_noisy")
+        if noisy is None:
+            with self._lock:  # check-then-draw: a second reader must not draw again
+                noisy = self.__dict__.get("_noisy")
+                if noisy is None:
+                    continuum = self.true_continuum
+                    flux = continuum.values + self.noise_sd * self.rng.standard_normal(self.noise_sd.size)
+                    noisy = RawSpectrum(continuum.grid.points, flux, self.noise_sd, 0.0)
+                    self.__dict__["_noisy"] = noisy
+                    object.__setattr__(self, "rng", None)
+        return noisy
+
+    @property
+    def noisy_flux(self) -> FloatArray:
+        return self.noisy.flux
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +133,7 @@ class Realizations:
         rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(i,)))
         omega = 0.0 + self._scales * rng.standard_normal(self._scales.size)  # normal(0.0, s)'s bits, +0.0 kept
         continuum = self.model.mu.values + self.model.xi.T @ omega
-        noisy = continuum + self.model.sigma.values * rng.standard_normal(continuum.size)
-        return MockRealization(Curve(self.model.grid, continuum), omega, noisy, self.model.sigma.values)
+        return MockRealization(Curve(self.model.grid, continuum), omega, self.model.sigma.values, rng)
 
 
 def generate(model: MockModel, count: int, seed: int) -> Realizations:
@@ -128,7 +143,9 @@ def generate(model: MockModel, count: int, seed: int) -> Realizations:
     eigenvalues, then the noise standard normals times its sd curve: the bits
     ``Generator.normal`` draws. Item i is drawn from the i-th child of
     ``SeedSequence(seed)`` each time it is read: a re-read draws the same bits
-    again, ``list(...)`` holds the draws, and ``.noisy`` is built when first read.
+    again, and ``list(...)`` holds the draws. An item's noise is drawn, from
+    the generator that drew its scores, when its ``.noisy`` is first read, so a
+    caller that reads only ``true_continuum`` never draws it.
     """
     return Realizations(model, count, seed)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,6 +59,13 @@ class PipelineConfig:
         for name in ("predictor_points", "response_points", "mock_grid_points"):
             if getattr(self, name) < 2:
                 raise ValueError(f"config key {name!r} must be at least 2, got {getattr(self, name)}")
+        sizes = [(name, getattr(self, name)) for name in (
+            "predictor_points", "response_points", "mock_grid_points", "mock_count", "mock_components",
+            "bootstrap_replicates", "bootstrap_components")]
+        sizes += [("kappa_candidates", kappa) for kappa in self.kappa_candidates]
+        for name, value in sizes:
+            if value > sys.maxsize:  # no array or index holds more
+                raise ValueError(f"config key {name!r} must be at most sys.maxsize ({sys.maxsize})")
         if not self.predictor_range[0] <= self.normalization_wavelength <= self.predictor_range[1]:
             raise ValueError("config key 'normalization_wavelength' must lie in predictor_range "
                              f"{list(self.predictor_range)}, got {self.normalization_wavelength}")

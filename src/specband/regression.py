@@ -177,8 +177,6 @@ def kappa_cv_scores(model: FittedRegression, kappa_candidates: Sequence[int]) ->
     if len(kappa_candidates) == 0:
         raise ValueError("kappa_candidates must not be empty")
     n = len(model)
-    if n < 3:
-        raise ValueError("leave-one-out selection needs at least 3 pairs")
     for kappa in kappa_candidates:
         if not 1 <= kappa <= n - 1:
             raise ValueError(f"candidate kappa={kappa} outside [1, {n - 1}]")
@@ -197,12 +195,18 @@ def kappa_cv_scores(model: FittedRegression, kappa_candidates: Sequence[int]) ->
     return [(int(kappa), float(np.sum(row)) / n) for kappa, row in zip(kappa_candidates, errors[column])]
 
 
+def usable_kappas(kappa_candidates: Sequence[int], n: int) -> list[int]:
+    """The distinct kappas a fit on n pairs chooses from, ascending: each
+    candidate above n-1 counts as n-1."""
+    return sorted({min(int(k), n - 1) for k in kappa_candidates})
+
+
 def fit_kappa(pairs: Sequence[CurvePair], semimetric: SemimetricSpec, kernel: KernelSpec,
               kappa_candidates: Sequence[int]) -> tuple[FittedRegression, list[tuple[int, float]]]:
-    """The regression whose kappa has least LOO score (ties to the smaller) and the
-    table. Each candidate above n-1 counts as n-1; when that leaves one value it
-    is used as given, without CV (empty table)."""
-    kappa_candidates = sorted({min(int(k), len(pairs) - 1) for k in kappa_candidates})
+    """The regression whose kappa has least LOO score (ties to the smaller) among
+    ``usable_kappas`` and the table; when there is one usable kappa it is used as
+    given, without CV (empty table)."""
+    kappa_candidates = usable_kappas(kappa_candidates, len(pairs))
     if len(kappa_candidates) == 1:
         return FittedRegression(tuple(pairs), semimetric, kernel, kappa_candidates[0]), []
     # the pairs face a model's checks (kappa 1 fits any n); CV searches its rows

@@ -188,7 +188,9 @@ def test_fit_calibrates_its_seeded_split_once_and_stores_it(runner, config_path,
                      "scores": calibration.calibration_scores.tolist()}
     assert split["rows"] == np.random.default_rng(7).permutation(12)[:6].tolist() != sorted(split["rows"])
     lines = result.output.splitlines()
-    assert lines[-1] == f"conformal split (seed 7): kappa1={split['kappa']} on n1=6 pairs, n2=6 scores"
+    assert split["kappa"] == 4
+    assert lines[-2:] == ["conformal split (seed 7): kappa1=4 on n1=6 pairs, n2=6 scores",
+                          "kappa1=4 is the largest usable candidate of [2, 4]; a larger one might score lower"]
     assert re.search(r"selected kappa=(\d+) on n=(\d+)", result.output).group(0) == f"selected kappa={model.kappa} on n=12"
     assert "selected kappa=" not in lines[-1]
 
@@ -221,12 +223,35 @@ def test_fit_counts_a_candidate_above_n_minus_1_as_n_minus_1(runner, config_path
         return result.output.replace(str(out), "m.json").splitlines()
 
     without, clamped = fit("2,4,10"), fit("2,4,10,40")
-    assert clamped[:4] == without[:4] and clamped[-2] == without[-2] == "selected kappa=10 on n=12 pairs -> m.json"
+    assert clamped[:4] == without[:4] and clamped[-2] == without[-3] == "selected kappa=10 on n=12 pairs -> m.json"
+    # 10 is the largest usable candidate only without 40
+    assert without[-2] == "kappa=10 is the largest usable candidate of [2, 4, 10]; a larger one might score lower"
     assert clamped[4] == "   11" + without[3][5:]
     assert clamped[-1] == without[-1]  # the split model's 6 pairs cross-validate 2,4,5 either way
     monkeypatch.setattr("specband.regression.kappa_cv_scores", None)  # any CV call fails
     assert fit("40") == ["selected kappa=11 on n=12 pairs -> m.json",
                          "conformal split (seed 7): kappa1=5 on n1=6 pairs, n2=6 scores"]
+
+
+def test_fit_flags_a_kappa_loo_chose_at_an_end_of_the_usable_candidates(runner, config_path, mock_dir, tmp_path):
+    """A line after the selected kappa's, and after the split's, names a kappa
+    LOO chose at the largest or smallest usable candidate; a kappa in between or
+    fixed without CV gets none, and no such line repeats "selected kappa="."""
+    def fit(candidates):
+        result = runner.invoke(main, ["fit", "--config", str(config_path), "--kappa-candidates", candidates,
+                                      "--manifest", str(mock_dir / "manifest.json"), "--out", str(tmp_path / "m.json")])
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert sum("selected kappa=" in line for line in lines) == 1
+        return [line for line in lines if " usable candidate " in line]
+
+    assert fit("2,4") == ["kappa=4 is the largest usable candidate of [2, 4]; a larger one might score lower",
+                          "kappa1=4 is the largest usable candidate of [2, 4]; a larger one might score lower"]
+    # the split's 6 pairs choose 4 of 2, 4 and 5 (10 counting as 5)
+    assert fit("2,4,10") == ["kappa=10 is the largest usable candidate of [2, 4, 10]; a larger one might score lower"]
+    # leave-one-out scores 11 as 10, and the tie goes to the smaller; the split's 5 is fixed without CV
+    assert fit("10,11") == ["kappa=10 is the smallest usable candidate of [10, 11]; a smaller one might score lower"]
+    assert fit("3") == []
 
 
 def test_one_candidate_fixes_kappa_and_span_without_cv(runner, config_path, mock_dir, tmp_path, monkeypatch):
@@ -894,6 +919,8 @@ def test_config_with_a_fixed_value_key_is_rejected_naming_the_key(runner, mock_d
         ({"normalization_wavelength": 1200.0},
          "error: config key 'normalization_wavelength' must lie in predictor_range [1300.0, 1600.0], got 1200.0"),
         ({"predictor_range": [1600.0, 1300.0]}, "error: empty wavelength range [1600.0, 1300.0]"),
+        ({"predictor_points": 10**400}, "error: config key 'predictor_points' must be at most sys.maxsize"),
+        ({"kappa_candidates": [2, 10**400]}, "error: config key 'kappa_candidates' must be at most sys.maxsize"),
     ],
 )
 def test_fit_range_checks_its_config_before_reading_a_spectrum(

@@ -72,18 +72,23 @@ def test_fit_fpca_peak_stays_under_two_stacked_copies():
 
 
 def test_mocks_keep_their_own_two_arrays_and_share_the_model_s():
-    # each mock's flux and continuum are its own; its wavelengths and noise sd
-    # are the model's grid points and noise-sd curve
+    # each mock's continuum is its own, and so is its flux once .noisy is read
+    # (the noise is drawn then); its wavelengths and noise sd are the model's
+    # grid points and noise-sd curve
     model = synthetic_model(WavelengthGrid.uniform(1000.0, 1600.0, 1000))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         mocks = list(generate(model, 200, seed=5))
-        kept = tracemalloc.get_traced_memory()[0] - base
+        drawn = tracemalloc.get_traced_memory()[0] - base
+        for mock in mocks:
+            mock.noisy
+        read = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    per_mock = kept / (len(mocks) * len(model.grid) * 8)
-    assert per_mock < 2.5, f"{per_mock:.2f} sample arrays kept per mock"
+    sample = len(mocks) * len(model.grid) * 8
+    assert 1.0 < drawn / sample < 1.5, f"{drawn / sample:.2f} sample arrays kept per mock before .noisy is read"
+    assert 2.0 < read / sample < 2.5, f"{read / sample:.2f} sample arrays kept per mock after .noisy is read"
 
 
 def test_generated_mocks_are_drawn_when_read_not_held():

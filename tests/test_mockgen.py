@@ -1,5 +1,6 @@
 import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -134,6 +135,31 @@ def test_threads_racing_on_first_reads_of_noisy_see_the_same_bits():
         sys.setswitchinterval(interval)
     assert all(flux == expected for flux in seen)
     assert all(m.noisy.flux is m.noisy_flux for m in mocks)
+
+
+def test_threads_racing_on_the_first_read_of_noisy_draw_its_noise_once():
+    """A mock's noise is drawn when .noisy is first read: threads racing on that
+    read share one draw, and the mock then drops its generator."""
+    mocks = list(generate(_default_model(), 50, seed=31))
+    expected = [m.noisy.flux.tobytes() for m in generate(_default_model(), 50, seed=31)]
+    assert all(m.rng is not None for m in mocks)
+    barrier = threading.Barrier(4)
+
+    def read():
+        barrier.wait(timeout=60)
+        return [m.noisy for m in mocks]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            seen = [f.result(timeout=60) for f in [pool.submit(read) for _ in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, mock in enumerate(mocks):
+        assert all(noisy[i] is mock.noisy for noisy in seen)
+        assert mock.noisy.flux.tobytes() == expected[i]
+        assert mock.rng is None
 
 
 def test_reads_in_any_order_draw_the_same_bits():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -42,6 +43,21 @@ def test_load_config_rejects_a_grid_of_fewer_than_two_points_naming_the_key(key)
     with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be at least 2, got 1")):
         load_config(**{key: 1})
     assert getattr(load_config(**{key: 2}), key) == 2
+
+
+@pytest.mark.parametrize("key", ["predictor_points", "response_points", "mock_grid_points", "mock_count",
+                                 "mock_components", "bootstrap_replicates", "bootstrap_components", "kappa_candidates"])
+def test_config_rejects_a_size_or_count_above_sys_maxsize_naming_the_key(key):
+    """No array or index holds more; the seed has no such bound."""
+    def value(n):
+        return (2, n) if key == "kappa_candidates" else n
+
+    with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be at most sys.maxsize ({sys.maxsize})")):
+        PipelineConfig(**{key: value(sys.maxsize + 1)})
+    with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be at most sys.maxsize")):
+        load_config(**{key: value(10**400)})
+    assert getattr(PipelineConfig(**{key: value(sys.maxsize)}), key) == value(sys.maxsize)
+    assert PipelineConfig(seed=10**400).seed == 10**400
 
 
 def test_load_config_rejects_a_normalization_wavelength_outside_the_predictor_range():
