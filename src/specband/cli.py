@@ -68,10 +68,15 @@ def _config_options(*names):
 
 
 def _build_config(config_path, **flags) -> PipelineConfig:
-    if flags.get("span_candidates") is not None:
-        flags["span_candidates"] = [float(s) for s in flags["span_candidates"].split(",")]
-    if flags.get("kappa_candidates") is not None:
-        flags["kappa_candidates"] = [int(s) for s in flags["kappa_candidates"].split(",")]
+    for name, kind, noun in (("span_candidates", float, "numbers"), ("kappa_candidates", int, "integers")):
+        if flags.get(name) is not None:
+            values = []
+            for item in flags[name].split(","):
+                try:
+                    values.append(kind(item))
+                except ValueError:
+                    raise ValueError(f"--{name.replace('_', '-')} needs comma-separated {noun}, found {item!r}") from None
+            flags[name] = values
     return load_config(config_path, **flags)
 
 

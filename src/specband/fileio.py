@@ -1,7 +1,8 @@
 """File formats and persistence.
 
 Spectra travel as comma-separated text with a header line and columns
-``wavelength,flux,noise_sd`` (the noise column optional, default 0); one
+``wavelength,flux,noise_sd`` (the noise column optional, default 0), one
+cell per header column in every row and every cell a finite number; one
 file per spectrum, with the redshift carried in a JSON sidecar manifest that
 lists id, path and z per spectrum. Fitted models and bands are versioned
 JSON documents. Floats are written with ``repr``, which round-trips
@@ -45,13 +46,18 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def _dump_json(document: dict, path: Path) -> None:
+def _dump_json(kind: str, fields: dict, path: Path) -> None:
+    """Write a versioned document of ``kind``, as ``_load_json`` reads it."""
+    document = {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
     atomic_write_text(Path(path), json.dumps(document) + "\n")
 
 
 def _load_json(path: Path, expected_kind: str) -> dict:
-    with open(path) as handle:
-        document = json.load(handle)
+    try:
+        with open(path) as handle:
+            document = json.load(handle)
+    except ValueError as err:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: {err}") from None
     if not isinstance(document, dict):
         raise ValueError(f"{path}: not a JSON object (found a {type(document).__name__})")
     kind = document.get("kind")
@@ -82,8 +88,11 @@ def write_curve(path: Path, curve: Curve) -> None:
 
 def _parse_rows(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     path = Path(path)
-    with open(path) as handle:
-        lines = [line.strip() for line in handle if line.strip()]
+    try:
+        with open(path) as handle:
+            lines = [line.strip() for line in handle if line.strip()]
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
     if not lines:
         raise ValueError(f"{path}: empty spectrum file")
     header = [col.strip().lower() for col in lines[0].split(",")]
@@ -91,29 +100,23 @@ def _parse_rows(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(
             f"{path}: header must start with 'wavelength,flux', found {lines[0]!r}"
         )
-    has_noise = len(header) >= 3
-    try:  # the whole body at once; the row parser below names a bad row
-        table = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    # the table rule: one cell per header column (RFC 4180 section 2), every cell a finite number
+    body = [line.split(",") for line in lines[1:]]
+    try:
+        table = np.array(body, dtype=float).reshape(len(body), len(header))
     except ValueError:
-        table = np.empty(0)
-    if table.ndim == 2 and table.shape[1] == len(header) and np.isfinite(table).all():
-        return table[:, 0], table[:, 1], table[:, 2] if has_noise else np.zeros(len(table))
-    wl, fx, sd = [], [], []
-    for row_number, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) < 2 or (has_noise and len(cells) != len(header)):
-            raise ValueError(f"{path}, row {row_number}: malformed row {line!r}")
-        try:
-            wl.append(float(cells[0]))
-            fx.append(float(cells[1]))
-            sd.append(float(cells[2]) if has_noise and len(cells) > 2 else 0.0)
-        except ValueError:
-            raise ValueError(
-                f"{path}, row {row_number}: non-numeric value in {line!r}"
-            ) from None
-        if not (np.isfinite(wl[-1]) and np.isfinite(fx[-1]) and np.isfinite(sd[-1])):
-            raise ValueError(f"{path}, row {row_number}: non-finite value")
-    return np.asarray(wl), np.asarray(fx), np.asarray(sd)
+        table = None
+    if table is None or not np.isfinite(table).all():  # numpy converts each cell as float() does: some row fails
+        for row_number, (line, cells) in enumerate(zip(lines[1:], body), start=2):
+            if len(cells) != len(header):
+                raise ValueError(f"{path}, row {row_number}: malformed row {line!r}")
+            try:
+                values = np.array(cells, dtype=float)
+            except ValueError:
+                raise ValueError(f"{path}, row {row_number}: non-numeric value in {line!r}") from None
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}, row {row_number}: non-finite value")
+    return table[:, 0], table[:, 1], table[:, 2] if len(header) >= 3 else np.zeros(len(table))
 
 
 def read_spectrum(path: Path, redshift: float = 0.0) -> RawSpectrum:
@@ -159,10 +162,7 @@ def write_manifest(path: Path, records: Sequence[SpectrumRecord]) -> None:
         if record.predict_only:
             entry["predict_only"] = True
         entries.append(entry)
-    _dump_json(
-        {"schema_version": SCHEMA_VERSION, "kind": "spectrum_manifest", "spectra": entries},
-        Path(path),
-    )
+    _dump_json("spectrum_manifest", {"spectra": entries}, path)
 
 
 # what a manifest entry's keys must hold, and the test for each
@@ -232,16 +232,13 @@ def save_regression(model: FittedRegression, path: Path, config: PipelineConfig,
     if not (len(split) == len(rows) == len(model) // 2 and calibration.n2 == len(model) - len(rows)
             and split.semimetric == model.semimetric and all(model.pairs[i] is p for i, p in zip(rows, split.pairs))):
         raise ValueError("the calibration must be a split of the model's pairs")
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "knn_functional_regression",
+    _dump_json("knn_functional_regression", {
         "kappa": model.kappa,
         "predictors": [p.predictor.values.tolist() for p in model.pairs],
         "responses": [p.response.values.tolist() for p in model.pairs],
         "config": {name: getattr(config, name) for name in MODEL_SETTINGS},
         "split": {"rows": list(rows), "kappa": split.kappa, "scores": calibration.calibration_scores.tolist()},
-    }
-    _dump_json(document, Path(path))
+    }, path)
 
 
 def load_regression(path: Path) -> tuple[FittedRegression, dict, tuple[FittedRegression, np.ndarray]]:
@@ -289,16 +286,13 @@ def load_regression(path: Path) -> tuple[FittedRegression, dict, tuple[FittedReg
 
 def save_conformal_band(band: ConformalBand, path: Path, normalization: float) -> None:
     """``normalization``: the smoothed flux the spectrum was divided by."""
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "conformal_band",
+    _dump_json("conformal_band", {
         "alpha": band.alpha,
         "half_width": None if band.degenerate else band.half_width,
         "grid": band.center.grid.points.tolist(),
         "center": band.center.values.tolist(),
         "normalization": normalization,
-    }
-    _dump_json(document, Path(path))
+    }, path)
 
 
 def load_conformal_band(path: Path) -> tuple[ConformalBand, float]:
@@ -326,9 +320,7 @@ def load_conformal_band(path: Path) -> tuple[ConformalBand, float]:
 
 
 def save_bootstrap_band(band: BootstrapBand, path: Path) -> None:
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "bootstrap_band",
+    _dump_json("bootstrap_band", {
         "alpha": band.alpha,
         "replicates": band.replicates,
         "grid": band.fpca.grid.points.tolist(),
@@ -337,8 +329,7 @@ def save_bootstrap_band(band: BootstrapBand, path: Path) -> None:
         "envelope_upper": band.envelope_upper.values.tolist(),
         "mean": band.fpca.mean.values.tolist(),
         "components": band.fpca.components[: len(band.component_intervals)].tolist(),
-    }
-    _dump_json(document, Path(path))
+    }, path)
 
 
 # ------------------------------------------------------------- table exports

@@ -104,10 +104,6 @@ class MockRealization:
                     object.__setattr__(self, "rng", None)
         return noisy
 
-    @property
-    def noisy_flux(self) -> FloatArray:
-        return self.noisy.flux
-
 
 @dataclass(frozen=True, eq=False)
 class Realizations:
@@ -220,13 +216,6 @@ def save_model(model: MockModel, directory) -> Path:
         components.append({"path": name, "eigenvalue": float(eigenvalue)})
     manifest = directory / "mock_model.json"
     fileio._dump_json(
-        {
-            "schema_version": fileio.SCHEMA_VERSION,
-            "kind": "mock_model",
-            "mean_path": "mean.csv",
-            "sigma_path": "noise_sd.csv",
-            "components": components,
-        },
-        manifest,
+        "mock_model", {"mean_path": "mean.csv", "sigma_path": "noise_sd.csv", "components": components}, manifest
     )
     return manifest

@@ -66,6 +66,11 @@ class PipelineConfig:
         for name, value in sizes:
             if value > sys.maxsize:  # no array or index holds more
                 raise ValueError(f"config key {name!r} must be at most sys.maxsize ({sys.maxsize})")
+        for name, valid, rule in (("mock_components", self.mock_components >= 1, "at least 1"),
+                                  ("mock_eigenvalue_decay", 0.0 < self.mock_eigenvalue_decay < np.inf, "finite and positive"),
+                                  ("mock_variance_scale", 0.0 <= self.mock_variance_scale < np.inf, "finite and non-negative")):
+            if not valid:
+                raise ValueError(f"config key {name!r} must be {rule}, got {getattr(self, name)}")
         if not self.predictor_range[0] <= self.normalization_wavelength <= self.predictor_range[1]:
             raise ValueError("config key 'normalization_wavelength' must lie in predictor_range "
                              f"{list(self.predictor_range)}, got {self.normalization_wavelength}")
@@ -116,8 +121,11 @@ def load_config(path: Path | None = None, **overrides) -> PipelineConfig:
     """
     values: dict = {}
     if path is not None:
-        with open(path) as handle:
-            values = json.load(handle)
+        try:
+            with open(path) as handle:
+                values = json.load(handle)
+        except ValueError as err:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: {err}") from None
         if not isinstance(values, dict):
             raise ValueError(f"{path}: config must be a JSON object, not a {type(values).__name__}")
     values.update({k: v for k, v in overrides.items() if v is not None})

@@ -384,6 +384,57 @@ def test_fit_rejects_a_manifest_that_is_not_a_json_object(runner, config_path, t
     assert result.output.strip() == f"error: {manifest}: not a JSON object (found a list)"
 
 
+@pytest.mark.parametrize("kind", ["manifest", "model", "config", "band", "spectrum"])
+def test_a_file_that_is_not_json_or_not_utf8_is_named(runner, config_path, mock_dir, model_path, pred_dir, tmp_path, kind):
+    manifest = mock_dir / "manifest.json"
+    broken = {"manifest": manifest, "model": model_path, "config": config_path,
+              "band": pred_dir / "mock_0003_band.json", "spectrum": mock_dir / "spectra" / "mock_0002.csv"}[kind]
+    if kind == "spectrum":
+        broken.write_bytes(broken.read_bytes().replace(b"\n", b"\n\xff", 1))
+        message = "'utf-8' codec can't decode byte 0xff in position 25: invalid start byte"
+    else:
+        broken.write_text('{"schema_version": 1, x}')
+        message = "Expecting property name enclosed in double quotes: line 1 column 23 (char 22)"
+    args = {"manifest": ["fit", "--manifest", str(manifest), "--out", str(tmp_path / "m.json")],
+            "model": ["predict", "--model", str(model_path), "--manifest", str(manifest), "--out", str(tmp_path / "p")],
+            "config": ["mockgen", "--config", str(config_path), "--out", str(tmp_path / "mocks")],
+            "band": ["eval", "--predictions", str(pred_dir), "--manifest", str(manifest), "--out", str(tmp_path / "e")],
+            "spectrum": ["fit", "--manifest", str(manifest), "--out", str(tmp_path / "m.json")]}[kind]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == f"error: {broken}: {message}"
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--kappa-candidates", "2,x", "--kappa-candidates needs comma-separated integers, found 'x'"),
+     ("--kappa-candidates", "2.5", "--kappa-candidates needs comma-separated integers, found '2.5'"),
+     ("--span-candidates", "0.5,,0.7", "--span-candidates needs comma-separated numbers, found ''")],
+    ids=["kappa-text", "kappa-float", "span-empty"],
+)
+def test_a_bad_candidate_list_names_its_flag_and_item(runner, mock_dir, tmp_path, flag, value, message):
+    result = runner.invoke(main, ["fit", flag, value, "--manifest", str(mock_dir / "manifest.json"),
+                                  "--out", str(tmp_path / "m.json")])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize(
+    "key, value, rule",
+    [("mock_variance_scale", -1.0, "finite and non-negative"), ("mock_variance_scale", float("inf"), "finite and non-negative"),
+     ("mock_eigenvalue_decay", 0.0, "finite and positive"), ("mock_eigenvalue_decay", float("inf"), "finite and positive"),
+     ("mock_components", 0, "at least 1")],
+    ids=["variance-scale", "variance-scale-inf", "eigenvalue-decay", "eigenvalue-decay-inf", "components"],
+)
+def test_mockgen_names_the_config_key_of_a_model_setting_it_cannot_use(runner, tmp_path, key, value, rule):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    result = runner.invoke(main, ["mockgen", "--config", str(path), "--out", str(tmp_path / "mocks")])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip() == f"error: config key {key!r} must be {rule}, got {value}"
+    assert not (tmp_path / "mocks").exists()
+
+
 def test_fit_skips_predict_only_spectra(runner, config_path, mock_dir, tmp_path):
     records, paths = _unusable_spectra(mock_dir, tmp_path)
     usable = records[6]

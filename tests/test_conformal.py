@@ -259,3 +259,17 @@ def test_marginal_coverage_on_synthetic_pairs():
         hits += contains(b, pairs[12].response)
     # true coverage >= 0.8; 60 trials put the 3-sigma floor near 0.63
     assert hits / reps >= 0.63
+
+
+@pytest.mark.parametrize("scores, alpha, message", [
+    ([], 0.1, "calibration needs at least one score"),
+    ([-1.0, 0.5], 0.1, "conformity scores must be finite and non-positive"),
+    ([-1.0, -np.inf], 0.1, "conformity scores must be finite and non-positive"),
+    ([np.nan, -1.0], 0.1, "conformity scores must be finite and non-positive"),
+    ([-1.0], 0.0, "alpha must be in"),
+    ([-1.0], 1.0, "alpha must be in"),
+], ids=["empty", "positive", "infinite", "nan", "alpha-0", "alpha-1"])
+def test_calibration_rejects_scores_or_an_alpha_it_cannot_rank(scores, alpha, message):
+    with pytest.raises(ValueError, match=message):
+        _calibration(scores, alpha)
+    assert _calibration([-1.0, -0.0], 0.5).n2 == 2

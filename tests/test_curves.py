@@ -352,3 +352,10 @@ def test_trapezoid_weights_integrate_linear_functions_exactly():
     w = trapezoid_weights(pts)
     assert np.sum(w) == pytest.approx(3.5)
     assert np.sum(w * pts) == pytest.approx(np.trapezoid(pts, pts))
+
+
+def test_raw_spectrum_rejects_columns_of_unequal_length():
+    wl = np.arange(1.0, 13.0)
+    for flux, sd in ((np.ones(11), np.zeros(12)), (np.ones(12), np.zeros(13))):
+        with pytest.raises(ValueError, match="wavelengths, flux and noise_sd must have equal length"):
+            RawSpectrum(wl, flux, sd)

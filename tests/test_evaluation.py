@@ -135,3 +135,17 @@ def test_coverage_length_mismatch():
     with pytest.raises(ValueError, match="bands for"):
         coverage_rate([band], [_curve(1.0), _curve(1.0)])
 
+
+
+def test_summary_rejects_unordered_quartiles():
+    curves = dict(mean=_curve(1.0), median=_curve(1.0), q1=_curve(0.5), q3=_curve(1.5),
+                  ci_lower=_curve(0.9), ci_upper=_curve(1.1))
+    ErrorSummary(**curves)
+    for odd in ({"q1": _curve(1.25)}, {"q3": _curve(0.75)}):
+        with pytest.raises(ValueError, match="quartiles must be ordered"):
+            ErrorSummary(**{**curves, **odd})
+
+
+def test_coverage_of_no_bands_is_rejected():
+    with pytest.raises(ValueError, match="need at least one band"):
+        coverage_rate([], [])

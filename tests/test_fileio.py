@@ -52,19 +52,43 @@ def test_spectrum_without_noise_column(tmp_path):
     assert np.all(spectrum.noise_sd == 0.0)
 
 
-def test_one_pass_parse_defers_to_the_row_parser(tmp_path):
-    # a third numeric cell under a two-column header is ignored, row by row:
-    # the body is 12 x 3 and must not be read as 18 x 2
-    path = tmp_path / "extra.csv"
-    path.write_text("\n".join(["wavelength,flux"] + [f"{1000.0 + i},{i}.5,9" for i in range(12)]) + "\n")
-    curve = read_curve(path)
-    assert np.array_equal(curve.grid.points, 1000.0 + np.arange(12))
-    assert np.array_equal(curve.values, np.arange(12) + 0.5)
+def test_a_row_that_breaks_the_table_rule_is_named(tmp_path):
+    # one cell per header column, every cell a finite number; the first row
+    # that breaks the rule is named with its file, whatever the rows after it
+    path = tmp_path / "bad.csv"
     rows = [f"{1000.0 + i},1.0,0.1" for i in range(12)]
-    for row, message in [("1011.5,1.0", "row 14: malformed row"), ("1011.5,nan,0.1", "row 14: non-finite")]:
-        path.write_text("\n".join(["wavelength,flux,noise_sd", *rows, row]) + "\n")
-        with pytest.raises(ValueError, match=message):
-            read_spectrum(path)
+    cases = [
+        (["wavelength,flux"] + [f"{1000.0 + i},{i}.5,9" for i in range(12)], "row 2: malformed row '1000.0,0.5,9'"),
+        (["wavelength,flux"] + [f"{1000.0 + i},1.0" for i in range(12)] + ["1012.0,1.0,9"],
+         "row 14: malformed row '1012.0,1.0,9'"),
+        (["wavelength,flux,noise_sd,mask"] + [r + ",0" for r in rows[:5]] + [rows[5] + ",bad"] + [r + ",1" for r in rows[6:]],
+         "row 7: non-numeric value in '1005.0,1.0,0.1,bad'"),
+        (["wavelength,flux,noise_sd", *rows, "1011.5,1.0"], "row 14: malformed row '1011.5,1.0'"),
+        (["wavelength,flux,noise_sd", *rows, "1011.5,x,0.1", "1011.6,1.0"], "row 14: non-numeric value in '1011.5,x,0.1'"),
+        (["wavelength,flux,noise_sd", *rows, "1011.5,nan,0.1"], "row 14: non-finite value"),
+    ]
+    for lines, message in cases:
+        path.write_text("\n".join(lines) + "\n")
+        for reader in (read_spectrum, read_curve):
+            with pytest.raises(ValueError) as err:
+                reader(path)
+            assert str(err.value) == f"{path}, {message}"
+
+
+def test_a_numeric_mask_column_is_read_and_ignored(tmp_path):
+    path = tmp_path / "masked.csv"
+    path.write_text("wavelength,flux,noise_sd,mask\n" + "".join(f"{1000.0 + i},{i}.5,0.25,{i % 2}\n" for i in range(12)))
+    spectrum = read_spectrum(path)
+    assert np.array_equal(spectrum.flux, np.arange(12) + 0.5)
+    assert np.array_equal(spectrum.noise_sd, np.full(12, 0.25))
+
+
+def test_a_spectrum_file_that_is_not_utf8_is_named(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"wavelength,flux\n1000.0,\xff\n")
+    for reader in (read_spectrum, read_curve):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: 'utf-8' codec can't decode byte 0xff")):
+            reader(path)
 
 
 def test_bad_header_is_rejected(tmp_path):
@@ -183,6 +207,24 @@ def test_json_list_document_is_a_value_error_naming_the_file(tmp_path, reader):
     with pytest.raises(ValueError) as excinfo:
         reader(path)
     assert str(excinfo.value) == f"{path}: not a JSON object (found a list)"
+
+
+@pytest.mark.parametrize(
+    "reader", [read_manifest, load_regression, load_conformal_band, load_config],
+    ids=["manifest", "model", "band", "config"],
+)
+@pytest.mark.parametrize(
+    "content, message",
+    [(b'{"schema_version": 1, x}', "Expecting property name enclosed in double quotes: line 1 column 23 (char 22)"),
+     (b'{"kind": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte")],
+    ids=["not-json", "not-utf8"],
+)
+def test_a_document_that_is_not_json_or_not_utf8_is_named(tmp_path, reader, content, message):
+    path = tmp_path / "document.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError) as excinfo:
+        reader(path)
+    assert str(excinfo.value) == f"{path}: {message}"
 
 
 def test_regression_round_trip_reproduces_predictions_bitwise(tmp_path):

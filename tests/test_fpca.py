@@ -273,3 +273,18 @@ def test_scree_rows_cover_full_spectrum():
     assert rows[-1][2] == pytest.approx(1.0)
     fractions = [r[2] for r in rows]
     assert all(a <= b + 1e-12 for a, b in zip(fractions, fractions[1:]))
+
+
+@pytest.mark.parametrize("eigenvalues, message", [
+    ([1.0, 2.0], "eigenvalues must be sorted non-increasing"),
+    ([1.0, -1e-9], "eigenvalues must be non-negative up to roundoff"),
+], ids=["increasing", "negative"])
+def test_model_rejects_increasing_or_negative_eigenvalues(eigenvalues, message):
+    with pytest.raises(ValueError, match=message):
+        FpcaModel(Curve(GRID, np.zeros(60)), np.ones((2, 60)), np.array(eigenvalues))
+    assert FpcaModel(Curve(GRID, np.zeros(60)), np.ones((2, 60)), np.array([1.0, -1e-11])).m == 2
+
+
+def test_fit_of_no_curves_is_rejected():
+    with pytest.raises(ValueError, match="need at least one curve"):
+        fit_fpca([], m=1)

@@ -122,21 +122,6 @@ def test_item_i_is_the_draw_of_the_i_th_child_seed():
                 assert mock.noisy is mock.noisy
 
 
-def test_threads_racing_on_first_reads_of_noisy_see_the_same_bits():
-    mocks = list(generate(_default_model(), 50, seed=29))
-    expected = [m.noisy_flux.tobytes() for m in mocks]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            seen = [f.result(timeout=60) for f in [
-                pool.submit(lambda: [m.noisy.flux.tobytes() for m in mocks]) for _ in range(4)]]
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(flux == expected for flux in seen)
-    assert all(m.noisy.flux is m.noisy_flux for m in mocks)
-
-
 def test_threads_racing_on_the_first_read_of_noisy_draw_its_noise_once():
     """A mock's noise is drawn when .noisy is first read: threads racing on that
     read share one draw, and the mock then drops its generator."""
@@ -274,3 +259,18 @@ def test_model_rejects_eigenspectra_that_are_not_finite_rows_on_the_grid(xi, mes
     model = _default_model()
     with pytest.raises(ValueError, match=message):
         MockModel(model.mu, xi(model.xi), model.eigenvalues, model.sigma)
+
+
+def test_model_rejects_negative_eigenvalues_or_noise():
+    model = _default_model()
+    with pytest.raises(ValueError, match="eigenvalues must be non-negative"):
+        MockModel(model.mu, model.xi, np.where(np.arange(10) == 3, -1.0, model.eigenvalues), model.sigma)
+    with pytest.raises(ValueError, match="noise sd must be non-negative"):
+        MockModel(model.mu, model.xi, model.eigenvalues, model.sigma.with_values(-model.sigma.values))
+
+
+def test_more_components_than_grid_points_cannot_be_orthonormalized():
+    grid = WavelengthGrid.uniform(1050.0, 1600.0, 2)
+    assert synthetic_model(grid, n_components=2).xi.shape == (2, 2)
+    with pytest.raises(ValueError, match="cannot orthonormalize component 3 on a 2-point grid"):
+        synthetic_model(grid, n_components=3)

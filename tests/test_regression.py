@@ -799,3 +799,8 @@ def test_one_kappa_predictions_weights_and_scores_keep_their_bits(semimetric, ka
     scores = -np.max(np.abs(model.response_matrix[held_out]
                             - one_kappa_predict_many(fitted, model.predictor_matrix[held_out])), axis=1)
     assert cal.calibration_scores.tobytes() == scores.tobytes()
+
+
+def test_a_regression_on_one_pair_is_rejected():
+    with pytest.raises(ValueError, match="a fitted regression needs at least 2 training pairs"):
+        FittedRegression((_pair(np.zeros(101), np.zeros(40)),), SemimetricSpec.parse("l2"), KERNEL, 1)

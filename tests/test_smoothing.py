@@ -285,3 +285,24 @@ def test_batch_span_cv_is_the_one_spectrum_span_cv_row_by_row():
         assert np.array_equal(span_cv_table(lam, row[None], spans)[0], scores)
         assert select_spans(lam, row[None], spans) == [span]
         assert np.array_equal(_smooth(lam, row, (lam[0], lam[-1]), span, grid), values)
+
+
+# 2**60 - (1 + k * eps) rounds to -2**60 for every k: from a point that far,
+# clustered samples all lie at one distance, and no window has 3 strictly inside
+CLUSTER = 1.0 + np.arange(19) * np.finfo(float).eps
+FAR = 2.0**60
+
+
+def test_a_window_whose_samples_all_tie_in_distance_is_rejected():
+    grid = WavelengthGrid(np.array([1.0, FAR]))
+    with pytest.raises(ValueError) as err:
+        smooth_block(CLUSTER[:9], np.ones((1, 9)), (1.0, FAR), [0.5], grid)
+    assert str(err.value) == f"singular local fit at wavelength {FAR}: fewer than 3 samples carry positive weight"
+
+
+def test_spans_are_rejected_when_every_candidate_fails_to_fit():
+    # the odd fold holds the far sample, which the even fold's clustered samples cannot fit
+    lam = np.append(CLUSTER, FAR)
+    assert np.isinf(span_cv_table(lam, np.ones((1, 20)), SPANS)).all()
+    with pytest.raises(ValueError, match="every candidate span failed to fit"):
+        select_spans(lam, np.ones((1, 20)), SPANS)

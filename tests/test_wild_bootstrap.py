@@ -402,3 +402,16 @@ def test_band_interval_order_is_validated():
             alpha=0.1,
             replicates=4,
         )
+
+
+def test_bands_reject_an_fpca_with_too_few_components_or_off_the_response_grid():
+    rng = np.random.default_rng(45)
+    pairs = _pairs(rng, 6)
+    model = FittedRegression(pairs, L2, KERNEL, kappa=2)
+    x = Curve(PRED_GRID, rng.normal(size=40))
+    config = WildBootstrapConfig(replicates=64, components=2, alpha=0.5, seed=1)
+    with pytest.raises(ValueError, match="config asks for 2 components but the FPCA model holds 1"):
+        bootstrap_bands(pairs, model, x, fit_fpca([p.response for p in pairs], m=1), config)
+    off_grid = WavelengthGrid(RESP_GRID.points + 0.5)
+    with pytest.raises(ValueError, match="the FPCA model is not on the regression's response grid"):
+        bootstrap_bands(pairs, model, x, fit_fpca([Curve(off_grid, p.response.values) for p in pairs], m=2), config)
