@@ -11,11 +11,12 @@ nearest the normalization wavelength before entering the regression.
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .conformal import MIN_PAIRS
 from .curves import Curve, CurvePair, RawSpectrum, WavelengthGrid, are_numbers, nearest_index, to_rest_frame
 from .regression import FittedRegression, KernelSpec, fit_kappa
-from .semimetrics import SemimetricSpec
+from .semimetrics import TOKENS, SemimetricSpec
 from .smoothing import in_range, select_spans, smooth_block
 
 
@@ -49,41 +50,14 @@ class PipelineConfig:
     mock_noise_level: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.response_range[1] >= self.predictor_range[0]:
-            raise ValueError(
-                "response range must end strictly below the predictor range"
-            )
-        for low, high in (self.predictor_range, self.response_range):
-            if low >= high:
-                raise ValueError(f"empty wavelength range [{low}, {high}]")
-        for name in ("predictor_points", "response_points", "mock_grid_points"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"config key {name!r} must be at least 2, got {getattr(self, name)}")
-        sizes = [(name, getattr(self, name)) for name in (
-            "predictor_points", "response_points", "mock_grid_points", "mock_count", "mock_components",
-            "bootstrap_replicates", "bootstrap_components")]
-        sizes += [("kappa_candidates", kappa) for kappa in self.kappa_candidates]
-        for name, value in sizes:
-            if value > sys.maxsize:  # no array or index holds more
-                raise ValueError(f"config key {name!r} must be at most sys.maxsize ({sys.maxsize})")
-        for name, valid, rule in (("mock_components", self.mock_components >= 1, "at least 1"),
-                                  ("mock_eigenvalue_decay", 0.0 < self.mock_eigenvalue_decay < np.inf, "finite and positive"),
-                                  ("mock_variance_scale", 0.0 <= self.mock_variance_scale < np.inf, "finite and non-negative")):
-            if not valid:
-                raise ValueError(f"config key {name!r} must be {rule}, got {getattr(self, name)}")
-        if not self.predictor_range[0] <= self.normalization_wavelength <= self.predictor_range[1]:
-            raise ValueError("config key 'normalization_wavelength' must lie in predictor_range "
-                             f"{list(self.predictor_range)}, got {self.normalization_wavelength}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-        if min(self.kappa_candidates, default=0) < 1:
-            raise ValueError("every kappa candidate (at least one) must be at least 1, "
-                             f"got kappa_candidates={self.kappa_candidates}")
-        SemimetricSpec(self.semimetric)
-        if not self.span_candidates:
-            raise ValueError("span_candidates must not be empty")
-        if not all(0.0 < s <= 1.0 for s in self.span_candidates):
-            raise ValueError("every candidate span must be in (0, 1]")
+        """Check each key by its rule in ``_RULES``; a list becomes a tuple of its items as the key's type."""
+        for name, (kind, many, rule, valid) in _RULES.items():
+            value = getattr(self, name)
+            typed = _is(value, kind, many)
+            if typed and many:
+                object.__setattr__(self, name, tuple(map(kind, value)))
+            if not (typed and valid(getattr(self, name), self)):
+                raise ValueError(f"config key {name!r} must be {rule}, got {value!r}")
 
     def predictor_grid(self) -> WavelengthGrid:
         return WavelengthGrid.uniform(*self.predictor_range, self.predictor_points)
@@ -101,23 +75,55 @@ class PipelineConfig:
 MODEL_SETTINGS = ("predictor_range", "response_range", "predictor_points", "response_points",
                   "normalization_wavelength", "semimetric", "kappa_candidates", "span_candidates")
 
-_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(PipelineConfig)}
-# a tuple field's items take the type of its default's items
-_TUPLE_FIELDS = {f.name: type(f.default[0]) for f in dataclasses.fields(PipelineConfig) if _FIELD_TYPES[f.name] is tuple}
+
+def _is(value, kind: type, many: bool) -> bool:
+    """Whether ``value`` is a ``kind``, or with ``many`` a list or tuple of them: a float is a
+    finite number by the one number rule (``curves.are_numbers``), an int any Integral, and no bool."""
+    if many != isinstance(value, (list, tuple)):
+        return False
+    values = list(value) if many else [value]
+    if kind is float:
+        return are_numbers(values) and all(map(math.isfinite, values))
+    return all(isinstance(v, Integral if kind is int else kind) and not isinstance(v, bool) for v in values)
 
 
-def _check_type(name: str, value, kind: type) -> None:
-    """Type check on JSON values: a float must be a number (``curves.are_numbers``), a bool passes as nothing."""
-    if not (are_numbers([value]) if kind is float else isinstance(value, kind) and not isinstance(value, bool)):
-        raise ValueError(f"config key {name!r} needs {kind.__name__} values, got {value!r}")
+# no array or index holds more than sys.maxsize items
+_GRID = (int, False, "an integer from 2 to sys.maxsize", lambda v, c: 2 <= v <= sys.maxsize)
+_COUNT = (int, False, "an integer from 1 to sys.maxsize", lambda v, c: 1 <= v <= sys.maxsize)
+# each key's rule: its item type, whether it takes a list of them, the rule's
+# words and its range test, which reads the value and the config; checked in
+# this order, so a test may read the keys above its own
+_RULES = {
+    "predictor_range": (float, True, "two finite numbers, 0 < low < high", lambda v, c: len(v) == 2 and 0 < v[0] < v[1]),
+    "response_range": (float, True, "two finite numbers, 0 < low < high < predictor_range's low",
+                       lambda v, c: len(v) == 2 and 0 < v[0] < v[1] < c.predictor_range[0]),
+    "predictor_points": _GRID,
+    "response_points": _GRID,
+    "normalization_wavelength": (float, False, "a number in predictor_range",
+                                 lambda v, c: c.predictor_range[0] <= v <= c.predictor_range[1]),
+    "semimetric": (str, False, f"one of {', '.join(map(repr, TOKENS))}", lambda v, c: v in TOKENS),
+    "kappa_candidates": (int, True, "a non-empty list of integers from 1 to sys.maxsize",
+                         lambda v, c: v and 1 <= min(v) and max(v) <= sys.maxsize),
+    "span_candidates": (float, True, "a non-empty list of numbers in (0, 1]", lambda v, c: v and 0 < min(v) and max(v) <= 1),
+    "alpha": (float, False, "a number in (0, 1)", lambda v, c: 0 < v < 1),
+    "bootstrap_replicates": _COUNT,
+    "bootstrap_components": _COUNT,
+    "seed": (int, False, "a non-negative integer", lambda v, c: v >= 0),
+    "mock_count": _COUNT,
+    "mock_grid_points": _GRID,
+    "mock_components": _COUNT,
+    "mock_eigenvalue_decay": (float, False, "a finite positive number", lambda v, c: v > 0),
+    "mock_variance_scale": (float, False, "a finite non-negative number", lambda v, c: v >= 0),
+    "mock_noise_level": (float, False, "a finite non-negative number", lambda v, c: v >= 0),
+}
 
 
 def load_config(path: Path | None = None, **overrides) -> PipelineConfig:
     """Config from an optional JSON file, updated with keyword overrides.
 
     Overrides whose value is None are ignored, so CLI flags can be passed
-    through unconditionally. A value of the wrong type is a ``ValueError``
-    naming its key.
+    through unconditionally. An unknown key, or a value its rule in
+    ``_RULES`` rejects, is a ``ValueError`` naming the key.
     """
     values: dict = {}
     if path is not None:
@@ -129,18 +135,9 @@ def load_config(path: Path | None = None, **overrides) -> PipelineConfig:
         if not isinstance(values, dict):
             raise ValueError(f"{path}: config must be a JSON object, not a {type(values).__name__}")
     values.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(values) - set(_FIELD_TYPES)
+    unknown = set(values) - set(_RULES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for name, value in values.items():
-        if name in _TUPLE_FIELDS:
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"config key {name!r} needs a list, got {value!r}")
-            for item in value:
-                _check_type(name, item, _TUPLE_FIELDS[name])
-            values[name] = tuple(_TUPLE_FIELDS[name](v) for v in value)
-        else:
-            _check_type(name, value, _FIELD_TYPES[name])
     return PipelineConfig(**values)
 
 

@@ -1,5 +1,9 @@
+import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import click
@@ -27,7 +31,7 @@ from specband.fileio import (
 )
 from specband.fpca import fit_fpca
 from specband.mockgen import MockModel, generate
-from specband.pipeline import MODEL_SETTINGS, load_config, smooth_spectra
+from specband.pipeline import _RULES, MODEL_SETTINGS, PipelineConfig, load_config, smooth_spectra
 from specband.regression import predict
 from specband.wild_bootstrap import WildBootstrapConfig, bootstrap_bands
 
@@ -49,6 +53,9 @@ CONFIG = {
 # (fit took the seed for its conformal split from CONFIG)
 QUERY_FLAGS = ["--alpha", "0.2"]
 BOOTSTRAP_FLAGS = ["--seed", "7", *QUERY_FLAGS, "-m", "2", "-B", "50"]
+# the rule words of the two candidate-list keys, as their errors give them
+KAPPA_RULE = "a non-empty list of integers from 1 to sys.maxsize"
+SPAN_RULE = "a non-empty list of numbers in (0, 1]"
 
 
 @pytest.fixture()
@@ -421,9 +428,10 @@ def test_a_bad_candidate_list_names_its_flag_and_item(runner, mock_dir, tmp_path
 
 @pytest.mark.parametrize(
     "key, value, rule",
-    [("mock_variance_scale", -1.0, "finite and non-negative"), ("mock_variance_scale", float("inf"), "finite and non-negative"),
-     ("mock_eigenvalue_decay", 0.0, "finite and positive"), ("mock_eigenvalue_decay", float("inf"), "finite and positive"),
-     ("mock_components", 0, "at least 1")],
+    [("mock_variance_scale", -1.0, "a finite non-negative number"),
+     ("mock_variance_scale", float("inf"), "a finite non-negative number"),
+     ("mock_eigenvalue_decay", 0.0, "a finite positive number"), ("mock_eigenvalue_decay", float("inf"), "a finite positive number"),
+     ("mock_components", 0, "an integer from 1 to sys.maxsize")],
     ids=["variance-scale", "variance-scale-inf", "eigenvalue-decay", "eigenvalue-decay-inf", "components"],
 )
 def test_mockgen_names_the_config_key_of_a_model_setting_it_cannot_use(runner, tmp_path, key, value, rule):
@@ -431,7 +439,7 @@ def test_mockgen_names_the_config_key_of_a_model_setting_it_cannot_use(runner, t
     path.write_text(json.dumps({key: value}))
     result = runner.invoke(main, ["mockgen", "--config", str(path), "--out", str(tmp_path / "mocks")])
     assert result.exit_code == 2, result.output
-    assert result.output.strip() == f"error: config key {key!r} must be {rule}, got {value}"
+    assert result.output == f"error: config key {key!r} must be {rule}, got {value}\n"
     assert not (tmp_path / "mocks").exists()
 
 
@@ -653,9 +661,11 @@ def _query_args(command, mock_dir):
     [
         (lambda record: record.clear(), "model has no 'config'"),
         (lambda record: record.pop("span_candidates"), "model has no 'config'"),
-        (lambda record: record.update(span_candidates=[0.5, 1.5]), "candidate span"),
+        (lambda record: record.update(span_candidates=[0.5, 1.5]),
+         "config key 'span_candidates' must be a non-empty list of numbers in (0, 1], got [0.5, 1.5]"),
         (lambda record: record.update(predictor_points="40"), "'predictor_points'"),
-        (lambda record: record.update(semimetric="foo"), "unknown semimetric 'foo'"),
+        (lambda record: record.update(semimetric="foo"),
+         "config key 'semimetric' must be one of 'l2', 'deriv1', 'deriv2', got 'foo'"),
         # the `span` key that older models carry
         (lambda record: record.update(span=None),
          f"model has no 'config' recording {list(MODEL_SETTINGS)} (its keys differ in ['span'])"),
@@ -664,9 +674,9 @@ def _query_args(command, mock_dir):
          f"model has no 'config' recording {list(MODEL_SETTINGS)} (its keys differ in ['semimetric'])"),
         # JSON integers have no size limit; one that no float holds is not a number
         (lambda record: record.update(span_candidates=[0.3, 10**400]),
-         f"config key 'span_candidates' needs float values, got {10**400!r}"),
+         f"config key 'span_candidates' must be a non-empty list of numbers in (0, 1], got [0.3, {10**400!r}]"),
         (lambda record: record.update(predictor_range=[1300.0, 10**400]),
-         f"config key 'predictor_range' needs float values, got {10**400!r}"),
+         f"config key 'predictor_range' must be two finite numbers, 0 < low < high, got [1300.0, {10**400!r}]"),
     ],
     ids=["no-record", "partial-record", "bad-span", "bad-type", "bad-semimetric", "old-span-record",
          "old-grids-record", "span-int-beyond-float", "range-int-beyond-float"],
@@ -743,7 +753,7 @@ def test_bad_flag_value_is_not_blamed_on_the_model(runner, mock_dir, model_path,
         main, [command, "--model", str(model_path), *query, "--alpha", "1.5", "--out", str(tmp_path / "out")]
     )
     assert result.exit_code == 2, result.output
-    assert result.output.strip() == "error: alpha must be in (0, 1)"
+    assert result.output == "error: config key 'alpha' must be a number in (0, 1), got 1.5\n"
 
 
 def _eval(runner, pred_dir, manifest, out):
@@ -895,13 +905,24 @@ def test_commands_take_only_the_config_flags_they_read():
         assert options & set(CONFIG_FLAGS) == kept, command
 
 
+def _readme_table(header: str) -> list[list[str]]:
+    """The cells of each row of the README table under the header row ``header``."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index(header) + 2  # past the header and its |---| row
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]])
+    return rows
+
+
 def _readme_flag_table() -> dict[str, set[str]]:
     """Each command's flags, both columns, as the README's command table lists them."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = {}
-    for row in re.findall(r"^\| `(\w+)` \|(.*)\|$", text, flags=re.MULTILINE):
-        code = " ".join(re.findall(r"`([^`]*)`", row[1]))
-        table[row[0]] = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", code))
+    for command, *cells in _readme_table("| command | config flags | its own flags |"):
+        code = " ".join(re.findall(r"`([^`]*)`", " ".join(cells)))
+        table[command.strip("`")] = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", code))
     return table
 
 
@@ -911,6 +932,16 @@ def test_readme_flag_table_lists_each_commands_options():
     for name, command in main.commands.items():
         options = {opt for param in command.params if isinstance(param, click.Option) for opt in param.opts}
         assert table[name] == options, name
+
+
+def test_readme_config_table_lists_each_keys_default_and_rule():
+    """One row per config key, in the rule table's order, with its default as
+    JSON and the words of its rule, which are the words of its error."""
+    defaults = PipelineConfig()
+    rows = [(key.strip("`"), default.strip("`"), rule)
+            for key, default, rule in _readme_table("| config key | default | takes |")]
+    assert rows == [(key, json.dumps(getattr(defaults, key)), rule) for key, (_, _, rule, _) in _RULES.items()]
+    assert [key for key, _, _ in rows] == [field.name for field in dataclasses.fields(PipelineConfig)]
 
 
 @pytest.mark.parametrize(
@@ -929,7 +960,7 @@ def test_removed_config_flags_are_rejected(runner, command, flag):
         ({"kappa_candidates": 5}, "'kappa_candidates'"),
         ({"span_candidates": ["0.3"]}, "'span_candidates'"),
         ([1, 2], "config must be a JSON object"),
-        ({"span_candidates": [10**400]}, "error: config key 'span_candidates' needs float values, got 1000"),
+        ({"span_candidates": [10**400]}, f"error: config key 'span_candidates' must be {SPAN_RULE}, got [{10**400!r}]"),
     ],
 )
 def test_malformed_config_exits_with_code_two(runner, mock_dir, tmp_path, document, message):
@@ -960,18 +991,20 @@ def test_config_with_a_fixed_value_key_is_rejected_naming_the_key(runner, mock_d
 @pytest.mark.parametrize(
     "document, message",
     [
-        ({"kappa_candidates": [0]}, "got kappa_candidates=(0,)"),
-        ({"kappa_candidates": []}, "kappa_candidates=()"),
-        ({"kappa_candidates": [0, 2]}, "kappa_candidates=(0, 2)"),
-        ({"span_candidates": [1.5]}, "span must be in (0, 1]"),
-        ({"span_candidates": []}, "span_candidates must not be empty"),
-        ({"predictor_points": 1}, "error: config key 'predictor_points' must be at least 2, got 1"),
-        ({"mock_grid_points": 0}, "error: config key 'mock_grid_points' must be at least 2, got 0"),
+        ({"kappa_candidates": [0]}, f"error: config key 'kappa_candidates' must be {KAPPA_RULE}, got [0]"),
+        ({"kappa_candidates": []}, f"kappa_candidates' must be {KAPPA_RULE}, got []"),
+        ({"kappa_candidates": [0, 2]}, f"kappa_candidates' must be {KAPPA_RULE}, got [0, 2]"),
+        ({"span_candidates": [1.5]}, f"error: config key 'span_candidates' must be {SPAN_RULE}, got [1.5]"),
+        ({"span_candidates": []}, f"span_candidates' must be {SPAN_RULE}, got []"),
+        ({"predictor_points": 1}, "error: config key 'predictor_points' must be an integer from 2 to sys.maxsize, got 1"),
+        ({"mock_grid_points": 0}, "error: config key 'mock_grid_points' must be an integer from 2 to sys.maxsize, got 0"),
         ({"normalization_wavelength": 1200.0},
-         "error: config key 'normalization_wavelength' must lie in predictor_range [1300.0, 1600.0], got 1200.0"),
-        ({"predictor_range": [1600.0, 1300.0]}, "error: empty wavelength range [1600.0, 1300.0]"),
-        ({"predictor_points": 10**400}, "error: config key 'predictor_points' must be at most sys.maxsize"),
-        ({"kappa_candidates": [2, 10**400]}, "error: config key 'kappa_candidates' must be at most sys.maxsize"),
+         "error: config key 'normalization_wavelength' must be a number in predictor_range, got 1200.0"),
+        ({"predictor_range": [1600.0, 1300.0]},
+         "error: config key 'predictor_range' must be two finite numbers, 0 < low < high, got [1600.0, 1300.0]"),
+        ({"predictor_points": 10**400},
+         f"error: config key 'predictor_points' must be an integer from 2 to sys.maxsize, got {10**400}"),
+        ({"kappa_candidates": [2, 10**400]}, f"error: config key 'kappa_candidates' must be {KAPPA_RULE}, got [2, {10**400}]"),
     ],
 )
 def test_fit_range_checks_its_config_before_reading_a_spectrum(
@@ -1059,8 +1092,8 @@ def test_eval_names_the_spectrum_whose_truth_does_not_cover_its_prediction(runne
 
 @pytest.mark.parametrize(
     "value, message",
-    [(10**400, f"config key 'mock_noise_level' needs float values, got {10**400!r}"),
-     (-0.05, "noise_level must be non-negative")],
+    [(10**400, f"config key 'mock_noise_level' must be a finite non-negative number, got {10**400!r}"),
+     (-0.05, "config key 'mock_noise_level' must be a finite non-negative number, got -0.05")],
     ids=["int-beyond-float", "negative"],
 )
 def test_mockgen_rejects_a_noise_level_it_cannot_use(runner, tmp_path, value, message):
@@ -1070,6 +1103,75 @@ def test_mockgen_rejects_a_noise_level_it_cannot_use(runner, tmp_path, value, me
     assert result.exit_code == 2, result.output
     assert result.output.strip() == f"error: {message}"
     assert not (tmp_path / "mocks").exists()
+
+
+def _python_m_specband(*args):
+    """``python -m specband`` in a fresh interpreter, this checkout's ``src`` first on its path."""
+    path = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "specband", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=False)
+
+
+def test_python_m_specband_runs_the_command_line():
+    result = _python_m_specband("--help")
+    assert result.returncode == 0, result.stderr
+    commands = re.findall(r"^  (\w+)\s", result.stdout.split("Commands:")[1], flags=re.MULTILINE)
+    assert sorted(commands) == sorted(main.commands) == ["bootstrap", "eval", "fit", "mockgen", "predict"]
+
+
+@pytest.mark.parametrize(
+    "command, document, message",
+    [("fit", {"predictor_range": [1300.0, float("inf")]},
+      "config key 'predictor_range' must be two finite numbers, 0 < low < high, got [1300.0, inf]"),
+     ("mockgen", {"mock_noise_level": float("inf")},
+      "config key 'mock_noise_level' must be a finite non-negative number, got inf")],
+    ids=["fit-range", "mockgen-noise-level"],
+)
+def test_a_non_finite_config_value_exits_two_with_only_the_error_on_stderr(tmp_path, command, document, message):
+    """In a fresh interpreter, under no warning filter of the test run: the
+    value is rejected before any arithmetic on it can warn."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))  # inf is written as JSON's Infinity, which json.load reads back
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{}")  # fit checks its config before it reads the manifest
+    own = {"fit": ["--manifest", str(manifest), "--out", str(tmp_path / "model.json")],
+           "mockgen": ["--out", str(tmp_path / "mocks")]}[command]
+    result = _python_m_specband(command, "--config", str(path), *own)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+    assert sorted(tmp_path.iterdir()) == sorted([path, manifest])
+
+
+@pytest.mark.parametrize(
+    "command, flags, document, message",
+    [("mockgen", ["--seed", "-1"], None, "config key 'seed' must be a non-negative integer, got -1"),
+     ("mockgen", ["--count", "0"], None, "config key 'mock_count' must be an integer from 1 to sys.maxsize, got 0"),
+     ("fit", ["--seed", "-1"], None, "config key 'seed' must be a non-negative integer, got -1"),
+     # fit reads neither key, and still meets both rules
+     ("fit", [], {"bootstrap_replicates": 0, "mock_count": 0},
+      "config key 'bootstrap_replicates' must be an integer from 1 to sys.maxsize, got 0"),
+     ("bootstrap", ["-B", "0"], None, "config key 'bootstrap_replicates' must be an integer from 1 to sys.maxsize, got 0"),
+     ("bootstrap", ["-m", "0"], None, "config key 'bootstrap_components' must be an integer from 1 to sys.maxsize, got 0")],
+    ids=["mockgen-seed", "mockgen-count", "fit-seed", "fit-unread-keys", "bootstrap-replicates", "bootstrap-components"],
+)
+def test_a_flag_or_config_value_out_of_its_range_exits_two_naming_its_key(
+    runner, request, tmp_path, command, flags, document, message
+):
+    if document is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        flags = ["--config", str(path), *flags]
+    if command == "fit":
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("{}")  # fit checks its config before it reads the manifest
+        flags += ["--manifest", str(manifest)]
+    elif command == "bootstrap":
+        mock_dir = request.getfixturevalue("mock_dir")
+        flags += ["--model", str(request.getfixturevalue("model_path")),
+                  "--spectrum", str(read_manifest(mock_dir / "manifest.json")[0].path)]
+    result = runner.invoke(main, [command, *flags, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_readers_name_the_spectrum_or_curve_file_a_bad_value_is_in(runner, config_path, mock_dir, pred_dir, tmp_path):

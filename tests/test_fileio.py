@@ -311,11 +311,12 @@ def _saved_model(path):
         (lambda d: d.update(responses={}), "model's 'predictors' and 'responses' are not lists of equal length"),
         (lambda d: d["predictors"].pop(), "model's 'predictors' and 'responses' are not lists of equal length"),
         (lambda d: d["config"].update(semimetric=["l2"]),
-         "bad value in the model's 'config' record: config key 'semimetric' needs str values, got ['l2']"),
+         "bad value in the model's 'config' record: config key 'semimetric' must be one of 'l2', 'deriv1', 'deriv2', got ['l2']"),
         (lambda d: d["config"].update(semimetric="foo"),
-         "bad value in the model's 'config' record: unknown semimetric 'foo'; expected one of ['deriv1', 'deriv2', 'l2']"),
+         "bad value in the model's 'config' record: config key 'semimetric' must be one of 'l2', 'deriv1', 'deriv2', got 'foo'"),
         (lambda d: d["config"].update(response_points=1),
-         "bad value in the model's 'config' record: config key 'response_points' must be at least 2, got 1"),
+         ("bad value in the model's 'config' record: config key 'response_points' must be an integer from 2 "
+          "to sys.maxsize, got 1")),
         (lambda d: d["config"].update(predictor_points=6), "bad value in the model: curve has 5 values for a 6-point grid"),
         (lambda d: d.update(predictors=[{"flux": row} for row in d["predictors"]]),
          "model's 'predictors' row 0 is not a list of numbers"),

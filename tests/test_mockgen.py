@@ -237,6 +237,8 @@ def test_synthetic_model_validation():
         synthetic_model(GRID, n_components=0)
     with pytest.raises(ValueError, match="decay"):
         synthetic_model(GRID, eigenvalue_decay=0.0)
+    with pytest.raises(ValueError, match="^noise_level must be non-negative$"):
+        synthetic_model(GRID, noise_level=-0.05)
 
 
 def test_eigenspectra_are_one_read_only_array():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import sys
 
@@ -30,17 +31,19 @@ def test_config_defaults_follow_the_study_design():
 
 
 def test_config_rejects_overlapping_ranges():
-    with pytest.raises(ValueError, match="strictly below"):
+    with pytest.raises(ValueError, match=re.escape(
+            "config key 'response_range' must be two finite numbers, 0 < low < high < predictor_range's low, "
+            "got (1050.0, 1185.0)")):
         PipelineConfig(predictor_range=(1100.0, 1600.0))
-    with pytest.raises(ValueError, match="alpha"):
+    with pytest.raises(ValueError, match=re.escape("config key 'alpha' must be a number in (0, 1), got 1.5")):
         PipelineConfig(alpha=1.5)
-    with pytest.raises(ValueError, match="semimetric"):
+    with pytest.raises(ValueError, match=re.escape("config key 'semimetric' must be one of 'l2', 'deriv1', 'deriv2', got 'cosine'")):
         PipelineConfig(semimetric="cosine")
 
 
 @pytest.mark.parametrize("key", ["predictor_points", "response_points", "mock_grid_points"])
 def test_load_config_rejects_a_grid_of_fewer_than_two_points_naming_the_key(key):
-    with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be at least 2, got 1")):
+    with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be an integer from 2 to sys.maxsize, got 1")):
         load_config(**{key: 1})
     assert getattr(load_config(**{key: 2}), key) == 2
 
@@ -52,9 +55,11 @@ def test_config_rejects_a_size_or_count_above_sys_maxsize_naming_the_key(key):
     def value(n):
         return (2, n) if key == "kappa_candidates" else n
 
-    with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be at most sys.maxsize ({sys.maxsize})")):
+    rule = pipeline._RULES[key][2]
+    assert rule.endswith("to sys.maxsize")
+    with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be {rule}, got {value(sys.maxsize + 1)!r}")):
         PipelineConfig(**{key: value(sys.maxsize + 1)})
-    with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be at most sys.maxsize")):
+    with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be {rule}, got ")):
         load_config(**{key: value(10**400)})
     assert getattr(PipelineConfig(**{key: value(sys.maxsize)}), key) == value(sys.maxsize)
     assert PipelineConfig(seed=10**400).seed == 10**400
@@ -63,11 +68,55 @@ def test_config_rejects_a_size_or_count_above_sys_maxsize_naming_the_key(key):
 def test_load_config_rejects_a_normalization_wavelength_outside_the_predictor_range():
     """Outside the range the nearest predictor grid point would stand in for it unnoticed."""
     for wavelength in (1200.0, 1600.5):
-        with pytest.raises(ValueError, match="config key 'normalization_wavelength' must lie in predictor_range"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"config key 'normalization_wavelength' must be a number in predictor_range, got {wavelength}")):
             load_config(normalization_wavelength=wavelength)
     for wavelength in (1300.0, 1600.0):  # the range's ends are in it
         assert load_config(normalization_wavelength=wavelength).normalization_wavelength == wavelength
     assert load_config(predictor_range=[1250, 1600], normalization_wavelength=1260.0).predictor_range == (1250.0, 1600.0)
+
+
+# per key: a wrong type, an out-of-range value, a non-finite number and a
+# boundary value, each as a JSON config or a library caller could give it
+TINY = 5e-324  # the least positive float
+RULE_CASES = {
+    "predictor_range": ([1300.0, "1600"], [1600.0, 1300.0], [1300.0, math.inf], [np.nextafter(1185.0, 2000.0), 1300.0]),
+    "response_range": ("1050-1185", [1050.0, 1300.0], [-math.inf, 1185.0], [TINY, np.nextafter(1300.0, 0.0)]),
+    "predictor_points": (2.5, 1, math.inf, 2),
+    "response_points": ("200", 0, math.nan, sys.maxsize),
+    "normalization_wavelength": ("1300", 1600.5, math.nan, 1600.0),
+    "semimetric": (["l2"], "cosine", math.nan, "deriv2"),
+    "kappa_candidates": ((2.5,), [0, 2], [2, math.inf], [1, sys.maxsize]),
+    "span_candidates": (["0.3"], [], [0.5, math.nan], [1, TINY]),
+    "alpha": ("0.1", 1.0, math.nan, np.nextafter(1.0, 0.0)),
+    "bootstrap_replicates": (500.0, 0, math.inf, 1),
+    "bootstrap_components": (True, -5, -math.inf, 1),
+    "seed": (1.0, -1, math.inf, 10**400),
+    "mock_count": (np.float64(3.0), 0, math.inf, 1),
+    "mock_grid_points": ([551], 1, math.inf, 2),
+    "mock_components": ("10", 0, math.nan, sys.maxsize),
+    "mock_eigenvalue_decay": (False, 0.0, math.inf, TINY),
+    "mock_variance_scale": ("2.5", -1e-300, math.inf, 0),
+    "mock_noise_level": (True, -0.05, math.inf, 0.0),
+}
+
+
+@pytest.mark.parametrize("key", [field.name for field in dataclasses.fields(PipelineConfig)])
+def test_each_key_meets_its_one_rule_from_the_library_and_from_load_config(key):
+    """One rule per key, checked in one place: PipelineConfig and load_config
+    (so a JSON config, a flag and the model's record) reject the same values
+    with the same message naming the key, and take its default and boundary."""
+    rule = pipeline._RULES[key][2]
+    *bad, boundary = RULE_CASES[key]
+    for value in bad:
+        message = f"config key {key!r} must be {rule}, got {value!r}"
+        for make in (PipelineConfig, load_config):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make(**{key: value})
+    for value in (getattr(PipelineConfig(), key), boundary):
+        for make in (PipelineConfig, load_config):
+            taken = getattr(make(**{key: value}), key)
+            assert taken == (tuple(value) if isinstance(value, list) else value)
 
 
 def test_load_config_merges_file_and_overrides(tmp_path):
@@ -93,13 +142,16 @@ def test_load_config_rejects_unknown_keys(tmp_path):
 
 
 def test_load_config_takes_a_float_key_value_by_the_one_number_rule():
-    """Any real that is not a bool, an integer only if a float holds it."""
+    """Any finite real that is not a bool, an integer only if a float holds it."""
     config = load_config(normalization_wavelength=np.int64(1400), span_candidates=[1, np.float32(0.5)])
     assert config.normalization_wavelength == 1400 and config.span_candidates == (1.0, 0.5)
-    for value in (10**400, -(2**1024 - 2**970), True, "0.5"):  # an override of None sets nothing
-        with pytest.raises(ValueError, match=re.escape(f"config key 'span_candidates' needs float values, got {value!r}")):
+    assert type(config.span_candidates[0]) is float and load_config(kappa_candidates=[np.int64(3)]).kappa_candidates == (3,)
+    for value in (10**400, -(2**1024 - 2**970), True, "0.5", math.inf):  # an override of None sets nothing
+        message = f"config key 'span_candidates' must be a non-empty list of numbers in (0, 1], got [0.5, {value!r}]"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_config(span_candidates=[0.5, value])
-        with pytest.raises(ValueError, match=re.escape(f"config key 'mock_noise_level' needs float values, got {value!r}")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"config key 'mock_noise_level' must be a finite non-negative number, got {value!r}")):
             load_config(mock_noise_level=value)
 
 
